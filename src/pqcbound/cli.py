@@ -19,7 +19,7 @@ import time
 
 from .bound import BoundParams
 from .entropy import EntropyCache
-from .errors import GuardViolation, PqcboundError
+from .errors import GuardViolation, PqcboundError, ValidationError
 from .search import SearchConfig, SearchResult, run
 from .verify import DEFAULT_F, SUITES
 
@@ -34,7 +34,9 @@ TABLE_METHODS = ORDER_METHODS + SEARCH_METHODS
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     env = os.environ.get("PQC_THREADS")
     if env:
@@ -42,6 +44,8 @@ def _threads(args) -> int:
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -49,22 +53,22 @@ def order_wire(order) -> str:
     return ";".join(f"{k},{l}" for k, l in order)
 
 
-def _record(args, method: str, result: SearchResult, wall_ms: int, raw: bool) -> dict:
+def _record(args, result: SearchResult, wall_ms: int) -> dict:
     report = result.best
     rec = {
         "f": args.f,
         "q": args.q,
         "n": args.n,
-        "method": method,
-        "seed": getattr(args, "seed", None),
-        "fixed_colors": getattr(args, "fixed_colors", None),
-        "budget": getattr(args, "budget", None),
+        "method": args.method,
+        "seed": args.seed,
+        "fixed_colors": args.fixed_colors,
+        "budget": args.budget,
         "order": [[k, l] for k, l in report.order],
         "bound": f"{report.bound:.13f}",
         "cond_entropies": list(report.cond_entropies),
         "wall_time_ms": wall_ms,
     }
-    if raw:
+    if args.raw:
         rec["bound_hex"] = report.bound.hex()
     return rec
 
@@ -88,39 +92,22 @@ def _emit(rec: dict, result: SearchResult, fmt: str, out) -> None:
         out.write(f"wall_time_ms: {rec['wall_time_ms']}\n")
 
 
-def _run_config(args, method: str) -> tuple[SearchResult, int]:
-    params = BoundParams(n=args.n, f=args.f, q=args.q)
+def cmd_run(args) -> int:
+    """order and search: run one method and print its record."""
     config = SearchConfig(
-        method=method,
-        params=params,
-        seed=getattr(args, "seed", 0) or 0,
-        budget=getattr(args, "budget", 1000) or 1000,
-        fixed_colors=getattr(args, "fixed_colors", None),
-        tie_policy=getattr(args, "tie", "lex"),
+        method=args.method,
+        params=BoundParams(n=args.n, f=args.f, q=args.q),
+        seed=args.seed,
+        budget=args.budget,
+        fixed_colors=args.fixed_colors,
+        tie_policy=args.tie,
         workers=_threads(args),
+        force=args.force,
     )
     t0 = time.perf_counter()
-    if method == "exhaustive":
-        from .search import exhaustive_search
-
-        result = exhaustive_search(
-            params, force=args.force, workers=config.workers
-        )
-    else:
-        result = run(config)
+    result = run(config)
     wall_ms = int((time.perf_counter() - t0) * 1000)
-    return result, wall_ms
-
-
-def cmd_order(args) -> int:
-    result, wall_ms = _run_config(args, args.method)
-    _emit(_record(args, args.method, result, wall_ms, args.raw), result, args.format, sys.stdout)
-    return EXIT_OK
-
-
-def cmd_search(args) -> int:
-    result, wall_ms = _run_config(args, args.method)
-    _emit(_record(args, args.method, result, wall_ms, args.raw), result, args.format, sys.stdout)
+    _emit(_record(args, result, wall_ms), result, args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -161,6 +148,7 @@ def cmd_table(args) -> int:
             print(f"error: unknown method {m!r} (choose from {', '.join(TABLE_METHODS)})",
                   file=sys.stderr)
             return EXIT_USAGE
+    workers = _threads(args)
     lines = ["f," + ",".join(methods)]
     for f in _parse_range(args.f_range):
         params = BoundParams(n=args.n, f=f, q=args.q)
@@ -173,10 +161,10 @@ def cmd_table(args) -> int:
             config = SearchConfig(
                 method=m,
                 params=params,
-                seed=args.seed or 0,
-                budget=args.budget or 1000,
+                seed=args.seed,
+                budget=args.budget,
                 fixed_colors=fixed,
-                workers=_threads(args),
+                workers=workers,
             )
             result = run(config, cache=cache)
             row.append(f"{result.best.bound:.13f}")
@@ -212,7 +200,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--raw", action="store_true", help="include the bound as a hex float")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: PQC_THREADS or machine parallelism)")
+                   help="worker processes, at least 1 (default: PQC_THREADS, else the CPUs "
+                   "this process may run on)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (e-ec)")
     p.add_argument("--tie", choices=("lex", "random"), default="lex")
-    p.set_defaults(func=cmd_order)
+    p.set_defaults(func=cmd_run, budget=None, force=False)
 
     p = sub.add_parser("search", help="exhaustive or directed random search")
     p.add_argument("--method", choices=SEARCH_METHODS, required=True)
@@ -241,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (random search, default 2)")
     p.add_argument("--force", action="store_true", help="override the exhaustive-search size guard")
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_run, tie="lex")
 
     p = sub.add_parser("table", help="bounds for a range of f")
     p.add_argument("--f-range", dest="f_range", required=True, help="inclusive range A..B")

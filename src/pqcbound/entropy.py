@@ -15,25 +15,16 @@ last bit.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    EdgeAlreadyConditioned,
-    EnumerationTooLarge,
-    InvalidFieldSize,
-)
+from .errors import EdgeAlreadyConditioned, EnumerationTooLarge, InvalidFieldSize
 from .graphs import all_edges, check_edge, check_vertex_count, edge_count, edge_index
 
-# hard ceiling on the q^f assignment enumeration
-ENUMERATION_GUARD = 1 << 34
-# materialize the full assignment/outcome table below this many assignments,
-# stream in chunks above it
-_TABLE_LIMIT = 1 << 22
-_CHUNK = 1 << 18
+# ceiling on the q^f assignments, all of which are held in memory at once
+ENUMERATION_GUARD = 1 << 22
 
 
 def is_prime(q: int) -> bool:
@@ -89,21 +80,15 @@ class JointDistribution:
 def joint_distribution(edges, f: int, spec_or_q) -> JointDistribution:
     """Joint distribution of the monomials named by edges, for f symbols.
 
-    Enumerates all q^f assignments; counts sum exactly to q^f.
+    Enumerates all q^f assignments; counts sum exactly to q^f.  Outcome
+    vectors are listed in lexicographic order.
     """
-    spec = _as_spec(spec_or_q)
-    check_vertex_count(f)
-    edges = [check_edge(e, f) for e in edges]
-    total = spec.q ** f
-    if total > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(f"q^f = {total} exceeds the enumeration guard {ENUMERATION_GUARD}")
-    cache = EntropyCache(f, spec)
-    if not edges:
-        return JointDistribution(support=(((), Fraction(1)),))
-    rows, counts = cache._outcome_rows([edge_index(e, f) for e in edges])
+    cache = EntropyCache(f, spec_or_q)
+    indices = [edge_index(e, f) for e in edges]
+    _, first, counts = np.unique(cache._classes(indices), return_index=True, return_counts=True)
+    rows = cache._full_table()[indices][:, first].T.tolist()
     support = tuple(
-        (tuple(int(x) for x in row), Fraction(int(c), total))
-        for row, c in zip(rows, counts)
+        (tuple(row), Fraction(c, cache.total)) for row, c in zip(rows, counts.tolist())
     )
     assert sum(c for _, c in support) == 1
     return JointDistribution(support=support)
@@ -130,76 +115,41 @@ class EntropyCache:
         self._entropies: dict[int, float] = {0: 0.0}
         self._ln_q = math.log(self.q)
         self._table: np.ndarray | None = None
-        # largest column count whose base-q codes fit into 63 bits
-        self._pack_limit = 0
-        while self.q ** (self._pack_limit + 1) <= 1 << 63:
-            self._pack_limit += 1
-
-    def _assignments(self, lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi, dtype=np.int64)
-        w = np.empty((hi - lo, self.f), dtype=np.uint8)
-        for j in range(self.f):
-            w[:, j] = (idx // self.q ** j) % self.q
-        return w
-
-    def _monomial_columns(self, w: np.ndarray, indices) -> np.ndarray:
-        cols = np.empty((w.shape[0], len(indices)), dtype=np.uint8)
-        edges = all_edges(self.f)
-        for j, i in enumerate(indices):
-            k, l = edges[i]
-            cols[:, j] = (w[:, k - 1].astype(np.uint16) * w[:, l - 1]) % self.q
-        return cols
 
     def _full_table(self) -> np.ndarray:
+        """Value of every monomial under every assignment: row i holds edge i."""
         if self._table is None:
-            w = self._assignments(0, self.total)
-            self._table = self._monomial_columns(w, range(self.mu))
+            q, f = self.q, self.f
+            # symbol j of assignment a is base-q digit j of a; products of two
+            # symbols must not overflow
+            digit = np.arange(q, dtype=np.min_scalar_type((q - 1) ** 2))
+            symbols = [np.tile(np.repeat(digit, q ** j), q ** (f - 1 - j)) for j in range(f)]
+            self._table = np.empty((self.mu, self.total), dtype=np.min_scalar_type(q - 1))
+            for i, (k, l) in enumerate(all_edges(f)):
+                self._table[i] = symbols[k - 1] * symbols[l - 1] % q
         return self._table
 
-    def _pack(self, cols: np.ndarray) -> np.ndarray:
-        m = cols.shape[1]
-        code = np.zeros(cols.shape[0], dtype=np.uint64)
-        mult = np.uint64(1)
-        for j in range(m):
-            code += cols[:, j].astype(np.uint64) * mult
-            mult *= np.uint64(self.q)
+    def _classes(self, indices) -> np.ndarray:
+        """Outcome class of every assignment under the monomials at the given
+        edge indices, as a code whose order is the lexicographic order of the
+        outcome vectors.
+
+        The code is the big-endian base-q number of the outcome vector;
+        whenever the next column could overflow 63 bits, the codes are
+        replaced by their ranks, which keeps their order.
+        """
+        table = self._full_table()
+        code = np.zeros(self.total, dtype=np.uint64)
+        span = 1  # codes lie in [0, span)
+        for i in indices:
+            if span * self.q > 1 << 63:
+                values, code = np.unique(code, return_inverse=True)
+                code = code.astype(np.uint64)
+                span = len(values)
+            code *= np.uint64(self.q)
+            code += table[i]
+            span *= self.q
         return code
-
-    def _counts(self, indices) -> np.ndarray:
-        """Exact outcome counts for the monomial subset given by edge indices."""
-        m = len(indices)
-        if self.total <= _TABLE_LIMIT:
-            cols = self._full_table()[:, indices]
-            if m <= self._pack_limit:
-                return np.unique(self._pack(cols), return_counts=True)[1]
-            return np.unique(cols, axis=0, return_counts=True)[1]
-        # streamed tally for very large q^f
-        acc: Counter = Counter()
-        for lo in range(0, self.total, _CHUNK):
-            w = self._assignments(lo, min(lo + _CHUNK, self.total))
-            cols = self._monomial_columns(w, indices)
-            if m <= self._pack_limit:
-                codes, counts = np.unique(self._pack(cols), return_counts=True)
-                acc.update(dict(zip(codes.tolist(), counts.tolist())))
-            else:
-                rows, counts = np.unique(cols, axis=0, return_counts=True)
-                acc.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
-        return np.fromiter(acc.values(), dtype=np.int64)
-
-    def _outcome_rows(self, indices):
-        """Distinct outcome vectors with exact counts (distribution support)."""
-        if self.total <= _TABLE_LIMIT:
-            cols = self._full_table()[:, indices]
-            rows, counts = np.unique(cols, axis=0, return_counts=True)
-            return rows.tolist(), counts.tolist()
-        acc: Counter = Counter()
-        for lo in range(0, self.total, _CHUNK):
-            w = self._assignments(lo, min(lo + _CHUNK, self.total))
-            cols = self._monomial_columns(w, indices)
-            rows, counts = np.unique(cols, axis=0, return_counts=True)
-            acc.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
-        items = sorted(acc.items())
-        return [list(r) for r, _ in items], [c for _, c in items]
 
     def _mask_of(self, edges_or_mask) -> int:
         if isinstance(edges_or_mask, int):
@@ -218,7 +168,7 @@ class EntropyCache:
         if h is not None:
             return h
         indices = [i for i in range(self.mu) if (mask >> i) & 1]
-        counts = self._counts(indices)
+        counts = np.unique(self._classes(indices), return_counts=True)[1]
         # H = log_q(q^f) - sum c/q^f * log_q c, with the count sum exact
         s = math.fsum(c * math.log(c) for c in counts.tolist() if c > 1)
         h = self.f - s / (self.total * self._ln_q)

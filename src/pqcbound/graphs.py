@@ -215,18 +215,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def diameter(g: Graph) -> int:
-    """Maximum eccentricity; requires a connected graph."""
-    best = 0
-    for u in range(1, g.f + 1):
-        dist = _distances_from(g, u)
-        ecc = max(dist)
-        if ecc is math.inf:
-            raise DisconnectedGraph("diameter undefined for a disconnected graph")
-        best = max(best, ecc)
-    return best
-
-
 def periphery(g: Graph) -> list[Edge]:
     """All unordered vertex pairs at the diameter of a connected graph."""
     best = -1

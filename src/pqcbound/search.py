@@ -62,11 +62,12 @@ class SearchConfig:
 
     method: str
     params: BoundParams
-    seed: int = 0
-    budget: int = 1000
+    seed: int | None = 0
+    budget: int | None = 1000
     fixed_colors: int | None = None
     tie_policy: str = "lex"
     workers: int = 1
+    force: bool = False
 
 
 @dataclass(frozen=True)
@@ -570,7 +571,7 @@ def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult
     if method == "e-ec":
         return e_ec_search(
             params,
-            fixed_colors=config.fixed_colors or 1,
+            fixed_colors=1 if config.fixed_colors is None else config.fixed_colors,
             cache=cache,
             workers=config.workers,
         )
@@ -580,13 +581,13 @@ def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult
     if method == "ebg":
         return ebg_order(params, tie_policy=config.tie_policy, seed=config.seed, cache=cache)
     if method == "exhaustive":
-        return exhaustive_search(params, cache=cache, workers=config.workers)
+        return exhaustive_search(params, cache=cache, force=config.force, workers=config.workers)
     if method == "random":
         return directed_random_search(
             params,
             seed=config.seed,
             budget=config.budget,
-            fixed_colors=config.fixed_colors or 2,
+            fixed_colors=2 if config.fixed_colors is None else config.fixed_colors,
             cache=cache,
         )
     raise ValidationError(f"unknown method {method!r}")

@@ -1,11 +1,12 @@
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _threads, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -46,11 +47,38 @@ class TestOrderCommand:
         code, _, err = run_cli(capsys, "order", "--method", "ec", "--f", "6", "--q", "4")
         assert code == EXIT_GUARD
         assert "prime" in err
+        # 3^14 assignments exceed the enumeration guard of 2^22
+        code, _, err = run_cli(capsys, "order", "--method", "ec", "--f", "14", "--q", "3")
+        assert code == EXIT_GUARD
+        assert "enumeration guard" in err
 
-    def test_ldf_f2_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "order", "--method", "ldf", "--f", "2")
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("order", "--method", "ldf", "--f", "2"), "f >= 3"),
+            (("search", "--method", "random", "--f", "6", "--budget", "0"), "budget"),
+            (("search", "--method", "random", "--f", "6", "--fixed-colors", "0"), "fixed_colors"),
+            (("order", "--method", "e-ec", "--f", "6", "--fixed-colors", "0"), "fixed_colors"),
+            (("table", "--f-range", "5..5", "--methods", "random", "--budget", "0"), "budget"),
+            (("order", "--method", "ec", "--f", "5", "--threads", "0"), "--threads"),
+            (("search", "--method", "exhaustive", "--f", "4", "--threads", "-2"), "--threads"),
+            (("table", "--f-range", "5..5", "--methods", "ec", "--threads", "0"), "--threads"),
+        ],
+        ids=["ldf-f2", "random-budget-0", "random-fixed-0", "eec-fixed-0", "table-budget-0",
+             "threads-0", "threads-negative", "table-threads-0"],
+    )
+    def test_invalid_value_rejected(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
-        assert "f >= 3" in err
+        assert message in err
+
+    def test_threads_default_is_affinity(self, monkeypatch):
+        monkeypatch.delenv("PQC_THREADS", raising=False)
+        args = build_parser().parse_args(["order", "--method", "ec", "--f", "5"])
+        if hasattr(os, "sched_getaffinity"):
+            assert _threads(args) == len(os.sched_getaffinity(0))
+        else:
+            assert _threads(args) == (os.cpu_count() or 1)
 
     def test_unknown_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

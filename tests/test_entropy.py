@@ -1,9 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqcbound import (
     EntropyCache,
@@ -36,6 +39,19 @@ def outcome_space_entropy(edges, f, q):
             counts.append(c)
     assert sum(counts) == total
     return -math.fsum((c / total) * math.log(c / total, q) for c in counts)
+
+
+def counter_oracle(edges, f, q):
+    """Independent oracle: a pure-Python tally of outcome vectors over every
+    assignment.  Returns the entropy, by the formula EntropyCache uses, and
+    the support in lexicographic order."""
+    total = q ** f
+    tally = Counter(
+        tuple(w[k - 1] * w[l - 1] % q for k, l in edges) for w in product(range(q), repeat=f)
+    )
+    s = math.fsum(c * math.log(c) for c in tally.values() if c > 1)
+    support = tuple((row, Fraction(c, total)) for row, c in sorted(tally.items()))
+    return f - s / (total * math.log(q)), support
 
 
 class TestFieldSpec:
@@ -176,19 +192,32 @@ class TestJointEntropy:
         assert a.joint_entropy(edges) == a.joint_entropy(edges)
 
     def test_guard_at_construction(self):
+        assert EntropyCache(13, 3).total == 3 ** 13  # the largest q^f under 2^22 at q=3
+        with pytest.raises(EnumerationTooLarge):
+            EntropyCache(14, 3)
         with pytest.raises(EnumerationTooLarge):
             EntropyCache(16, 5)
 
-    def test_chunked_tally_matches(self, monkeypatch):
-        import pqcbound.entropy as ent
+    # (12, 2) and (10, 3) pack more columns than 63 bits hold; q=257 needs
+    # more than 8 bits per symbol
+    @pytest.mark.parametrize("f,q", [(12, 2), (10, 3), (2, 257)])
+    def test_counter_oracle_all_edges(self, f, q):
+        edges = all_edges(f)
+        want_h, want_support = counter_oracle(edges, f, q)
+        assert EntropyCache(f, q).joint_entropy(edges) == want_h
+        assert joint_distribution(edges, f, q).support == want_support
 
-        reference = EntropyCache(4, 3)
-        edges = [(1, 2), (2, 3), (1, 4)]
-        want = reference.joint_entropy(edges)
-        monkeypatch.setattr(ent, "_TABLE_LIMIT", 8)
-        monkeypatch.setattr(ent, "_CHUNK", 16)
-        chunked = EntropyCache(4, 3)
-        assert chunked.joint_entropy(edges) == pytest.approx(want, abs=1e-13)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_counter_oracle_random_masks(self, data):
+        f = data.draw(st.integers(2, 6), label="f")
+        q = data.draw(st.sampled_from((2, 3, 5)), label="q")
+        mu = f * (f - 1) // 2
+        mask = data.draw(st.integers(1, (1 << mu) - 1), label="mask")
+        edges = [e for i, e in enumerate(all_edges(f)) if mask >> i & 1]
+        want_h, want_support = counter_oracle(edges, f, q)
+        assert EntropyCache(f, q).joint_entropy(mask) == want_h
+        assert joint_distribution(edges, f, q).support == want_support
 
 
 class TestConditionalEntropy:
