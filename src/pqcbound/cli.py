@@ -39,11 +39,14 @@ def _threads(args) -> int:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     env = os.environ.get("PQC_THREADS")
-    if env:
+    if env is not None:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            pass
+            raise ValidationError(f"PQC_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ValidationError(f"PQC_THREADS must be at least 1, got {threads}")
+        return threads
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -5,9 +5,10 @@ Vertices are labelled 1..f.  An edge is an ordered pair (k, l) with
 its bit position in edge-set bitmasks, which are the canonical subset keys
 used throughout the package.
 
-Cycle counting is done with a subset dynamic program over vertex bitmasks
-(O(2^f * f * deg) per source vertex), so per-length censuses stay exact and
-cheap up to f = 16 without enumerating individual paths.
+Cycle counting is done with a subset dynamic program over vertex bitmasks:
+per source vertex, one integer matrix product and one scatter per popcount
+layer (O(2^f * f^2) work in f - 1 numpy steps), so per-length censuses stay
+exact and cheap up to f = 16 without enumerating individual paths.
 """
 from __future__ import annotations
 
@@ -276,38 +277,30 @@ def _popcount_layers(f: int) -> tuple:
 
 
 def _path_counts_dp(adj: list[int], f: int, src0: int) -> np.ndarray:
-    """counts[t, L] = number of simple paths from src0 to t with L edges (0-based t)."""
+    """counts[t, L] = number of simple paths from src0 to t with L edges (0-based t).
+
+    dp[m, w] counts the simple paths from src0 that visit exactly the vertex
+    set m and end at w.  One step per popcount layer k extends every path of
+    layer k by one edge: dp[m] @ a sums over the last vertex w, giving for
+    each x the paths that can step to x, and one scatter adds that count into
+    dp[m | 1<<x, x] when x is not in m.  The scatter loses no update: for a
+    fixed x, distinct masks without x stay distinct after setting bit x, and
+    a mask that already holds x targets itself, on layer k rather than k + 1,
+    and receives 0.  Layer k + 1 starts empty, so its column sums, the paths
+    with k edges, are the column sums of the step.
+    """
+    bits = np.int64(1) << np.arange(f, dtype=np.int64)
+    a = ((np.array(adj, dtype=np.int64)[:, None] & bits) != 0).astype(np.int64)
     dp = np.zeros((1 << f, f), dtype=np.int64)
     dp[1 << src0, src0] = 1
-    layers = _popcount_layers(f)
     res = np.zeros((f, f), dtype=np.int64)
-    for k in range(1, f):
-        masks = layers[k]
-        masks = masks[((masks >> src0) & 1) == 1]
-        if masks.size == 0:
-            continue
-        for w in range(f):
-            mw = masks[((masks >> w) & 1) == 1]
-            if mw.size == 0:
-                continue
-            vals = dp[mw, w]
-            nz = vals > 0
-            if not nz.any():
-                continue
-            act = mw[nz]
-            v = vals[nz]
-            for x in _bits(adj[w]):
-                sel = ((act >> x) & 1) == 0
-                if not sel.any():
-                    continue
-                src = act[sel]
-                # distinct source masks stay distinct after setting bit x
-                dp[src | (1 << x), x] += v[sel]
-    for k in range(2, f + 1):
-        masks = layers[k]
-        masks = masks[((masks >> src0) & 1) == 1]
-        if masks.size:
-            res[:, k - 1] = dp[masks, :].sum(axis=0)
+    for k, masks in enumerate(_popcount_layers(f)[1:f], 1):
+        masks = masks[(masks & bits[src0]) != 0]
+        m = masks[:, None]
+        ext = m | bits
+        step = np.where(ext != m, dp[masks] @ a, 0)
+        dp[ext, np.arange(f)] += step
+        res[:, k] = step.sum(axis=0)
     return res
 
 

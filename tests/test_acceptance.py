@@ -129,7 +129,6 @@ class TestCriterion2:
         assert ebg == pytest.approx(ES_RS_TABLE[f], abs=TOL_DETERMINISTIC)
         print(f"ACCEPTANCE ldf/ebg f={f} match search optimum: {ldf:.13f}")
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("f", [10, 11, 12])
     def test_ldf_large(self, f, shared_cache):
         got = capacity_outer_bound(ldf_order(f), params(f), shared_cache(f)).bound

@@ -80,6 +80,21 @@ class TestOrderCommand:
         else:
             assert _threads(args) == (os.cpu_count() or 1)
 
+    @pytest.mark.parametrize("env", ["0", "-2", "two"])
+    def test_bad_pqc_threads_rejected(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("PQC_THREADS", env)
+        code, out, err = run_cli(capsys, "order", "--method", "e-ec", "--f", "5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "PQC_THREADS" in err
+
+    def test_pqc_threads_used_unless_flag_given(self, monkeypatch):
+        monkeypatch.setenv("PQC_THREADS", "3")
+        assert _threads(build_parser().parse_args(["order", "--method", "ec", "--f", "5"])) == 3
+        monkeypatch.setenv("PQC_THREADS", "two")
+        args = build_parser().parse_args(["order", "--method", "ec", "--f", "5", "--threads", "2"])
+        assert _threads(args) == 2
+
     def test_unknown_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["order", "--method", "bogus", "--f", "6"])

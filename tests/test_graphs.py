@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqcbound import (
     Graph,
@@ -13,18 +16,57 @@ from pqcbound import (
     edge_count,
     edge_from_index,
     edge_index,
+    graphs,
     induced_cycle_vector,
     is_matching,
     is_near_perfect_matching,
     is_perfect_matching,
+    ldf_order,
     matching_size,
     periphery,
     simple_path_counts,
 )
 from pqcbound.errors import DisconnectedGraph, EdgePresent, InvalidEdge, InvalidVertex
-from pqcbound.graphs import complete_cycle_census
+from pqcbound.graphs import _bits, _popcount_layers, complete_cycle_census, mask_to_edges
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
+
+
+def _path_counts_oracle(adj: list[int], f: int, src0: int) -> np.ndarray:
+    """Reference loop over (popcount layer, last vertex w, neighbour x) for
+    graphs._path_counts_dp, kept only as a test oracle."""
+    dp = np.zeros((1 << f, f), dtype=np.int64)
+    dp[1 << src0, src0] = 1
+    layers = _popcount_layers(f)
+    res = np.zeros((f, f), dtype=np.int64)
+    for k in range(1, f):
+        masks = layers[k]
+        masks = masks[((masks >> src0) & 1) == 1]
+        if masks.size == 0:
+            continue
+        for w in range(f):
+            mw = masks[((masks >> w) & 1) == 1]
+            if mw.size == 0:
+                continue
+            vals = dp[mw, w]
+            nz = vals > 0
+            if not nz.any():
+                continue
+            act = mw[nz]
+            v = vals[nz]
+            for x in _bits(adj[w]):
+                sel = ((act >> x) & 1) == 0
+                if not sel.any():
+                    continue
+                src = act[sel]
+                # distinct source masks stay distinct after setting bit x
+                dp[src | (1 << x), x] += v[sel]
+    for k in range(2, f + 1):
+        masks = layers[k]
+        masks = masks[((masks >> src0) & 1) == 1]
+        if masks.size:
+            res[:, k - 1] = dp[masks, :].sum(axis=0)
+    return res
 
 
 class TestEdgeIndexing:
@@ -218,3 +260,35 @@ class TestSimplePathCounts:
         assert res[2, 1] == 1  # direct edge
         assert res[2, 2] == 2  # via 3 or 4
         assert res[2, 3] == 2  # 1-3-4-2 and 1-4-3-2
+
+
+class TestPathCountKernel:
+    """The layer-wise kernel against the per-(layer, w, x) loop oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_loop_oracle(self, data):
+        f = data.draw(st.integers(2, 10), label="f")
+        mask = data.draw(st.integers(0, (1 << (f * (f - 1) // 2)) - 1), label="edges")
+        g = Graph(f, mask_to_edges(mask, f))
+        for src0 in range(f):
+            got = graphs._path_counts_dp(g._adj, f, src0)
+            want = _path_counts_oracle(g._adj, f, src0)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        new_paths = [simple_path_counts(g, s) for s in range(1, f + 1)]
+        new_census = cycle_census(g)
+        absent = [e for e in all_edges(f) if not g.has_edge(e)]
+        new_vectors = [induced_cycle_vector(g, e) for e in absent]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_path_counts_dp", _path_counts_oracle)
+            for s, got in enumerate(new_paths, 1):
+                assert np.array_equal(got, simple_path_counts(g, s))
+            assert new_census == cycle_census(g)
+            assert new_vectors == [induced_cycle_vector(g, e) for e in absent]
+
+    @pytest.mark.parametrize("f", range(5, 12))
+    def test_ldf_order_matches_loop_oracle(self, f, monkeypatch):
+        got = ldf_order(f)
+        monkeypatch.setattr(graphs, "_path_counts_dp", _path_counts_oracle)
+        assert got == ldf_order(f)
