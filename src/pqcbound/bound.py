@@ -80,7 +80,10 @@ def _weighted_terms(order, params: BoundParams, cache: EntropyCache):
 def capacity_outer_bound(order, params: BoundParams, cache: EntropyCache | None = None) -> BoundReport:
     """Evaluate the outer bound for a full monomial order."""
     mu = edge_count(params.f)
-    order = tuple(check_edge(e, params.f) for e in order)
+    # tuple() of a list, not of a generator: a generator fills a 10-slot tuple
+    # and resizes it, which moves tuples between CPython's per-size free lists
+    # on every call, so they fill up and hold memory until a full collection
+    order = tuple([check_edge(e, params.f) for e in order])
     if len(order) != mu or len(set(order)) != mu:
         raise NotAPermutation(
             f"order must list each of the {mu} edges of K_{params.f} exactly once"
@@ -98,7 +101,7 @@ def capacity_outer_bound(order, params: BoundParams, cache: EntropyCache | None 
 
 def partial_bound(prefix, params: BoundParams, cache: EntropyCache | None = None) -> float:
     """The bound evaluated over a nonempty prefix of distinct edges only."""
-    prefix = tuple(check_edge(e, params.f) for e in prefix)
+    prefix = tuple([check_edge(e, params.f) for e in prefix])  # a list: see capacity_outer_bound
     if not prefix:
         raise ValidationError("prefix must be nonempty")
     if len(set(prefix)) != len(prefix):

@@ -20,7 +20,7 @@ import time
 from .bound import BoundParams
 from .entropy import EntropyCache
 from .errors import GuardViolation, PqcboundError, ValidationError
-from .search import SearchConfig, SearchResult, run
+from .search import SearchConfig, SearchResult, feasible_fixed_colors, run
 from .verify import DEFAULT_F, SUITES
 
 EXIT_OK = 0
@@ -114,20 +114,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _feasible_fixed_colors(f: int) -> int:
-    """Smallest leading-class count keeping the e-ec permutation search feasible."""
-    import math
-
-    from .coloring import color_sets
-    from .search import PERMUTATION_CAP
-
-    chi = len(color_sets(f).sets)
-    fixed = 1
-    while math.factorial(chi - fixed) > PERMUTATION_CAP:
-        fixed += 1
-    return fixed
-
-
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -160,7 +146,7 @@ def cmd_table(args) -> int:
         for m in methods:
             fixed = args.fixed_colors
             if m == "e-ec" and fixed is None:
-                fixed = _feasible_fixed_colors(f)
+                fixed = feasible_fixed_colors(f)
             config = SearchConfig(
                 method=m,
                 params=params,

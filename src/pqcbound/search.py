@@ -56,6 +56,15 @@ PATH_COUNT_LIMIT = 5
 PERMUTATION_CAP = 1_000_000
 
 
+def feasible_fixed_colors(f: int) -> int:
+    """Smallest leading-class count keeping the e-ec permutation search feasible."""
+    chi = len(color_sets(f).sets)
+    fixed = 1
+    while math.factorial(chi - fixed) > PERMUTATION_CAP:
+        fixed += 1
+    return fixed
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """One search invocation as driven by the CLI."""
@@ -108,20 +117,42 @@ def _eval_order(order, f: int, n: int, cache: EntropyCache) -> float:
 # E-EC: search over color-class permutations
 # ---------------------------------------------------------------------------
 
-def _e_ec_leading(task):
-    """Evaluate all color permutations starting with one leading color."""
-    f, q, n, sets, leading, lead = task
-    cache = EntropyCache(f, q)
-    rest = [c for c in range(len(sets)) if c not in leading and c != lead]
-    prefix = [e for c in leading for e in sets[c]] + list(sets[lead])
+def _e_ec_branch(task):
+    """Best (bound, order) and the number of orders scored among the orders
+    whose first free class is `second`.
+
+    A DFS over the other free classes carries the running denominator, the
+    last joint entropy and the edge position along shared prefixes, so a
+    class step adds only the terms of its own edges.
+    """
+    step, weights, hmin, head, blocks, start, second = task
+    full = (1 << len(blocks)) - 1
     best = (math.inf, ())
     count = 0
-    for perm in permutations(rest):
-        order = tuple(prefix + [e for c in perm for e in sets[c]])
-        b = _eval_order(order, f, n, cache)
-        count += 1
-        if (b, order) < best:
-            best = (b, order)
+    perm = []
+
+    def visit(done, c, pos, acc, prev):
+        nonlocal best, count
+        for h in step[done][c]:
+            acc += weights[pos] * (h - prev)
+            prev = h
+            pos += 1
+        done |= 1 << c
+        perm.append(c)
+        if done == full:
+            count += 1
+            b = hmin / acc
+            if b <= best[0]:
+                order = head + tuple(e for j in perm for e in blocks[j])
+                if (b, order) < best:
+                    best = (b, order)
+        else:
+            for j in range(len(blocks)):
+                if not done >> j & 1:
+                    visit(done, j, pos, acc, prev)
+        perm.pop()
+
+    visit(0, second, *start)
     return best, count
 
 
@@ -136,10 +167,22 @@ def e_ec_search(
     """Best bound over color-class permutations with the leading classes fixed.
 
     The first fixed_colors classes of the coloring stay in place; every
-    permutation of the remaining classes is evaluated, (chi' - fixed_colors)!
-    in total.  leading_colors pins an explicit sequence of 1-based class
-    numbers instead of the first fixed_colors (useful for reproducing runs
-    that held a nonstandard pair of classes fixed).
+    permutation of the remaining (free) classes is evaluated,
+    (chi' - fixed_colors)! in total.  leading_colors pins an explicit
+    sequence of 1-based class numbers instead of the first fixed_colors
+    (useful for reproducing runs that held a nonstandard pair of classes
+    fixed).
+
+    The entropies come from a step table built once through the cache: for
+    every set T of free classes and every free class c outside T, the joint
+    entropies along c's edges appended after the leading classes and T.  A
+    DFS over the free classes then adds one term per edge,
+    weight * (H - H_prev), with the running-product weights 1, 1/n, 1/n^2, ...
+    in the order _eval_order uses, so every order scores the same bits as a
+    from-scratch evaluation.  There is one DFS task per second class, run in
+    worker processes when workers > 1.  Ties in the bound go to the
+    lexicographically smallest edge order, so the worker count never
+    changes the result.
     """
     part = color_sets(params.f)
     chi = len(part.sets)
@@ -165,23 +208,47 @@ def e_ec_search(
         return SearchResult(best=capacity_outer_bound(order, params, cache), evaluations=1)
 
     cache = make_cache(params, cache)
-    best = (math.inf, ())
-    total = 0
+    bits = _edge_bits(params.f)
+
+    def along(mask, edges):
+        """Joint entropies as the edges join the set `mask` one by one."""
+        hs = []
+        for e in edges:
+            mask |= bits[e]
+            hs.append(cache.joint_entropy(mask))
+        return tuple(hs)
+
+    inv_n = 1.0 / params.n
+    weights = [1.0]
+    for _ in range(edge_count(params.f) - 1):
+        weights.append(weights[-1] * inv_n)
+    head = tuple(e for c in leading for e in part.sets[c])
+    acc = prev = 0.0
+    for pos, h in enumerate(along(0, head)):
+        acc += weights[pos] * (h - prev)
+        prev = h
+    head_mask = sum(bits[e] for e in head)
+    blocks = [tuple(part.sets[c]) for c in rest]
+    block_masks = [sum(bits[e] for e in block) for block in blocks]
+    step = []
+    for done in range(1 << len(rest)):
+        base = head_mask | sum(m for j, m in enumerate(block_masks) if done >> j & 1)
+        step.append([
+            None if done >> j & 1 else along(base, block) for j, block in enumerate(blocks)
+        ])
+
+    start = (len(head), acc, prev)
+    tasks = [
+        (step, weights, cache.marginal_entropy(), head, blocks, start, second)
+        for second in range(len(rest))
+    ]
     if workers > 1 and len(rest) > 1:
-        tasks = [(params.f, params.q, params.n, part.sets, tuple(leading), lead) for lead in rest]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for local_best, count in pool.map(_e_ec_leading, tasks):
-                total += count
-                if local_best < best:
-                    best = local_best
+            results = list(pool.map(_e_ec_branch, tasks))
     else:
-        fixed_edges = [e for c in leading for e in part.sets[c]]
-        for perm in permutations(rest):
-            order = tuple(fixed_edges + [e for c in perm for e in part.sets[c]])
-            b = _eval_order(order, params.f, params.n, cache)
-            total += 1
-            if (b, order) < best:
-                best = (b, order)
+        results = [_e_ec_branch(t) for t in tasks]
+    best = min(local_best for local_best, _ in results)
+    total = sum(count for _, count in results)
     return SearchResult(best=capacity_outer_bound(best[1], params, cache), evaluations=total)
 
 
@@ -256,7 +323,8 @@ def order_inner_edges(g: Graph, partial) -> tuple[Edge, ...]:
                 res = simple_path_counts(work, k)
                 counts_by_source[k] = res
             # paths of length L close to cycles of length L+1
-            vec = tuple(int(res[l, length]) for length in range(2, work.f))
+            # a list, not a generator: see bound.capacity_outer_bound
+            vec = tuple([int(res[l, length]) for length in range(2, work.f)])
             if best_vec is None or vec < best_vec:
                 best_vec, best_edge = vec, (k, l)
         work.add_edge(best_edge)

@@ -142,7 +142,6 @@ class TestCriterion2:
         assert got == pytest.approx(EBG_TABLE_LARGE[f], abs=TOL_TIE_SENSITIVE)
         print(f"ACCEPTANCE ebg f={f}: {got:.13f}")
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("f", [9, 10])
     def test_e_ec_large(self, f, shared_cache):
         got = e_ec_search(params(f), cache=shared_cache(f)).best.bound
@@ -248,8 +247,9 @@ class TestCriterion4:
         check = is_perfect_matching if f % 2 == 0 else is_near_perfect_matching
         assert check(order[:eta], f)
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("f", [10, 11, 12])
+    @pytest.mark.parametrize(
+        "f", [10, pytest.param(11, marks=pytest.mark.slow), pytest.param(12, marks=pytest.mark.slow)]
+    )
     def test_leading_matchings_e_ec_large(self, f, shared_cache):
         eta = matching_size(f)
         fixed = 2 if f >= 11 else 1

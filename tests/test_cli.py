@@ -134,6 +134,14 @@ class TestOrderCommand:
         strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
         assert strip(out1) == strip(out2)
 
+    def test_eec_worker_count_invariant(self, capsys):
+        args = ["order", "--method", "e-ec", "--f", "9", "--raw", "--threads"]
+        _, out1, _ = run_cli(capsys, *args, "1")
+        _, out2, _ = run_cli(capsys, *args, "2")
+        strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
+        assert strip(out1) == strip(out2)
+        assert json.loads(out1)["bound"] == "0.5058885273733"
+
 
 class TestSearchCommand:
     def test_exhaustive_f5(self, capsys):
@@ -184,6 +192,14 @@ class TestTableCommand:
         assert lines[0] == "f,ec,ldf"
         assert lines[1] == "5,0.5382035621102,0.5321513151313"
         assert lines[2] == "6,0.5198943946817,0.5197824997350"
+
+    def test_eec_worker_count_invariant(self, capsys):
+        args = ["table", "--f-range", "5..9", "--methods", "e-ec", "--threads"]
+        code1, out1, _ = run_cli(capsys, *args, "1")
+        code2, out2, _ = run_cli(capsys, *args, "2")
+        assert code1 == code2 == EXIT_OK
+        assert out1 == out2
+        assert out1.startswith("f,e-ec\n5,0.5321513151313\n6,0.5198121367672\n")
 
     def test_empty_methods_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "table", "--f-range", "5..5", "--methods", "")

@@ -1,15 +1,20 @@
 import math
 import random
+from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pqcbound import (
     BoundParams,
     Graph,
+    EntropyCache,
     SearchConfig,
     all_edges,
     capacity_outer_bound,
+    color_sets,
     count_distinct_paths,
     count_graph_classes,
     directed_random_search,
@@ -28,7 +33,8 @@ from pqcbound.errors import (
     SearchSpaceTooLarge,
     ValidationError,
 )
-from pqcbound.search import run
+from pqcbound import search
+from pqcbound.search import SearchResult, _eval_order, run
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
 
@@ -58,6 +64,101 @@ class TestEcReference:
     def test_large_range(self, f, shared_cache):
         report = capacity_outer_bound(ec_order(f), params(f), shared_cache(f))
         assert report.bound == pytest.approx(EC_REFERENCE[f], abs=1e-11)
+
+
+def _e_ec_leading(task):
+    """Evaluate all color permutations starting with one leading color."""
+    f, q, n, sets, leading, lead = task
+    cache = EntropyCache(f, q)
+    rest = [c for c in range(len(sets)) if c not in leading and c != lead]
+    prefix = [e for c in leading for e in sets[c]] + list(sets[lead])
+    best = (math.inf, ())
+    count = 0
+    for perm in permutations(rest):
+        order = tuple(prefix + [e for c in perm for e in sets[c]])
+        b = _eval_order(order, f, n, cache)
+        count += 1
+        if (b, order) < best:
+            best = (b, order)
+    return best, count
+
+
+def _e_ec_oracle(params, leading, cache, workers=1):
+    """Test oracle for e_ec_search: every class permutation scored from scratch
+    by _eval_order, serially or one pool task per leading class; leading holds
+    0-based class indices."""
+    part = color_sets(params.f)
+    rest = [c for c in range(len(part.sets)) if c not in leading]
+    best = (math.inf, ())
+    total = 0
+    if workers > 1 and len(rest) > 1:
+        tasks = [(params.f, params.q, params.n, part.sets, tuple(leading), lead) for lead in rest]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for local_best, count in pool.map(_e_ec_leading, tasks):
+                total += count
+                if local_best < best:
+                    best = local_best
+    else:
+        fixed_edges = [e for c in leading for e in part.sets[c]]
+        for perm in permutations(rest):
+            order = tuple(fixed_edges + [e for c in perm for e in part.sets[c]])
+            b = _eval_order(order, params.f, params.n, cache)
+            total += 1
+            if (b, order) < best:
+                best = (b, order)
+    return SearchResult(best=capacity_outer_bound(best[1], params, cache), evaluations=total)
+
+
+def _assert_same_search(got, want):
+    assert got.best.order == want.best.order
+    assert got.best.bound.hex() == want.best.bound.hex()
+    assert got.evaluations == want.evaluations
+
+
+class TestEEcOracle:
+    # shared_cache only hands out memoized caches, which every example may share
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_permutation_loop(self, data, shared_cache):
+        f = data.draw(st.integers(3, 8), label="f")
+        q = data.draw(st.sampled_from((2, 3) if f <= 6 else (2,)), label="q")
+        n = data.draw(st.sampled_from((1, 2, 3, 5)), label="n")
+        chi = len(color_sets(f).sets)
+        leading = data.draw(
+            st.lists(st.integers(0, chi - 1), min_size=1, max_size=chi - 1, unique=True),
+            label="leading",
+        )
+        p = params(f, n=n, q=q)
+        cache = shared_cache(f, q)
+        kernel = search._e_ec_branch
+        calls = []
+
+        def recording(task):
+            calls.append((task, kernel(task)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_e_ec_branch", recording)
+            got = e_ec_search(p, leading_colors=[c + 1 for c in leading], cache=cache)
+        _assert_same_search(got, _e_ec_oracle(p, leading, cache))
+        # the DFS weights are _eval_order's running products 1, 1/n, 1/n^2, ...
+        # (float(n) ** -v differs from them in the last bit for n = 3, 5, 6, 7),
+        # and each branch winner scores the bits of a from-scratch evaluation
+        weights = [1.0]
+        for _ in range(edge_count(f) - 1):
+            weights.append(weights[-1] * (1.0 / n))
+        for (_, task_weights, *_), ((b, order), _) in calls:
+            assert task_weights == weights
+            assert b.hex() == _eval_order(order, f, n, cache).hex()
+
+    # n = 1 gives every order the same bound, so the tie rule picks the winner
+    @pytest.mark.parametrize("f,n", [(7, 3), (8, 1)])
+    def test_matches_permutation_loop_two_workers(self, f, n, shared_cache):
+        p = params(f, n=n)
+        cache = shared_cache(f)
+        got = e_ec_search(p, cache=cache, workers=2)
+        _assert_same_search(got, _e_ec_oracle(p, [0], cache, workers=2))
 
 
 class TestEEc:
