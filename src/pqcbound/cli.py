@@ -12,6 +12,7 @@ violation (search space too large, composite q, infeasible budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -105,7 +106,6 @@ def cmd_run(args) -> int:
         fixed_colors=args.fixed_colors,
         tie_policy=args.tie,
         workers=_threads(args),
-        force=args.force,
     )
     t0 = time.perf_counter()
     result = run(config)
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (e-ec)")
     p.add_argument("--tie", choices=("lex", "random"), default="lex")
-    p.set_defaults(func=cmd_run, budget=None, force=False)
+    p.set_defaults(func=cmd_run, budget=None)
 
     p = sub.add_parser("search", help="exhaustive or directed random search")
     p.add_argument("--method", choices=SEARCH_METHODS, required=True)
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random-search draws (default 1000)")
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (random search, default 2)")
-    p.add_argument("--force", action="store_true", help="override the exhaustive-search size guard")
     p.set_defaults(func=cmd_run, tie="lex")
 
     p = sub.add_parser("table", help="bounds for a range of f")
@@ -243,9 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main reuses.  A new parser per call leaves hundreds of
+    argparse objects in reference cycles until a full collection; building
+    it on first use keeps the cost out of the import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardViolation as exc:

@@ -5,6 +5,13 @@ the longest-distance-first graph construction (LDF), the entropy-greedy
 construction (EBG), exhaustive enumeration, directed random search, and the
 isomorphism-class path count used to size the effective search space.
 
+E-EC and exhaustive search are one brute-force kernel, _block_search: every
+order of a set of blocks after a fixed head.  E-EC's head is the leading
+color classes and its blocks are the free classes; exhaustive search's head
+is the edge (1, 2) and its blocks are the other edges, one each.  Both are
+refused when the blocks have more than PERMUTATION_CAP orders, which admits
+exhaustive search up to f = 5.
+
 Deterministic conventions used throughout (all tie-breaks resolve to the
 smallest edge index or lexicographically smallest order):
 
@@ -43,7 +50,6 @@ from .graphs import (
     check_edge,
     connected_components,
     edge_count,
-    edge_from_index,
     edge_index,
     periphery,
     simple_path_counts,
@@ -51,7 +57,6 @@ from .graphs import (
 
 EBG_TIE_TOLERANCE = 1e-12
 ARGMIN_TIE_TOLERANCE = 1e-12
-EXHAUSTIVE_DEFAULT_LIMIT = 5
 PATH_COUNT_LIMIT = 5
 PERMUTATION_CAP = 1_000_000
 
@@ -76,7 +81,6 @@ class SearchConfig:
     fixed_colors: int | None = None
     tie_policy: str = "lex"
     workers: int = 1
-    force: bool = False
 
 
 @dataclass(frozen=True)
@@ -114,47 +118,139 @@ def _eval_order(order, f: int, n: int, cache: EntropyCache) -> float:
 
 
 # ---------------------------------------------------------------------------
-# E-EC: search over color-class permutations
+# Brute force: every order of the blocks after a fixed head
 # ---------------------------------------------------------------------------
 
-def _e_ec_branch(task):
-    """Best (bound, order) and the number of orders scored among the orders
-    whose first free class is `second`.
+def _permutation_guard(k: int, error: type, advice: str) -> None:
+    """Refuse a brute-force search over more than PERMUTATION_CAP block orders."""
+    count = math.factorial(k)
+    if count > PERMUTATION_CAP:
+        raise error(
+            f"{k}! = {count} block orders exceed the permutation cap {PERMUTATION_CAP}; {advice}"
+        )
 
-    A DFS over the other free classes carries the running denominator, the
-    last joint entropy and the edge position along shared prefixes, so a
-    class step adds only the terms of its own edges.
+
+def _block_branch(task):
+    """Best (bound, order), the number of orders scored and the near-ties
+    among the orders whose first block is `second`.
+
+    terms[done][j] holds the weighted terms of block j's edges when it follows
+    the head and the blocks in the set `done`, so a DFS over the blocks
+    carries only the set placed so far and the running denominator.
     """
-    step, weights, hmin, head, blocks, start, second = task
-    full = (1 << len(blocks)) - 1
+    terms, free, hmin, head, head_terms, blocks, second, tie_tol = task
+    full = len(terms) - 1
+    slack = 0.0 if tie_tol is None else tie_tol
     best = (math.inf, ())
+    ties = []
     count = 0
     perm = []
 
-    def visit(done, c, pos, acc, prev):
+    def visit(done, acc, choices):
         nonlocal best, count
-        for h in step[done][c]:
-            acc += weights[pos] * (h - prev)
+        row = terms[done]
+        for j in choices:
+            a = acc
+            for t in row[j]:
+                a += t
+            nxt = done | 1 << j
+            perm.append(j)
+            if nxt == full:
+                count += 1
+                b = hmin / a
+                if b <= best[0] + slack:
+                    order = head + tuple(e for i in perm for e in blocks[i])
+                    if (b, order) < best:
+                        best = (b, order)
+                    if tie_tol is not None:
+                        ties.append((b, order))
+            else:
+                visit(nxt, a, free[nxt])
+            perm.pop()
+
+    acc = 0.0
+    for t in head_terms:
+        acc += t
+    visit(0, acc, (second,))
+    del visit  # visit refers to itself; dropping it frees the task without a collection
+    return best, count, ties
+
+
+def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchResult:
+    """Best bound over the orders head + (the blocks in every order).
+
+    The entropies come from a table built once through the cache: for every
+    set of blocks already placed and every block j outside it, the terms
+    weight * (H - H_prev) of j's edges, with the running-product weights
+    1, 1/n, 1/n^2, ... that _weighted_terms and _eval_order use, so every
+    order scores the same bits as a from-scratch evaluation.  There is one
+    DFS task per second block (the first after the head), run in worker
+    processes when workers > 1.  Ties in the bound go to the
+    lexicographically smallest edge order, so the worker count never changes
+    the result.  With tie_tol, every order within tie_tol of the minimum is
+    returned as argmin_orders, sorted.  With no blocks the head is the one
+    order.  Callers apply _permutation_guard.
+    """
+    cache = make_cache(params, cache)
+    if not blocks:
+        return SearchResult(best=capacity_outer_bound(head, params, cache), evaluations=1,
+                            argmin_orders=None if tie_tol is None else (head,))
+    bits = _edge_bits(params.f)
+    inv_n = 1.0 / params.n
+    weights = [1.0]
+    for _ in range(edge_count(params.f) - 1):
+        weights.append(weights[-1] * inv_n)
+
+    def along(mask, pos, prev, edges):
+        """Weighted terms as the edges join the set `mask` one by one."""
+        ts = []
+        for e in edges:
+            mask |= bits[e]
+            h = cache.joint_entropy(mask)
+            ts.append(weights[pos] * (h - prev))
             prev = h
             pos += 1
-        done |= 1 << c
-        perm.append(c)
-        if done == full:
-            count += 1
-            b = hmin / acc
-            if b <= best[0]:
-                order = head + tuple(e for j in perm for e in blocks[j])
-                if (b, order) < best:
-                    best = (b, order)
-        else:
-            for j in range(len(blocks)):
-                if not done >> j & 1:
-                    visit(done, j, pos, acc, prev)
-        perm.pop()
+        return tuple(ts)
 
-    visit(0, second, *start)
-    return best, count
+    k = len(blocks)
+    head_mask = sum(bits[e] for e in head)
+    block_masks = [sum(bits[e] for e in block) for block in blocks]
+    terms, free = [], []
+    for done in range(1 << k):
+        placed = [j for j in range(k) if done >> j & 1]
+        base = head_mask | sum(block_masks[j] for j in placed)
+        pos = len(head) + sum(len(blocks[j]) for j in placed)
+        prev = cache.joint_entropy(base)
+        terms.append([
+            None if done >> j & 1 else along(base, pos, prev, block) for j, block in enumerate(blocks)
+        ])
+        free.append(tuple(j for j in range(k) if not done >> j & 1))
 
+    head_terms = along(0, 0, 0.0, head)
+    tasks = [
+        (terms, free, cache.marginal_entropy(), head, head_terms, blocks, second, tie_tol)
+        for second in range(k)
+    ]
+    if workers > 1 and k > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_block_branch, tasks))
+    else:
+        results = [_block_branch(t) for t in tasks]
+    best = min(local_best for local_best, _, _ in results)
+    argmin_orders = None
+    if tie_tol is not None:
+        near = {o for _, _, ties in results for b, o in ties if b <= best[0] + tie_tol}
+        argmin_orders = tuple(sorted(near))
+    return SearchResult(
+        best=capacity_outer_bound(best[1], params, cache),
+        evaluations=sum(count for _, count, _ in results),
+        argmin_orders=argmin_orders,
+    )
+
+
+# ---------------------------------------------------------------------------
+# E-EC: search over color-class permutations
+# ---------------------------------------------------------------------------
 
 def e_ec_search(
     params: BoundParams,
@@ -162,27 +258,16 @@ def e_ec_search(
     leading_colors=None,
     cache: EntropyCache | None = None,
     workers: int = 1,
-    permutation_cap: int = PERMUTATION_CAP,
 ) -> SearchResult:
     """Best bound over color-class permutations with the leading classes fixed.
 
     The first fixed_colors classes of the coloring stay in place; every
     permutation of the remaining (free) classes is evaluated,
-    (chi' - fixed_colors)! in total.  leading_colors pins an explicit
-    sequence of 1-based class numbers instead of the first fixed_colors
-    (useful for reproducing runs that held a nonstandard pair of classes
-    fixed).
-
-    The entropies come from a step table built once through the cache: for
-    every set T of free classes and every free class c outside T, the joint
-    entropies along c's edges appended after the leading classes and T.  A
-    DFS over the free classes then adds one term per edge,
-    weight * (H - H_prev), with the running-product weights 1, 1/n, 1/n^2, ...
-    in the order _eval_order uses, so every order scores the same bits as a
-    from-scratch evaluation.  There is one DFS task per second class, run in
-    worker processes when workers > 1.  Ties in the bound go to the
-    lexicographically smallest edge order, so the worker count never
-    changes the result.
+    (chi' - fixed_colors)! in total, by _block_search with the leading
+    classes as the head and one block per free class.  leading_colors pins
+    an explicit sequence of 1-based class numbers instead of the first
+    fixed_colors (useful for reproducing runs that held a nonstandard pair
+    of classes fixed).
     """
     part = color_sets(params.f)
     chi = len(part.sets)
@@ -196,60 +281,9 @@ def e_ec_search(
             raise ValidationError(
                 f"leading_colors must be distinct class numbers in [1, {chi}], got {leading_colors!r}"
             )
-    n_perms = math.factorial(chi - len(leading))
-    if n_perms > permutation_cap:
-        raise InfeasibleBudget(
-            f"(chi' - fixed)! = {n_perms} exceeds the permutation cap {permutation_cap}; "
-            f"fix more leading classes"
-        )
-    rest = [c for c in range(chi) if c not in leading]
-    if not rest:
-        order = part.concatenated(leading)
-        return SearchResult(best=capacity_outer_bound(order, params, cache), evaluations=1)
-
-    cache = make_cache(params, cache)
-    bits = _edge_bits(params.f)
-
-    def along(mask, edges):
-        """Joint entropies as the edges join the set `mask` one by one."""
-        hs = []
-        for e in edges:
-            mask |= bits[e]
-            hs.append(cache.joint_entropy(mask))
-        return tuple(hs)
-
-    inv_n = 1.0 / params.n
-    weights = [1.0]
-    for _ in range(edge_count(params.f) - 1):
-        weights.append(weights[-1] * inv_n)
-    head = tuple(e for c in leading for e in part.sets[c])
-    acc = prev = 0.0
-    for pos, h in enumerate(along(0, head)):
-        acc += weights[pos] * (h - prev)
-        prev = h
-    head_mask = sum(bits[e] for e in head)
-    blocks = [tuple(part.sets[c]) for c in rest]
-    block_masks = [sum(bits[e] for e in block) for block in blocks]
-    step = []
-    for done in range(1 << len(rest)):
-        base = head_mask | sum(m for j, m in enumerate(block_masks) if done >> j & 1)
-        step.append([
-            None if done >> j & 1 else along(base, block) for j, block in enumerate(blocks)
-        ])
-
-    start = (len(head), acc, prev)
-    tasks = [
-        (step, weights, cache.marginal_entropy(), head, blocks, start, second)
-        for second in range(len(rest))
-    ]
-    if workers > 1 and len(rest) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_e_ec_branch, tasks))
-    else:
-        results = [_e_ec_branch(t) for t in tasks]
-    best = min(local_best for local_best, _ in results)
-    total = sum(count for _, count in results)
-    return SearchResult(best=capacity_outer_bound(best[1], params, cache), evaluations=total)
+    blocks = [tuple(part.sets[c]) for c in range(chi) if c not in leading]
+    _permutation_guard(len(blocks), InfeasibleBudget, "fix more leading classes")
+    return _block_search(params, cache, part.concatenated(leading), blocks, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -380,57 +414,9 @@ def ebg_order(
 # Exhaustive search
 # ---------------------------------------------------------------------------
 
-def _entropy_table(params: BoundParams, cache: EntropyCache) -> list[float]:
-    """Joint entropies for all 2^mu subsets, indexed by bitmask."""
-    mu = edge_count(params.f)
-    return [cache.joint_entropy(mask) for mask in range(1 << mu)]
-
-
-def _exhaustive_branch(task):
-    """DFS over all orders that start with edge index 0 followed by `second`."""
-    f, n, table, second, collect_argmin, tie_tol = task
-    mu = edge_count(f)
-    weights = [float(n) ** -v for v in range(mu)]
-    hmin = table[1]
-    best = [math.inf, ()]
-    argmin = []
-    leaves = [0]
-    pool = [i for i in range(1, mu) if i != second]
-
-    def rec(mask, depth, acc, chosen):
-        if depth == mu:
-            b = hmin / acc
-            leaves[0] += 1
-            if b < best[0] or (b == best[0] and tuple(chosen) < best[1]):
-                best[0], best[1] = b, tuple(chosen)
-            if collect_argmin and b <= best[0] + tie_tol:
-                argmin.append((b, tuple(chosen)))
-            return
-        w = weights[depth]
-        h0 = table[mask]
-        for i in range(len(pool)):
-            e = pool[i]
-            if e < 0:
-                continue
-            m2 = mask | (1 << e)
-            pool[i] = -1
-            chosen.append(e)
-            rec(m2, depth + 1, acc + w * (table[m2] - h0), chosen)
-            chosen.pop()
-            pool[i] = e
-
-    start_mask = 1 | (1 << second)
-    acc0 = table[1] + weights[1] * (table[start_mask] - table[1])
-    rec(start_mask, 2, acc0, [0, second])
-    if collect_argmin:
-        argmin = [(b, o) for b, o in argmin if b <= best[0] + tie_tol]
-    return best[0], best[1], argmin, leaves[0]
-
-
 def exhaustive_search(
     params: BoundParams,
     cache: EntropyCache | None = None,
-    force: bool = False,
     workers: int = 1,
     collect_argmin: bool = False,
     tie_tol: float = ARGMIN_TIE_TOLERANCE,
@@ -439,58 +425,15 @@ def exhaustive_search(
 
     The first edge is pinned to (1, 2), a pure symmetry reduction: any order
     can be vertex-relabeled so that its first edge is (1, 2) without changing
-    the bound.  With collect_argmin, all enumerated orders within tie_tol of
-    the minimum are returned.
+    the bound.  The rest is _block_search with one block per remaining edge,
+    so the permutation cap admits f <= 5 ((mu - 1)! = 9! orders).  With
+    collect_argmin, all enumerated orders within tie_tol of the minimum are
+    returned.
     """
-    if params.f > EXHAUSTIVE_DEFAULT_LIMIT and not force:
-        raise SearchSpaceTooLarge(
-            f"exhaustive search over {edge_count(params.f)}! orders needs force=True for f > "
-            f"{EXHAUSTIVE_DEFAULT_LIMIT}"
-        )
-    cache = make_cache(params, cache)
-    mu = edge_count(params.f)
-    if mu > 24:
-        raise SearchSpaceTooLarge(
-            "exhaustive search precomputes all 2^mu joint entropies and supports mu <= 24 "
-            "(f <= 7) even when forced"
-        )
-    if mu == 1:
-        report = capacity_outer_bound([(1, 2)], params, cache)
-        return SearchResult(best=report, evaluations=1,
-                            argmin_orders=(((1, 2),),) if collect_argmin else None)
-    table = _entropy_table(params, cache)
-
-    tasks = [
-        (params.f, params.n, table, second, collect_argmin, tie_tol)
-        for second in range(1, mu)
-    ]
-    results = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_exhaustive_branch, tasks))
-    else:
-        results = [_exhaustive_branch(t) for t in tasks]
-
-    best = (math.inf, ())
-    leaves = 0
-    merged = []
-    for b, order_idx, argmin, count in results:
-        leaves += count
-        if (b, order_idx) < best:
-            best = (b, order_idx)
-        if collect_argmin:
-            merged.extend(argmin)
-    best_order = tuple(edge_from_index(i, params.f) for i in best[1])
-    report = capacity_outer_bound(best_order, params, cache)
-    argmin_orders = None
-    if collect_argmin:
-        kept = sorted(
-            {o for b, o in merged if b <= best[0] + tie_tol}
-        )
-        argmin_orders = tuple(
-            tuple(edge_from_index(i, params.f) for i in o) for o in kept
-        )
-    return SearchResult(best=report, evaluations=leaves, argmin_orders=argmin_orders)
+    first, *rest = all_edges(params.f)
+    _permutation_guard(len(rest), SearchSpaceTooLarge, "exhaustive search supports f <= 5")
+    return _block_search(params, cache, (first,), [(e,) for e in rest], workers,
+                         tie_tol if collect_argmin else None)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +592,7 @@ def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult
     if method == "ebg":
         return ebg_order(params, tie_policy=config.tie_policy, seed=config.seed, cache=cache)
     if method == "exhaustive":
-        return exhaustive_search(params, cache=cache, force=config.force, workers=config.workers)
+        return exhaustive_search(params, cache=cache, workers=config.workers)
     if method == "random":
         return directed_random_search(
             params,

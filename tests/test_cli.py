@@ -154,7 +154,28 @@ class TestSearchCommand:
     def test_exhaustive_guard_without_force(self, capsys):
         code, _, err = run_cli(capsys, "search", "--method", "exhaustive", "--f", "8")
         assert code == EXIT_GUARD
-        assert "force" in err
+        assert "permutation cap" in err
+
+    def test_exhaustive_f7_refused_at_once(self, capsys):
+        # 20! orders could never finish; the guard refuses before any entropy
+        code, out, err = run_cli(capsys, "search", "--method", "exhaustive", "--f", "7")
+        assert code == EXIT_GUARD
+        assert out == ""
+        assert "20! = " in err
+
+    def test_force_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--method", "exhaustive", "--f", "5", "--force"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--force" in capsys.readouterr().err
+
+    def test_exhaustive_worker_count_invariant(self, capsys):
+        args = ["search", "--method", "exhaustive", "--f", "5", "--raw", "--threads"]
+        _, out1, _ = run_cli(capsys, *args, "1")
+        _, out2, _ = run_cli(capsys, *args, "2")
+        strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
+        assert strip(out1) == strip(out2)
+        assert json.loads(out1)["bound"] == "0.5321513151313"
 
     def test_random_beats_eec_reference(self, capsys):
         code, out, _ = run_cli(

@@ -34,6 +34,8 @@ from pqcbound.errors import (
     ValidationError,
 )
 from pqcbound import search
+from pqcbound.bound import _weighted_terms, make_cache
+from pqcbound.graphs import edge_from_index
 from pqcbound.search import SearchResult, _eval_order, run
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
@@ -115,6 +117,21 @@ def _assert_same_search(got, want):
     assert got.evaluations == want.evaluations
 
 
+def _path_terms(task, order):
+    """Hex of the weighted terms a _block_branch task adds along `order`:
+    the head's, then each block's from the table row of the blocks before it."""
+    terms, _, _, head, head_terms, blocks, _, _ = task
+    first = {block[0]: j for j, block in enumerate(blocks)}
+    out = list(head_terms)
+    done, pos = 0, len(head)
+    while pos < len(order):
+        j = first[order[pos]]
+        out.extend(terms[done][j])
+        done |= 1 << j
+        pos += len(blocks[j])
+    return [t.hex() for t in out]
+
+
 class TestEEcOracle:
     # shared_cache only hands out memoized caches, which every example may share
     @settings(max_examples=60, deadline=None,
@@ -131,7 +148,7 @@ class TestEEcOracle:
         )
         p = params(f, n=n, q=q)
         cache = shared_cache(f, q)
-        kernel = search._e_ec_branch
+        kernel = search._block_branch
         calls = []
 
         def recording(task):
@@ -139,17 +156,16 @@ class TestEEcOracle:
             return calls[-1][1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_e_ec_branch", recording)
+            mp.setattr(search, "_block_branch", recording)
             got = e_ec_search(p, leading_colors=[c + 1 for c in leading], cache=cache)
         _assert_same_search(got, _e_ec_oracle(p, leading, cache))
-        # the DFS weights are _eval_order's running products 1, 1/n, 1/n^2, ...
-        # (float(n) ** -v differs from them in the last bit for n = 3, 5, 6, 7),
-        # and each branch winner scores the bits of a from-scratch evaluation
-        weights = [1.0]
-        for _ in range(edge_count(f) - 1):
-            weights.append(weights[-1] * (1.0 / n))
-        for (_, task_weights, *_), ((b, order), _) in calls:
-            assert task_weights == weights
+        # the table's terms use the running-product weights 1, 1/n, 1/n^2, ...
+        # of a from-scratch evaluation (float(n) ** -v differs from them in
+        # the last bit for n = 3, 5, 6, 7), and each branch winner scores the
+        # bits of _eval_order
+        for task, ((b, order), _, _) in calls:
+            want = [t.hex() for t in _weighted_terms(order, p, cache)[1]]
+            assert _path_terms(task, order) == want
             assert b.hex() == _eval_order(order, f, n, cache).hex()
 
     # n = 1 gives every order the same bound, so the tie rule picks the winner
@@ -185,9 +201,10 @@ class TestEEc:
         with pytest.raises(ValidationError):
             e_ec_search(params(5), fixed_colors=6, cache=shared_cache(5))
 
-    def test_permutation_cap(self, shared_cache):
-        with pytest.raises(InfeasibleBudget):
-            e_ec_search(params(6), cache=shared_cache(6), permutation_cap=5)
+    def test_permutation_cap(self):
+        # chi' = 11 at f = 12, so one fixed class leaves 10! > 10^6 orders
+        with pytest.raises(InfeasibleBudget, match="permutation cap"):
+            e_ec_search(params(12), fixed_colors=1)
 
     def test_all_colors_fixed(self, shared_cache):
         result = e_ec_search(params(5), fixed_colors=5, cache=shared_cache(5))
@@ -330,6 +347,124 @@ class TestEbg:
     def test_bad_tie_policy(self, shared_cache):
         with pytest.raises(ValidationError):
             ebg_order(params(4), tie_policy="coin", cache=shared_cache(4))
+
+
+def _entropy_table(params: BoundParams, cache: EntropyCache) -> list[float]:
+    """Joint entropies for all 2^mu subsets, indexed by bitmask."""
+    mu = edge_count(params.f)
+    return [cache.joint_entropy(mask) for mask in range(1 << mu)]
+
+
+def _exhaustive_branch(task):
+    """DFS over all orders that start with edge index 0 followed by `second`."""
+    f, n, table, second, collect_argmin, tie_tol = task
+    mu = edge_count(f)
+    weights = [float(n) ** -v for v in range(mu)]
+    hmin = table[1]
+    best = [math.inf, ()]
+    argmin = []
+    leaves = [0]
+    pool = [i for i in range(1, mu) if i != second]
+
+    def rec(mask, depth, acc, chosen):
+        if depth == mu:
+            b = hmin / acc
+            leaves[0] += 1
+            if b < best[0] or (b == best[0] and tuple(chosen) < best[1]):
+                best[0], best[1] = b, tuple(chosen)
+            if collect_argmin and b <= best[0] + tie_tol:
+                argmin.append((b, tuple(chosen)))
+            return
+        w = weights[depth]
+        h0 = table[mask]
+        for i in range(len(pool)):
+            e = pool[i]
+            if e < 0:
+                continue
+            m2 = mask | (1 << e)
+            pool[i] = -1
+            chosen.append(e)
+            rec(m2, depth + 1, acc + w * (table[m2] - h0), chosen)
+            chosen.pop()
+            pool[i] = e
+
+    start_mask = 1 | (1 << second)
+    acc0 = table[1] + weights[1] * (table[start_mask] - table[1])
+    rec(start_mask, 2, acc0, [0, second])
+    if collect_argmin:
+        argmin = [(b, o) for b, o in argmin if b <= best[0] + tie_tol]
+    return best[0], best[1], argmin, leaves[0]
+
+
+def _exhaustive_oracle(params, cache, workers=1, collect_argmin=False, tie_tol=1e-12):
+    """Test oracle for exhaustive_search: the edge-level DFS over a table of
+    all 2^mu subset entropies with float(n) ** -v weights, serially or one
+    pool task per second edge."""
+    cache = make_cache(params, cache)
+    mu = edge_count(params.f)
+    if mu == 1:
+        report = capacity_outer_bound([(1, 2)], params, cache)
+        return SearchResult(best=report, evaluations=1,
+                            argmin_orders=(((1, 2),),) if collect_argmin else None)
+    table = _entropy_table(params, cache)
+
+    tasks = [
+        (params.f, params.n, table, second, collect_argmin, tie_tol)
+        for second in range(1, mu)
+    ]
+    results = []
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_exhaustive_branch, tasks))
+    else:
+        results = [_exhaustive_branch(t) for t in tasks]
+
+    best = (math.inf, ())
+    leaves = 0
+    merged = []
+    for b, order_idx, argmin, count in results:
+        leaves += count
+        if (b, order_idx) < best:
+            best = (b, order_idx)
+        if collect_argmin:
+            merged.extend(argmin)
+    best_order = tuple(edge_from_index(i, params.f) for i in best[1])
+    report = capacity_outer_bound(best_order, params, cache)
+    argmin_orders = None
+    if collect_argmin:
+        kept = sorted(
+            {o for b, o in merged if b <= best[0] + tie_tol}
+        )
+        argmin_orders = tuple(
+            tuple(edge_from_index(i, params.f) for i in o) for o in kept
+        )
+    return SearchResult(best=report, evaluations=leaves, argmin_orders=argmin_orders)
+
+
+class TestExhaustiveOracle:
+    @pytest.mark.parametrize("collect_argmin", [False, True], ids=["best", "argmin"])
+    @pytest.mark.parametrize(
+        "f,n,workers",
+        [(f, n, 1) for f in (2, 3, 4) for n in (1, 2, 3, 5)] + [(5, 2, 1), (5, 3, 1), (4, 3, 2)],
+    )
+    def test_matches_edge_dfs(self, f, n, workers, collect_argmin, shared_cache):
+        p = params(f, n=n)
+        cache = shared_cache(f)
+        got = exhaustive_search(p, cache=cache, workers=workers, collect_argmin=collect_argmin)
+        want = _exhaustive_oracle(p, cache, workers=workers, collect_argmin=collect_argmin)
+        _assert_same_search(got, want)
+        assert got.argmin_orders == want.argmin_orders
+
+    def test_wide_tie_tolerance(self, shared_cache):
+        # the f <= 5 optima tie exactly, so only a wide tolerance tells the
+        # running near-tie filter from an exact one
+        p = params(4)
+        cache = shared_cache(4)
+        got = exhaustive_search(p, cache=cache, collect_argmin=True, tie_tol=0.01)
+        want = _exhaustive_oracle(p, cache, collect_argmin=True, tie_tol=0.01)
+        exact = exhaustive_search(p, cache=cache, collect_argmin=True)
+        assert got.argmin_orders == want.argmin_orders
+        assert len(exact.argmin_orders) < len(got.argmin_orders) < math.factorial(5)
 
 
 class TestExhaustive:
