@@ -7,10 +7,22 @@ probabilities are exact integer counts over q^f until the final logarithm.
 All entropies are in q-ary units (log base q): a uniform F_q symbol has
 entropy 1.
 
-Entropy accumulation uses math.fsum, which is exactly rounded; identical
-count multisets therefore produce bit-identical entropies regardless of
-tally order, and vertex relabelings leave every entropy unchanged to the
-last bit.
+One kernel, EntropyCache._classes, gives every assignment an outcome class
+code by folding in one monomial column at a time (code * q + column).  H
+depends only on the partition of the assignments into classes, not on the
+code values, so a code can be refined by further columns in any order.  The
+cache carries two codes: that of its last miss, which serves chains of
+growing masks, and a base that the caller pins with hold(mask).  A miss
+for mask M starts from the carried code with the most columns among those
+whose mask is a subset of M and folds in only the columns it lacks, so
+H(S + e) after H(S) costs O(q^f), not O(|S| q^f).  A refine never changes
+the code it starts from.  The monomial columns are built on first use.
+
+The entropy sum groups equal class counts and takes one logarithm per
+distinct count, then hands math.fsum the same multiset of terms c*log(c)
+that a per-class sum would.  fsum is exactly rounded, so identical count
+multisets produce bit-identical entropies regardless of tally or grouping
+order, and vertex relabelings leave every entropy unchanged to the last bit.
 """
 from __future__ import annotations
 
@@ -21,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EdgeAlreadyConditioned, EnumerationTooLarge, InvalidFieldSize
-from .graphs import all_edges, check_edge, check_vertex_count, edge_count, edge_index
+from .graphs import check_edge, check_vertex_count, edge_count, edge_from_index, edge_index
 
 # ceiling on the q^f assignments, all of which are held in memory at once
 ENUMERATION_GUARD = 1 << 22
@@ -81,24 +93,46 @@ def joint_distribution(edges, f: int, spec_or_q) -> JointDistribution:
     """Joint distribution of the monomials named by edges, for f symbols.
 
     Enumerates all q^f assignments; counts sum exactly to q^f.  Outcome
-    vectors are listed in lexicographic order.
+    vectors are listed in lexicographic order.  Only the named monomial
+    columns are built.
     """
     cache = EntropyCache(f, spec_or_q)
     indices = [edge_index(e, f) for e in edges]
-    _, first, counts = np.unique(cache._classes(indices), return_index=True, return_counts=True)
-    rows = cache._full_table()[indices][:, first].T.tolist()
+    code, _ = cache._classes(indices)
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    rows = np.array([cache._row(i)[first] for i in indices]).reshape(len(indices), len(first))
     support = tuple(
-        (tuple(row), Fraction(c, cache.total)) for row, c in zip(rows, counts.tolist())
+        (tuple(row), Fraction(c, cache.total)) for row, c in zip(rows.T.tolist(), counts.tolist())
     )
     assert sum(c for _, c in support) == 1
     return JointDistribution(support=support)
+
+
+def _xlogx_sum(counts: np.ndarray) -> float:
+    """Exactly rounded sum of c*log(c) over the class counts c > 1.
+
+    Equal counts share one logarithm; fsum still gets each term once per
+    class, as [c*log(c)] * m, because m * (c*log(c)) would add a rounding.
+    """
+    tally = np.bincount(counts)
+    sizes = np.flatnonzero(tally[2:]) + 2
+    terms = []
+    for c, m in zip(sizes.tolist(), tally[sizes].tolist()):
+        terms += [c * math.log(c)] * m
+    return math.fsum(terms)
+
+
+# a carried outcome code: (mask, code, span); code None stands for all zeros
+_NO_CODE = (0, None, 1)
 
 
 class EntropyCache:
     """Memoized joint entropies for all monomial subsets at a fixed (f, q).
 
     Subsets are keyed by their edge-index bitmask.  H(empty) = 0 is always
-    present, and every cached value equals recomputation bit for bit.
+    present, and every cached value equals recomputation bit for bit.  Besides
+    the entropies the cache holds the monomial columns built so far and two
+    carried outcome codes (see the module docstring).
     """
 
     def __init__(self, f: int, spec_or_q):
@@ -114,42 +148,70 @@ class EntropyCache:
         self.mu = edge_count(f)
         self._entropies: dict[int, float] = {0: 0.0}
         self._ln_q = math.log(self.q)
-        self._table: np.ndarray | None = None
+        self._rows: list[np.ndarray | None] = [None] * self.mu
+        self._last = _NO_CODE
+        self._base = _NO_CODE
 
-    def _full_table(self) -> np.ndarray:
-        """Value of every monomial under every assignment: row i holds edge i."""
-        if self._table is None:
+    def _row(self, i: int) -> np.ndarray:
+        """Value of monomial i under every assignment, built on first use."""
+        row = self._rows[i]
+        if row is None:
             q, f = self.q, self.f
+            k, l = edge_from_index(i, f)
             # symbol j of assignment a is base-q digit j of a; products of two
             # symbols must not overflow
             digit = np.arange(q, dtype=np.min_scalar_type((q - 1) ** 2))
-            symbols = [np.tile(np.repeat(digit, q ** j), q ** (f - 1 - j)) for j in range(f)]
-            self._table = np.empty((self.mu, self.total), dtype=np.min_scalar_type(q - 1))
-            for i, (k, l) in enumerate(all_edges(f)):
-                self._table[i] = symbols[k - 1] * symbols[l - 1] % q
-        return self._table
+            a, b = (np.tile(np.repeat(digit, q ** j), q ** (f - 1 - j)) for j in (k - 1, l - 1))
+            row = self._rows[i] = (a * b % q).astype(np.min_scalar_type(q - 1))
+        return row
 
-    def _classes(self, indices) -> np.ndarray:
+    def _classes(self, indices, code=None, span=1):
         """Outcome class of every assignment under the monomials at the given
-        edge indices, as a code whose order is the lexicographic order of the
-        outcome vectors.
+        edge indices, folded into `code`, the classes under earlier columns
+        with values in [0, span) (one class when code is None).  Returns the
+        new code and span.  From no code, the order of the codes is the
+        lexicographic order of the outcome vectors.
 
-        The code is the big-endian base-q number of the outcome vector;
-        whenever the next column could overflow 63 bits, the codes are
-        replaced by their ranks, which keeps their order.
+        Each column makes the code the big-endian base-q number code * q +
+        column; whenever the next column could overflow 63 bits, the codes
+        are replaced by their ranks, which keeps their order.  The given code
+        is never changed: the first column writes a new array.
         """
-        table = self._full_table()
-        code = np.zeros(self.total, dtype=np.uint64)
-        span = 1  # codes lie in [0, span)
+        owned = code is None
+        if owned:
+            code = np.zeros(self.total, dtype=np.uint64)
         for i in indices:
             if span * self.q > 1 << 63:
                 values, code = np.unique(code, return_inverse=True)
-                code = code.astype(np.uint64)
-                span = len(values)
-            code *= np.uint64(self.q)
-            code += table[i]
+                code, span, owned = code.astype(np.uint64), len(values), True
+            code = np.multiply(code, np.uint64(self.q), out=code if owned else None)
+            owned = True
+            code += self._row(i)
             span *= self.q
-        return code
+        return code, span
+
+    def _carried(self, mask: int) -> tuple:
+        """(mask, code, span) for mask, refined from the carried code with the
+        most columns among those whose masks are subsets of mask."""
+        start = _NO_CODE
+        for held in (self._last, self._base):
+            if held[0] & ~mask == 0 and held[0].bit_count() > start[0].bit_count():
+                start = held
+        rest = mask & ~start[0]
+        if not rest:
+            return start
+        code, span = self._classes([i for i in range(self.mu) if rest >> i & 1], start[1], start[2])
+        return mask, code, span
+
+    def hold(self, edges_or_mask) -> None:
+        """Pin the code of this subset as the base that later misses refine.
+
+        Callers pin a set that many of the coming masks extend, such as a
+        greedy prefix.  Adds no entropy to the cache.
+        """
+        mask = self._mask_of(edges_or_mask)
+        if mask != self._base[0]:
+            self._base = self._carried(mask)
 
     def _mask_of(self, edges_or_mask) -> int:
         if isinstance(edges_or_mask, int):
@@ -167,11 +229,10 @@ class EntropyCache:
         h = self._entropies.get(mask)
         if h is not None:
             return h
-        indices = [i for i in range(self.mu) if (mask >> i) & 1]
-        counts = np.unique(self._classes(indices), return_counts=True)[1]
+        self._last = self._carried(mask)
+        counts = np.unique(self._last[1], return_counts=True)[1]
         # H = log_q(q^f) - sum c/q^f * log_q c, with the count sum exact
-        s = math.fsum(c * math.log(c) for c in counts.tolist() if c > 1)
-        h = self.f - s / (self.total * self._ln_q)
+        h = self.f - _xlogx_sum(counts) / (self.total * self._ln_q)
         self._entropies[mask] = h
         return h
 

@@ -288,12 +288,16 @@ def _path_counts_dp(adj: list[int], f: int, src0: int) -> np.ndarray:
     a mask that already holds x targets itself, on layer k rather than k + 1,
     and receives 0.  Layer k + 1 starts empty, so its column sums, the paths
     with k edges, are the column sums of the step.
+
+    The counts are held in float64, whose products run in BLAS: every count
+    is at most (f - 1)! < 2^53 for f <= MAX_VERTICES, so they stay exact, and
+    the result is converted back to int64.
     """
     bits = np.int64(1) << np.arange(f, dtype=np.int64)
-    a = ((np.array(adj, dtype=np.int64)[:, None] & bits) != 0).astype(np.int64)
-    dp = np.zeros((1 << f, f), dtype=np.int64)
+    a = ((np.array(adj, dtype=np.int64)[:, None] & bits) != 0).astype(np.float64)
+    dp = np.zeros((1 << f, f), dtype=np.float64)
     dp[1 << src0, src0] = 1
-    res = np.zeros((f, f), dtype=np.int64)
+    res = np.zeros((f, f), dtype=np.float64)
     for k, masks in enumerate(_popcount_layers(f)[1:f], 1):
         masks = masks[(masks & bits[src0]) != 0]
         m = masks[:, None]
@@ -301,7 +305,7 @@ def _path_counts_dp(adj: list[int], f: int, src0: int) -> np.ndarray:
         step = np.where(ext != m, dp[masks] @ a, 0)
         dp[ext, np.arange(f)] += step
         res[:, k] = step.sum(axis=0)
-    return res
+    return res.astype(np.int64)
 
 
 def simple_path_counts(g: Graph, source: int) -> np.ndarray:

@@ -220,6 +220,7 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
         placed = [j for j in range(k) if done >> j & 1]
         base = head_mask | sum(block_masks[j] for j in placed)
         pos = len(head) + sum(len(blocks[j]) for j in placed)
+        cache.hold(base)
         prev = cache.joint_entropy(base)
         terms.append([
             None if done >> j & 1 else along(base, pos, prev, block) for j, block in enumerate(blocks)
@@ -394,7 +395,10 @@ def ebg_order(
     remaining = [e for e in all_edges(params.f) if e != (1, 2)]
     evaluations = 0
     log = []
+    bits = _edge_bits(params.f)
+    prefix_mask = bits[(1, 2)]
     while remaining:
+        cache.hold(prefix_mask)
         scored = []
         for e in remaining:
             scored.append((partial_bound(order + [e], params, cache), e))
@@ -404,6 +408,7 @@ def ebg_order(
         pick = min(tied) if tie_policy == "lex" else rng.choice(tied)
         order.append(pick)
         remaining.remove(pick)
+        prefix_mask |= bits[pick]
         if trace:
             log.append((pick, best))
     report = capacity_outer_bound(order, params, cache)
@@ -463,6 +468,7 @@ def directed_random_search(
     cache = make_cache(params, cache)
     prefix = [e for c in range(fixed_colors) for e in part.sets[c]]
     rest_base = sorted(set(all_edges(params.f)) - set(prefix))
+    cache.hold(prefix)
     rng = random.Random(seed)
     best = (math.inf, ())
     for _ in range(budget):

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from pqcbound import (
     field_mul,
     joint_distribution,
 )
+from pqcbound.entropy import _xlogx_sum
 from pqcbound.errors import (
     EdgeAlreadyConditioned,
     EnumerationTooLarge,
@@ -52,6 +55,12 @@ def counter_oracle(edges, f, q):
     s = math.fsum(c * math.log(c) for c in tally.values() if c > 1)
     support = tuple((row, Fraction(c, total)) for row, c in sorted(tally.items()))
     return f - s / (total * math.log(q)), support
+
+
+def per_class_sum(counts):
+    """Test-only oracle for _xlogx_sum: one c*log(c) term and one logarithm
+    per class."""
+    return math.fsum(c * math.log(c) for c in counts.tolist() if c > 1)
 
 
 class TestFieldSpec:
@@ -119,6 +128,18 @@ class TestJointDistribution:
     def test_enumeration_guard(self):
         with pytest.raises(EnumerationTooLarge):
             joint_distribution([(1, 2)], 16, 5)
+
+    def test_builds_only_the_named_monomials(self):
+        # the whole 78-monomial table at (13, 3) is 124 MB
+        tracemalloc.start()
+        try:
+            d = joint_distribution([(1, 2), (1, 3)], 13, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert sum(p for _, p in d.support) == 1
+        assert len(d.support) == 9
 
 
 class TestJointEntropy:
@@ -218,6 +239,104 @@ class TestJointEntropy:
         want_h, want_support = counter_oracle(edges, f, q)
         assert EntropyCache(f, q).joint_entropy(mask) == want_h
         assert joint_distribution(edges, f, q).support == want_support
+
+
+def _edges_of(mask, f):
+    return [e for i, e in enumerate(all_edges(f)) if mask >> i & 1]
+
+
+class TestCarriedCodes:
+    """Misses refine a carried code (the last miss's, or the base pinned by
+    hold) by the columns it lacks; the values must not depend on that."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_chains_holds_and_branches_match_fresh_cache(self, data):
+        q = data.draw(st.sampled_from((2, 3, 5)), label="q")
+        # the pure-Python oracle takes seconds per mask at (7, 5)
+        f = data.draw(st.integers(2, 7 if q < 5 else 6), label="f")
+        mu = f * (f - 1) // 2
+        full = (1 << mu) - 1
+        cache = EntropyCache(f, q)
+        got = []
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            kind = data.draw(st.sampled_from(("chain", "hold", "branch")), label="kind")
+            if kind == "chain":
+                order = data.draw(st.permutations(range(mu)), label="order")
+                mask = 0
+                for i in order[: data.draw(st.integers(1, mu), label="length")]:
+                    mask |= 1 << i
+                    got.append((mask, cache.joint_entropy(mask)))
+            elif kind == "hold":
+                size = len(cache)
+                cache.hold(data.draw(st.integers(0, full), label="held"))
+                assert len(cache) == size
+            else:
+                base = data.draw(st.integers(0, full), label="base")
+                cache.hold(base)
+                for i in range(mu):
+                    if not base >> i & 1 and data.draw(st.booleans(), label=f"branch {i}"):
+                        got.append((base | 1 << i, cache.joint_entropy(base | 1 << i)))
+        want = {}
+        for mask, h in got:
+            if mask not in want:
+                oracle = counter_oracle(_edges_of(mask, f), f, q)[0]
+                assert EntropyCache(f, q).joint_entropy(mask).hex() == oracle.hex()
+                want[mask] = oracle
+            assert h.hex() == want[mask].hex()
+
+    def test_chain_across_rerank_and_held_base_f12(self):
+        # q=2 codes pass 2^63 at the 64th column, where they are re-ranked
+        f, q = 12, 2
+        rng = random.Random(17)
+        order = list(range(66))
+        rng.shuffle(order)
+        cache = EntropyCache(f, q)
+        mask = 0
+        for i in order:
+            mask |= 1 << i
+            assert cache.joint_entropy(mask).hex() == EntropyCache(f, q).joint_entropy(mask).hex()
+        size = len(cache)
+        # a 64-edge base off the chain, and two branches from it
+        branches = [order[10], order[40]]
+        base = mask & ~sum(1 << i for i in branches)
+        cache.hold(base)
+        assert len(cache) == size
+        fresh = EntropyCache(f, q)
+        for i in branches:
+            assert cache.joint_entropy(base | 1 << i).hex() == fresh.joint_entropy(base | 1 << i).hex()
+        assert len(cache) == size + 2
+
+    def test_hold_adds_no_entropy(self):
+        cache = EntropyCache(6, 3)
+        cache.hold([(1, 2), (3, 4)])
+        cache.hold(0b101)
+        cache.hold(0)
+        assert len(cache) == 1
+        assert cache.joint_entropy(0b1101) == EntropyCache(6, 3).joint_entropy(0b1101)
+
+    def test_grouped_sum_bit_identical_to_per_class_sum(self):
+        # one group per distinct count would round m * (c*log c) once more
+        counts = np.array([2] * 3 + [12] * 5 + [14] * 7 + [1] * 4, dtype=np.int64)
+        assert _xlogx_sum(counts).hex() == per_class_sum(counts).hex()
+        assert _xlogx_sum(np.array([1, 1], dtype=np.int64)) == per_class_sum(np.array([1, 1])) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        groups=st.lists(
+            st.tuples(
+                st.one_of(st.integers(1, 9), st.integers(1_000, 1 << 22)),
+                st.integers(1, 3_000),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grouped_sum_random_counts(self, groups, seed):
+        counts = np.array([c for c, m in groups for _ in range(m)], dtype=np.int64)
+        np.random.default_rng(seed).shuffle(counts)
+        assert _xlogx_sum(counts).hex() == per_class_sum(counts).hex()
 
 
 class TestConditionalEntropy:
