@@ -9,15 +9,19 @@ is the overflow-free normalized form of the weighted-denominator expression
 exact arithmetic.  Lower values are tighter.  The denominator is accumulated
 with exactly rounded summation so relabeling a whole order leaves the value
 unchanged to the last bit.
+
+One kernel, weighted_terms, gives the denominator terms of the edges that
+join an order from any point on; every bound and search score sums them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .entropy import EntropyCache, FieldSpec
 from .errors import DuplicateEdge, NotAPermutation, ValidationError
-from .graphs import Edge, check_edge, check_vertex_count, edge_count, edge_index
+from .graphs import check_edge, check_vertex_count, edge_bits, edge_count
 
 
 @dataclass(frozen=True)
@@ -59,22 +63,36 @@ def make_cache(params: BoundParams, cache: EntropyCache | None = None) -> Entrop
     return cache
 
 
-def _weighted_terms(order, params: BoundParams, cache: EntropyCache):
-    """Per-step conditional entropies and their n^-(v-1) weighted values."""
-    inv_n = 1.0 / params.n
-    mask = 0
-    prev = 0.0
-    cond = []
-    weighted = []
-    weight = 1.0
-    for e in order:
-        mask |= 1 << edge_index(e, params.f)
-        h = cache.joint_entropy(mask)
+@lru_cache(maxsize=None)
+def _weights(n: int, mu: int) -> tuple:
+    """The weights 1, 1/n, 1/n^2, ... of the mu steps, as running products."""
+    inv_n = 1.0 / n
+    weights = [1.0]
+    for _ in range(mu - 1):
+        weights.append(weights[-1] * inv_n)
+    return tuple(weights)
+
+
+def weighted_terms(cache: EntropyCache, n: int, edges, mask: int = 0, pos: int = 0, prev: float = 0.0):
+    """Weighted terms and conditional entropies of validated edges joining an order.
+
+    The order so far is the edge set `mask`, with `pos` edges and joint
+    entropy `prev` (the empty order by default).  Edge e at position v adds
+    the term n^-v * (H(mask + e) - H(mask)) and the conditional entropy
+    H(mask + e) - H(mask); then e joins the mask.
+    """
+    bits = edge_bits(cache.f)
+    weights = _weights(n, cache.mu)
+    entropy = cache.joint_entropy
+    terms, cond = [], []
+    for e in edges:
+        mask |= bits[e]
+        h = entropy(mask)
         cond.append(h - prev)
-        weighted.append(weight * (h - prev))
+        terms.append(weights[pos] * (h - prev))
         prev = h
-        weight *= inv_n
-    return cond, weighted
+        pos += 1
+    return terms, cond
 
 
 def capacity_outer_bound(order, params: BoundParams, cache: EntropyCache | None = None) -> BoundReport:
@@ -89,8 +107,8 @@ def capacity_outer_bound(order, params: BoundParams, cache: EntropyCache | None 
             f"order must list each of the {mu} edges of K_{params.f} exactly once"
         )
     cache = make_cache(params, cache)
-    cond, weighted = _weighted_terms(order, params, cache)
-    bound = cache.marginal_entropy() / math.fsum(weighted)
+    terms, cond = weighted_terms(cache, params.n, order)
+    bound = cache.marginal_entropy() / math.fsum(terms)
     return BoundReport(
         order=order,
         bound=bound,
@@ -107,5 +125,4 @@ def partial_bound(prefix, params: BoundParams, cache: EntropyCache | None = None
     if len(set(prefix)) != len(prefix):
         raise DuplicateEdge(f"prefix repeats an edge: {prefix!r}")
     cache = make_cache(params, cache)
-    _, weighted = _weighted_terms(prefix, params, cache)
-    return cache.marginal_entropy() / math.fsum(weighted)
+    return cache.marginal_entropy() / math.fsum(weighted_terms(cache, params.n, prefix)[0])

@@ -21,7 +21,7 @@ import time
 from .bound import BoundParams
 from .entropy import EntropyCache
 from .errors import GuardViolation, PqcboundError, ValidationError
-from .search import SearchConfig, SearchResult, feasible_fixed_colors, run
+from .search import FIXED_COLORS_METHODS, SearchConfig, SearchResult, feasible_fixed_colors, run
 from .verify import DEFAULT_F, SUITES
 
 EXIT_OK = 0
@@ -137,6 +137,8 @@ def cmd_table(args) -> int:
             print(f"error: unknown method {m!r} (choose from {', '.join(TABLE_METHODS)})",
                   file=sys.stderr)
             return EXIT_USAGE
+    if args.fixed_colors is not None and not set(methods) & set(FIXED_COLORS_METHODS):
+        raise ValidationError("--fixed-colors applies to e-ec and random only, and --methods names neither")
     workers = _threads(args)
     lines = ["f," + ",".join(methods)]
     for f in _parse_range(args.f_range):
@@ -144,7 +146,7 @@ def cmd_table(args) -> int:
         cache = EntropyCache(f, args.q)
         row = [str(f)]
         for m in methods:
-            fixed = args.fixed_colors
+            fixed = args.fixed_colors if m in FIXED_COLORS_METHODS else None
             if m == "e-ec" and fixed is None:
                 fixed = feasible_fixed_colors(f)
             config = SearchConfig(
@@ -207,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed for random tie-breaking")
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (e-ec)")
-    p.add_argument("--tie", choices=("lex", "random"), default="lex")
+    p.add_argument("--tie", choices=("lex", "random"), default="lex",
+                   help="tie-breaking of ebg (default lex, which every method follows)")
     p.set_defaults(func=cmd_run, budget=None)
 
     p = sub.add_parser("search", help="exhaustive or directed random search")
@@ -229,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None)
+    p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
+                   help="leading color classes held fixed (e-ec and random)")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_table)
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EdgeAlreadyConditioned, EnumerationTooLarge, InvalidFieldSize
-from .graphs import check_edge, check_vertex_count, edge_count, edge_from_index, edge_index
+from .graphs import check_edge, check_vertex_count, edge_count, edge_from_index, edge_index, edges_to_mask
 
 # ceiling on the q^f assignments, all of which are held in memory at once
 ENUMERATION_GUARD = 1 << 22
@@ -218,10 +218,7 @@ class EntropyCache:
             if edges_or_mask < 0 or edges_or_mask >> self.mu:
                 raise ValueError(f"mask {edges_or_mask:#x} out of range for f={self.f}")
             return edges_or_mask
-        mask = 0
-        for e in edges_or_mask:
-            mask |= 1 << edge_index(e, self.f)
-        return mask
+        return edges_to_mask(edges_or_mask, self.f)
 
     def joint_entropy(self, edges_or_mask) -> float:
         """H of the monomial subset in q-ary units; memoized."""

@@ -80,6 +80,12 @@ def edges_to_mask(edges, f: int) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def edge_bits(f: int) -> dict:
+    """The mask bit of every edge of K_f, for loops over validated edges."""
+    return {e: 1 << i for i, e in enumerate(all_edges(f))}
+
+
 def mask_to_edges(mask: int, f: int) -> list[Edge]:
     out = []
     while mask:

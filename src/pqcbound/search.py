@@ -12,6 +12,9 @@ is the edge (1, 2) and its blocks are the other edges, one each.  Both are
 refused when the blocks have more than PERMUTATION_CAP orders, which admits
 exhaustive search up to f = 5.
 
+Every score is a sum of bound.weighted_terms; each winner is re-evaluated
+with capacity_outer_bound.
+
 Deterministic conventions used throughout (all tie-breaks resolve to the
 smallest edge index or lexicographically smallest order):
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .bound import BoundParams, BoundReport, capacity_outer_bound, make_cache, partial_bound
+from .bound import BoundParams, BoundReport, capacity_outer_bound, make_cache, weighted_terms
 from .coloring import color_sets, ec_order
 from .entropy import EntropyCache
 from .errors import (
@@ -51,6 +54,7 @@ from .graphs import (
     connected_components,
     edge_count,
     edge_index,
+    edges_to_mask,
     periphery,
     simple_path_counts,
 )
@@ -59,6 +63,7 @@ EBG_TIE_TOLERANCE = 1e-12
 ARGMIN_TIE_TOLERANCE = 1e-12
 PATH_COUNT_LIMIT = 5
 PERMUTATION_CAP = 1_000_000
+FIXED_COLORS_METHODS = ("e-ec", "random")
 
 
 def feasible_fixed_colors(f: int) -> int:
@@ -89,32 +94,6 @@ class SearchResult:
     evaluations: int
     trace: tuple | None = None
     argmin_orders: tuple | None = None
-
-
-@lru_cache(maxsize=None)
-def _edge_bits(f: int) -> dict:
-    return {e: 1 << i for i, e in enumerate(all_edges(f))}
-
-
-def _eval_order(order, f: int, n: int, cache: EntropyCache) -> float:
-    """Bound of a full pre-validated order via cached entropies; plain
-    accumulation is adequate here (mu monotone nonnegative terms) and the
-    winner is re-evaluated with compensated summation for the returned
-    report."""
-    bits = _edge_bits(f)
-    entropy = cache.joint_entropy
-    inv_n = 1.0 / n
-    mask = 0
-    prev = 0.0
-    acc = 0.0
-    weight = 1.0
-    for e in order:
-        mask |= bits[e]
-        h = entropy(mask)
-        acc += weight * (h - prev)
-        prev = h
-        weight *= inv_n
-    return cache.marginal_entropy() / acc
 
 
 # ---------------------------------------------------------------------------
@@ -180,41 +159,23 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
     """Best bound over the orders head + (the blocks in every order).
 
     The entropies come from a table built once through the cache: for every
-    set of blocks already placed and every block j outside it, the terms
-    weight * (H - H_prev) of j's edges, with the running-product weights
-    1, 1/n, 1/n^2, ... that _weighted_terms and _eval_order use, so every
-    order scores the same bits as a from-scratch evaluation.  There is one
-    DFS task per second block (the first after the head), run in worker
-    processes when workers > 1.  Ties in the bound go to the
-    lexicographically smallest edge order, so the worker count never changes
-    the result.  With tie_tol, every order within tie_tol of the minimum is
-    returned as argmin_orders, sorted.  With no blocks the head is the one
-    order.  Callers apply _permutation_guard.
+    set of blocks already placed and every block j outside it, the
+    weighted_terms of j's edges from there, so every order scores the bits
+    of a left-to-right fold of its terms.  There is one DFS task per second
+    block (the first after the head), run in worker processes when
+    workers > 1.  Ties in the bound go to the lexicographically smallest
+    edge order, so the worker count never changes the result.  With tie_tol,
+    every order within tie_tol of the minimum is returned as argmin_orders,
+    sorted.  With no blocks the head is the one order.  Callers apply
+    _permutation_guard.
     """
     cache = make_cache(params, cache)
     if not blocks:
         return SearchResult(best=capacity_outer_bound(head, params, cache), evaluations=1,
                             argmin_orders=None if tie_tol is None else (head,))
-    bits = _edge_bits(params.f)
-    inv_n = 1.0 / params.n
-    weights = [1.0]
-    for _ in range(edge_count(params.f) - 1):
-        weights.append(weights[-1] * inv_n)
-
-    def along(mask, pos, prev, edges):
-        """Weighted terms as the edges join the set `mask` one by one."""
-        ts = []
-        for e in edges:
-            mask |= bits[e]
-            h = cache.joint_entropy(mask)
-            ts.append(weights[pos] * (h - prev))
-            prev = h
-            pos += 1
-        return tuple(ts)
-
-    k = len(blocks)
-    head_mask = sum(bits[e] for e in head)
-    block_masks = [sum(bits[e] for e in block) for block in blocks]
+    k, n = len(blocks), params.n
+    head_mask = edges_to_mask(head, params.f)
+    block_masks = [edges_to_mask(block, params.f) for block in blocks]
     terms, free = [], []
     for done in range(1 << k):
         placed = [j for j in range(k) if done >> j & 1]
@@ -222,12 +183,11 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
         pos = len(head) + sum(len(blocks[j]) for j in placed)
         cache.hold(base)
         prev = cache.joint_entropy(base)
-        terms.append([
-            None if done >> j & 1 else along(base, pos, prev, block) for j, block in enumerate(blocks)
-        ])
+        terms.append([None if done >> j & 1 else weighted_terms(cache, n, block, base, pos, prev)[0]
+                      for j, block in enumerate(blocks)])
         free.append(tuple(j for j in range(k) if not done >> j & 1))
 
-    head_terms = along(0, 0, 0.0, head)
+    head_terms = weighted_terms(cache, n, head)[0]
     tasks = [
         (terms, free, cache.marginal_entropy(), head, head_terms, blocks, second, tie_tol)
         for second in range(k)
@@ -385,30 +345,37 @@ def ebg_order(
     The argmin is independent of n (it equals the conditional-entropy argmax),
     so the same order comes out for every n >= 1.  Starts from (1, 2); ties
     within 1e-12 go to the smallest edge ("lex") or a seeded random pick
-    ("random").
+    ("random").  The order's weighted terms are carried from step to step,
+    so a candidate costs one entropy lookup and one fsum over the terms.
     """
     if tie_policy not in ("lex", "random"):
         raise ValidationError(f"tie_policy must be 'lex' or 'random', got {tie_policy!r}")
     cache = make_cache(params, cache)
+    hmin = cache.marginal_entropy()
     rng = random.Random(seed)
     order = [(1, 2)]
     remaining = [e for e in all_edges(params.f) if e != (1, 2)]
     evaluations = 0
     log = []
-    bits = _edge_bits(params.f)
-    prefix_mask = bits[(1, 2)]
+    # the order so far: its edge set, joint entropy and weighted terms
+    mask, prev = 1, hmin
+    terms = weighted_terms(cache, params.n, order)[0]
     while remaining:
-        cache.hold(prefix_mask)
-        scored = []
+        cache.hold(mask)
+        scored = {}
         for e in remaining:
-            scored.append((partial_bound(order + [e], params, cache), e))
+            t = weighted_terms(cache, params.n, (e,), mask, len(order), prev)[0]
+            # the partial bound of order + [e], to the bit
+            scored[e] = (hmin / math.fsum(terms + t), t)
             evaluations += 1
-        best = min(pb for pb, _ in scored)
-        tied = [e for pb, e in scored if pb <= best + EBG_TIE_TOLERANCE]
+        best = min(pb for pb, _ in scored.values())
+        tied = [e for e, (pb, _) in scored.items() if pb <= best + EBG_TIE_TOLERANCE]
         pick = min(tied) if tie_policy == "lex" else rng.choice(tied)
         order.append(pick)
         remaining.remove(pick)
-        prefix_mask |= bits[pick]
+        terms += scored[pick][1]
+        mask |= 1 << edge_index(pick, params.f)
+        prev = cache.joint_entropy(mask)
         if trace:
             log.append((pick, best))
     report = capacity_outer_bound(order, params, cache)
@@ -469,13 +436,23 @@ def directed_random_search(
     prefix = [e for c in range(fixed_colors) for e in part.sets[c]]
     rest_base = sorted(set(all_edges(params.f)) - set(prefix))
     cache.hold(prefix)
+    # each draw adds its tail's terms to the prefix's, left to right
+    head = 0.0
+    for t in weighted_terms(cache, params.n, prefix)[0]:
+        head += t
+    mask = edges_to_mask(prefix, params.f)
+    prev = cache.joint_entropy(mask)
+    hmin = cache.marginal_entropy()
     rng = random.Random(seed)
     best = (math.inf, ())
     for _ in range(budget):
         rest = rest_base.copy()
         rng.shuffle(rest)
+        acc = head
+        for t in weighted_terms(cache, params.n, rest, mask, len(prefix), prev)[0]:
+            acc += t
+        b = hmin / acc
         order = tuple(prefix + rest)
-        b = _eval_order(order, params.f, params.n, cache)
         if (b, order) < best:
             best = (b, order)
     report = capacity_outer_bound(best[1], params, cache)
@@ -579,9 +556,14 @@ def count_graph_classes(f: int) -> int:
 # ---------------------------------------------------------------------------
 
 def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult:
-    """Run one method from a SearchConfig (the CLI entry point)."""
+    """Run one method from a SearchConfig (the CLI entry point).  A fixed
+    class count or a tie policy that the method would not read is refused."""
     params = config.params
     method = config.method
+    if config.fixed_colors is not None and method not in FIXED_COLORS_METHODS:
+        raise ValidationError(f"fixed_colors applies to e-ec and random only, not {method!r}")
+    if config.tie_policy != "lex" and method != "ebg":
+        raise ValidationError(f"tie policy {config.tie_policy!r} applies to ebg only, not {method!r}")
     if method == "ec":
         order = ec_order(params.f)
         return SearchResult(best=capacity_outer_bound(order, params, cache), evaluations=1)

@@ -11,7 +11,9 @@ from pqcbound import (
     edge_count,
     partial_bound,
 )
+from pqcbound.bound import weighted_terms
 from pqcbound.errors import DuplicateEdge, NotAPermutation, ValidationError
+from pqcbound.graphs import edges_to_mask
 from tests.test_coloring import S_EC_6, S_EEC_6
 
 S_LDF_6 = (
@@ -99,6 +101,32 @@ class TestPartialBound:
             partial_bound([(1, 2), (1, 2)], p6)
         with pytest.raises(ValidationError):
             partial_bound([], p6)
+
+
+class TestWeightedTerms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_running_product_weights(self, n, shared_cache):
+        # float(n) ** -v differs from the running product in the last bit
+        # for n = 3, 5, 7
+        cache = shared_cache(6)
+        order = all_edges(6)
+        random.Random(n).shuffle(order)
+        terms, cond = weighted_terms(cache, n, order)
+        weight = 1.0
+        for t, h in zip(terms, cond):
+            assert t == weight * h
+            weight *= 1.0 / n
+
+    @pytest.mark.parametrize("split", [0, 1, 7, 14, 15])
+    def test_resumes_from_any_point(self, split, shared_cache):
+        cache = shared_cache(6)
+        order = all_edges(6)
+        random.Random(split).shuffle(order)
+        terms, cond = weighted_terms(cache, 3, order)
+        mask = edges_to_mask(order[:split], 6)
+        tail = weighted_terms(cache, 3, order[split:], mask, split, cache.joint_entropy(mask))
+        assert [t.hex() for t in tail[0]] == [t.hex() for t in terms[split:]]
+        assert [h.hex() for h in tail[1]] == [h.hex() for h in cond[split:]]
 
 
 class TestInvariants:

@@ -63,14 +63,32 @@ class TestOrderCommand:
             (("order", "--method", "ec", "--f", "5", "--threads", "0"), "--threads"),
             (("search", "--method", "exhaustive", "--f", "4", "--threads", "-2"), "--threads"),
             (("table", "--f-range", "5..5", "--methods", "ec", "--threads", "0"), "--threads"),
+            # values that the method would not read
+            (("order", "--method", "ebg", "--f", "5", "--fixed-colors", "3"), "fixed_colors"),
+            (("order", "--method", "ec", "--f", "5", "--fixed-colors", "1"), "fixed_colors"),
+            (("order", "--method", "ldf", "--f", "5", "--fixed-colors", "2"), "fixed_colors"),
+            (("search", "--method", "exhaustive", "--f", "4", "--fixed-colors", "2"), "fixed_colors"),
+            (("order", "--method", "ec", "--f", "5", "--tie", "random"), "tie policy"),
+            (("order", "--method", "e-ec", "--f", "5", "--tie", "random"), "tie policy"),
+            (("order", "--method", "ldf", "--f", "5", "--tie", "random"), "tie policy"),
+            (("table", "--f-range", "5..5", "--methods", "ec,ldf,ebg", "--fixed-colors", "2"),
+             "--fixed-colors"),
         ],
         ids=["ldf-f2", "random-budget-0", "random-fixed-0", "eec-fixed-0", "table-budget-0",
-             "threads-0", "threads-negative", "table-threads-0"],
+             "threads-0", "threads-negative", "table-threads-0", "ebg-fixed", "ec-fixed",
+             "ldf-fixed", "exhaustive-fixed", "ec-tie-random", "eec-tie-random",
+             "ldf-tie-random", "table-fixed-unused"],
     )
     def test_invalid_value_rejected(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert message in err
+
+    def test_fixed_colors_reaches_only_the_methods_that_read_it(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--f-range", "5..6", "--methods", "ec,e-ec",
+                               "--fixed-colors", "2", "--threads", "1")
+        assert code == EXIT_OK
+        assert out == "f,ec,e-ec\n5,0.5382035621102,0.5382035621102\n6,0.5198943946817,0.5198121367672\n"
 
     def test_threads_default_is_affinity(self, monkeypatch):
         monkeypatch.delenv("PQC_THREADS", raising=False)
