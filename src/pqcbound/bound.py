@@ -12,6 +12,11 @@ unchanged to the last bit.
 
 One kernel, weighted_terms, gives the denominator terms of the edges that
 join an order from any point on; every bound and search score sums them.
+Next to it, remaining_cap bounds what the terms still to come can add: every
+weight is positive and nonincreasing and every conditional entropy is
+nonnegative, so from position pos with joint entropy H(S) the rest adds at
+most n^-pos * (H(K_f) - H(S)).  The searches stop scoring an order once its
+denominator plus this cap cannot reach the best one found so far.
 """
 from __future__ import annotations
 
@@ -22,6 +27,11 @@ from functools import lru_cache
 from .entropy import EntropyCache, FieldSpec
 from .errors import DuplicateEdge, NotAPermutation, ValidationError
 from .graphs import check_edge, check_vertex_count, edge_bits, edge_count
+
+# Relative widening of remaining_cap: far above the rounding of a fold of
+# at most a few hundred terms and of the entropies' last bits, far below
+# any gap between two bounds that a search must tell apart.
+CAP_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,21 @@ def weighted_terms(cache: EntropyCache, n: int, edges, mask: int = 0, pos: int =
         prev = h
         pos += 1
     return terms, cond
+
+
+def remaining_cap(cache: EntropyCache, n: int, pos: int, prev: float) -> float:
+    """Widened largest value that the terms after an order's first pos edges,
+    whose joint entropy is prev, can add to its denominator.
+
+    Every completion's left-to-right fold of weighted_terms stays below the
+    denominator so far plus this cap by about CAP_MARGIN * H(K_f), so an
+    order pruned against an incumbent whose denominator exceeds that sum is
+    strictly worse than the incumbent, after rounding too.  With nothing
+    left (pos = mu) the cap is the widening alone.
+    """
+    top = cache.joint_entropy((1 << cache.mu) - 1)
+    rest = _weights(n, cache.mu)[pos] * (top - prev) if pos < cache.mu else 0.0
+    return rest + CAP_MARGIN * top
 
 
 def capacity_outer_bound(order, params: BoundParams, cache: EntropyCache | None = None) -> BoundReport:

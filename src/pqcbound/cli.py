@@ -32,6 +32,12 @@ EXIT_GUARD = 3
 ORDER_METHODS = ("ec", "e-ec", "ldf", "ebg")
 SEARCH_METHODS = ("exhaustive", "random")
 TABLE_METHODS = ORDER_METHODS + SEARCH_METHODS
+# the methods that read --seed and --budget (in table, random only), and the
+# values random search takes when they are not given
+SEED_METHODS = ("ebg", "random")
+BUDGET_METHODS = ("random",)
+DEFAULT_SEED = 0
+DEFAULT_BUDGET = 1000
 
 
 def _threads(args) -> int:
@@ -98,6 +104,13 @@ def _emit(rec: dict, result: SearchResult, fmt: str, out) -> None:
 
 def cmd_run(args) -> int:
     """order and search: run one method and print its record."""
+    for name, readers in (("seed", SEED_METHODS), ("budget", BUDGET_METHODS)):
+        if getattr(args, name) is not None and args.method not in readers:
+            raise ValidationError(f"--{name} applies to {' and '.join(readers)} only, not {args.method!r}")
+    if args.command == "search":
+        # search records echo random search's defaults, whatever the method
+        args.seed = DEFAULT_SEED if args.seed is None else args.seed
+        args.budget = DEFAULT_BUDGET if args.budget is None else args.budget
     config = SearchConfig(
         method=args.method,
         params=BoundParams(n=args.n, f=args.f, q=args.q),
@@ -139,6 +152,11 @@ def cmd_table(args) -> int:
             return EXIT_USAGE
     if args.fixed_colors is not None and not set(methods) & set(FIXED_COLORS_METHODS):
         raise ValidationError("--fixed-colors applies to e-ec and random only, and --methods names neither")
+    for name in ("seed", "budget"):
+        if getattr(args, name) is not None and "random" not in methods:
+            raise ValidationError(f"--{name} applies to random only, and --methods does not name it")
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     workers = _threads(args)
     lines = ["f," + ",".join(methods)]
     for f in _parse_range(args.f_range):
@@ -152,8 +170,8 @@ def cmd_table(args) -> int:
             config = SearchConfig(
                 method=m,
                 params=params,
-                seed=args.seed,
-                budget=args.budget,
+                seed=seed,
+                budget=budget,
                 fixed_colors=fixed,
                 workers=workers,
             )
@@ -216,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive or directed random search")
     p.add_argument("--method", choices=SEARCH_METHODS, required=True)
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=1000,
-                   help="random-search draws (default 1000)")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"random-search seed (default {DEFAULT_SEED})")
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"random-search draws (default {DEFAULT_BUDGET})")
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (random search, default 2)")
     p.set_defaults(func=cmd_run, tie="lex")
@@ -230,8 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="ec,e-ec,ldf,ebg",
                    help="comma-separated methods (default ec,e-ec,ldf,ebg)")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"random-search seed (default {DEFAULT_SEED})")
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"random-search draws (default {DEFAULT_BUDGET})")
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (e-ec and random)")
     p.add_argument("--threads", type=int, default=None)

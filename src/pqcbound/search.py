@@ -13,7 +13,11 @@ refused when the blocks have more than PERMUTATION_CAP orders, which admits
 exhaustive search up to f = 5.
 
 Every score is a sum of bound.weighted_terms; each winner is re-evaluated
-with capacity_outer_bound.
+with capacity_outer_bound.  Both brute-force and random search are branch
+and bound: an order stops being scored once its denominator so far plus
+bound.remaining_cap cannot reach the best one found so far.  The cap is
+widened, so pruning skips only orders strictly worse than that best and
+never changes a result; evaluations still counts every order covered.
 
 Deterministic conventions used throughout (all tie-breaks resolve to the
 smallest edge index or lexicographically smallest order):
@@ -37,7 +41,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .bound import BoundParams, BoundReport, capacity_outer_bound, make_cache, weighted_terms
+from .bound import (
+    BoundParams,
+    BoundReport,
+    capacity_outer_bound,
+    make_cache,
+    remaining_cap,
+    weighted_terms,
+)
 from .coloring import color_sets, ec_order
 from .entropy import EntropyCache
 from .errors import (
@@ -52,6 +63,7 @@ from .graphs import (
     all_edges,
     check_edge,
     connected_components,
+    edge_bits,
     edge_count,
     edge_index,
     edges_to_mask,
@@ -94,6 +106,8 @@ class SearchResult:
     evaluations: int
     trace: tuple | None = None
     argmin_orders: tuple | None = None
+    # orders scored in full, where a search prunes the others
+    scored: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -110,23 +124,27 @@ def _permutation_guard(k: int, error: type, advice: str) -> None:
 
 
 def _block_branch(task):
-    """Best (bound, order), the number of orders scored and the near-ties
-    among the orders whose first block is `second`.
+    """Best (bound, order), the number of orders scored in full and the
+    near-ties among the orders whose first block is `second`.
 
     terms[done][j] holds the weighted terms of block j's edges when it follows
-    the head and the blocks in the set `done`, so a DFS over the blocks
-    carries only the set placed so far and the running denominator.
+    the head and the blocks in the set `done`, and cap[done] the
+    remaining_cap from there, so a DFS over the blocks carries only the set
+    placed so far and the running denominator.  A subtree whose denominator
+    plus cap cannot reach this task's best bound (plus tie_tol) is skipped:
+    none of its orders could win or tie here.
     """
-    terms, free, hmin, head, head_terms, blocks, second, tie_tol = task
+    terms, cap, free, hmin, head, head_terms, blocks, second, tie_tol = task
     full = len(terms) - 1
     slack = 0.0 if tie_tol is None else tie_tol
     best = (math.inf, ())
+    floor = 0.0  # hmin / (best bound + slack): the denominator to reach
     ties = []
-    count = 0
+    scored = 0
     perm = []
 
     def visit(done, acc, choices):
-        nonlocal best, count
+        nonlocal best, floor, scored
         row = terms[done]
         for j in choices:
             a = acc
@@ -135,15 +153,16 @@ def _block_branch(task):
             nxt = done | 1 << j
             perm.append(j)
             if nxt == full:
-                count += 1
+                scored += 1
                 b = hmin / a
                 if b <= best[0] + slack:
                     order = head + tuple(e for i in perm for e in blocks[i])
                     if (b, order) < best:
                         best = (b, order)
+                        floor = hmin / (b + slack)
                     if tie_tol is not None:
                         ties.append((b, order))
-            else:
+            elif a + cap[nxt] >= floor:
                 visit(nxt, a, free[nxt])
             perm.pop()
 
@@ -152,31 +171,34 @@ def _block_branch(task):
         acc += t
     visit(0, acc, (second,))
     del visit  # visit refers to itself; dropping it frees the task without a collection
-    return best, count, ties
+    return best, scored, ties
 
 
 def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchResult:
     """Best bound over the orders head + (the blocks in every order).
 
     The entropies come from a table built once through the cache: for every
-    set of blocks already placed and every block j outside it, the
-    weighted_terms of j's edges from there, so every order scores the bits
-    of a left-to-right fold of its terms.  There is one DFS task per second
-    block (the first after the head), run in worker processes when
-    workers > 1.  Ties in the bound go to the lexicographically smallest
-    edge order, so the worker count never changes the result.  With tie_tol,
-    every order within tie_tol of the minimum is returned as argmin_orders,
-    sorted.  With no blocks the head is the one order.  Callers apply
-    _permutation_guard.
+    set of blocks already placed, the remaining_cap from there and, for
+    every block j outside it, the weighted_terms of j's edges from there, so
+    every order scores the bits of a left-to-right fold of its terms.  There
+    is one DFS task per second block (the first after the head), run in
+    worker processes when workers > 1.  Each task prunes against its own
+    best only, so every task returns its true local winner and the worker
+    count never changes the result.  Ties in the bound go to the
+    lexicographically smallest edge order.  With tie_tol, every order within
+    tie_tol of the minimum is returned as argmin_orders, sorted.  With no
+    blocks the head is the one order.  evaluations counts the orders
+    covered, k! for k blocks, and scored those scored in full.  Callers
+    apply _permutation_guard.
     """
     cache = make_cache(params, cache)
     if not blocks:
         return SearchResult(best=capacity_outer_bound(head, params, cache), evaluations=1,
-                            argmin_orders=None if tie_tol is None else (head,))
+                            scored=1, argmin_orders=None if tie_tol is None else (head,))
     k, n = len(blocks), params.n
     head_mask = edges_to_mask(head, params.f)
     block_masks = [edges_to_mask(block, params.f) for block in blocks]
-    terms, free = [], []
+    terms, cap, free = [], [], []
     for done in range(1 << k):
         placed = [j for j in range(k) if done >> j & 1]
         base = head_mask | sum(block_masks[j] for j in placed)
@@ -185,11 +207,12 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
         prev = cache.joint_entropy(base)
         terms.append([None if done >> j & 1 else weighted_terms(cache, n, block, base, pos, prev)[0]
                       for j, block in enumerate(blocks)])
+        cap.append(remaining_cap(cache, n, pos, prev))
         free.append(tuple(j for j in range(k) if not done >> j & 1))
 
     head_terms = weighted_terms(cache, n, head)[0]
     tasks = [
-        (terms, free, cache.marginal_entropy(), head, head_terms, blocks, second, tie_tol)
+        (terms, cap, free, cache.marginal_entropy(), head, head_terms, blocks, second, tie_tol)
         for second in range(k)
     ]
     if workers > 1 and k > 1:
@@ -204,7 +227,8 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
         argmin_orders = tuple(sorted(near))
     return SearchResult(
         best=capacity_outer_bound(best[1], params, cache),
-        evaluations=sum(count for _, count, _ in results),
+        evaluations=math.factorial(k),
+        scored=sum(scored for _, scored, _ in results),
         argmin_orders=argmin_orders,
     )
 
@@ -423,7 +447,11 @@ def directed_random_search(
 
     The first fixed_colors classes of the edge-coloring stay fixed
     (lexicographic inside); each draw shuffles the remaining edges with the
-    seeded generator and evaluates the bound.  Reproducible given the seed.
+    seeded generator and scores the order one edge at a time.  A draw stops,
+    with no further entropy lookups, once its denominator plus remaining_cap
+    falls below the best draw's: it can no longer win or tie.  Reproducible
+    given the seed; evaluations counts the draws and scored those scored in
+    full.
     """
     if fixed_colors < 2:
         raise ValidationError(f"directed random search needs fixed_colors >= 2, got {fixed_colors}")
@@ -433,30 +461,41 @@ def directed_random_search(
     if fixed_colors > len(part.sets):
         raise ValidationError(f"fixed_colors {fixed_colors} exceeds chi' = {len(part.sets)}")
     cache = make_cache(params, cache)
+    n = params.n
     prefix = [e for c in range(fixed_colors) for e in part.sets[c]]
     rest_base = sorted(set(all_edges(params.f)) - set(prefix))
     cache.hold(prefix)
     # each draw adds its tail's terms to the prefix's, left to right
     head = 0.0
-    for t in weighted_terms(cache, params.n, prefix)[0]:
+    for t in weighted_terms(cache, n, prefix)[0]:
         head += t
-    mask = edges_to_mask(prefix, params.f)
-    prev = cache.joint_entropy(mask)
+    base = edges_to_mask(prefix, params.f)
+    hbase = cache.joint_entropy(base)
     hmin = cache.marginal_entropy()
+    bits = edge_bits(params.f)
     rng = random.Random(seed)
     best = (math.inf, ())
+    floor = 0.0  # the best draw's denominator
+    scored = 0
     for _ in range(budget):
         rest = rest_base.copy()
         rng.shuffle(rest)
-        acc = head
-        for t in weighted_terms(cache, params.n, rest, mask, len(prefix), prev)[0]:
-            acc += t
-        b = hmin / acc
-        order = tuple(prefix + rest)
-        if (b, order) < best:
-            best = (b, order)
+        acc, mask, prev = head, base, hbase
+        for pos, e in enumerate(rest, len(prefix)):
+            if acc + remaining_cap(cache, n, pos, prev) < floor:
+                break
+            acc += weighted_terms(cache, n, (e,), mask, pos, prev)[0][0]
+            mask |= bits[e]
+            prev = cache.joint_entropy(mask)
+        else:
+            scored += 1
+            b = hmin / acc
+            order = tuple(prefix + rest)
+            if (b, order) < best:
+                best = (b, order)
+                floor = acc
     report = capacity_outer_bound(best[1], params, cache)
-    return SearchResult(best=report, evaluations=budget)
+    return SearchResult(best=report, evaluations=budget, scored=scored)
 
 
 # ---------------------------------------------------------------------------

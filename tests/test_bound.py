@@ -1,7 +1,10 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pqcbound import (
     BoundParams,
@@ -11,7 +14,7 @@ from pqcbound import (
     edge_count,
     partial_bound,
 )
-from pqcbound.bound import weighted_terms
+from pqcbound.bound import remaining_cap, weighted_terms
 from pqcbound.errors import DuplicateEdge, NotAPermutation, ValidationError
 from pqcbound.graphs import edges_to_mask
 from tests.test_coloring import S_EC_6, S_EEC_6
@@ -127,6 +130,42 @@ class TestWeightedTerms:
         tail = weighted_terms(cache, 3, order[split:], mask, split, cache.joint_entropy(mask))
         assert [t.hex() for t in tail[0]] == [t.hex() for t in terms[split:]]
         assert [h.hex() for h in tail[1]] == [h.hex() for h in cond[split:]]
+
+
+class TestRemainingCap:
+    # a search prunes an order once acc + cap falls below its incumbent's
+    # denominator, so every completion must score strictly worse than
+    # hmin / (acc + cap); a one-edge or empty tail fills the unwidened cap
+    # exactly, so only the margin makes that strict
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_caps_every_completion(self, data, shared_cache):
+        f = data.draw(st.integers(2, 7), label="f")
+        q = data.draw(st.sampled_from((2, 3)), label="q")
+        n = data.draw(st.sampled_from((1, 2, 3, 5, 7)), label="n")
+        cache = shared_cache(f, q)
+        order = data.draw(st.permutations(all_edges(f)), label="order")
+        pos = data.draw(st.integers(0, len(order)), label="pos")
+        head, tail = order[:pos], order[pos:]
+        acc = 0.0
+        for t in weighted_terms(cache, n, head)[0]:
+            acc += t
+        mask = edges_to_mask(head, f)
+        prev = cache.joint_entropy(mask)
+        top = acc + remaining_cap(cache, n, pos, prev)
+        hmin = cache.marginal_entropy()
+        if len(tail) <= 6:
+            completions = permutations(tail)
+        else:
+            completions = data.draw(st.lists(st.permutations(tail), min_size=1, max_size=20),
+                                    label="completions")
+        for rest in completions:
+            a = acc
+            for t in weighted_terms(cache, n, rest, mask, pos, prev)[0]:
+                a += t
+            assert a < top
+            assert hmin / a > hmin / top
 
 
 class TestInvariants:

@@ -73,11 +73,19 @@ class TestOrderCommand:
             (("order", "--method", "ldf", "--f", "5", "--tie", "random"), "tie policy"),
             (("table", "--f-range", "5..5", "--methods", "ec,ldf,ebg", "--fixed-colors", "2"),
              "--fixed-colors"),
+            (("search", "--method", "exhaustive", "--f", "4", "--seed", "3"), "--seed"),
+            (("search", "--method", "exhaustive", "--f", "4", "--budget", "5"), "--budget"),
+            (("order", "--method", "ec", "--f", "5", "--seed", "3"), "--seed"),
+            (("order", "--method", "e-ec", "--f", "5", "--seed", "0"), "--seed"),
+            (("order", "--method", "ldf", "--f", "5", "--seed", "3"), "--seed"),
+            (("table", "--f-range", "5..5", "--methods", "ec", "--seed", "9"), "--seed"),
+            (("table", "--f-range", "5..5", "--methods", "ec,ebg", "--budget", "7"), "--budget"),
         ],
         ids=["ldf-f2", "random-budget-0", "random-fixed-0", "eec-fixed-0", "table-budget-0",
              "threads-0", "threads-negative", "table-threads-0", "ebg-fixed", "ec-fixed",
              "ldf-fixed", "exhaustive-fixed", "ec-tie-random", "eec-tie-random",
-             "ldf-tie-random", "table-fixed-unused"],
+             "ldf-tie-random", "table-fixed-unused", "exhaustive-seed", "exhaustive-budget",
+             "ec-seed", "eec-seed", "ldf-seed", "table-seed-unused", "table-budget-unused"],
     )
     def test_invalid_value_rejected(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
@@ -205,6 +213,23 @@ class TestSearchCommand:
         rec = json.loads(out)
         assert float(rec["bound"]) <= 0.5198121367672
         assert rec["seed"] == 7 and rec["budget"] == 2000 and rec["fixed_colors"] == 2
+
+    def test_default_records_echo_random_defaults(self, capsys):
+        _, out, _ = run_cli(capsys, "search", "--method", "exhaustive", "--f", "4", "--threads", "1")
+        rec = json.loads(out)
+        assert rec["seed"] == 0 and rec["budget"] == 1000
+        _, out, _ = run_cli(capsys, "order", "--method", "ec", "--f", "4")
+        rec = json.loads(out)
+        assert rec["seed"] is None and rec["budget"] is None
+
+    def test_table_random_column_reads_seed_and_budget(self, capsys):
+        args = ["table", "--f-range", "6..6", "--methods", "ec,random", "--threads", "1"]
+        _, given, _ = run_cli(capsys, *args, "--seed", "0", "--budget", "1000")
+        code, default, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        assert given == default
+        _, other, _ = run_cli(capsys, *args, "--budget", "1")
+        assert float(other.split(",")[-1]) >= float(default.split(",")[-1])
 
     def test_random_reproducible(self, capsys):
         args = ["search", "--method", "random", "--f", "6", "--budget", "50", "--seed", "41"]

@@ -215,7 +215,7 @@ def _assert_same_search(got, want):
 def _path_terms(task, order):
     """Hex of the weighted terms a _block_branch task adds along `order`:
     the head's, then each block's from the table row of the blocks before it."""
-    terms, _, _, head, head_terms, blocks, _, _ = task
+    terms, _, _, _, head, head_terms, blocks, _, _ = task
     first = {block[0]: j for j, block in enumerate(blocks)}
     out = list(head_terms)
     done, pos = 0, len(head)
@@ -611,6 +611,30 @@ class TestExhaustiveOracle:
         exact = exhaustive_search(p, cache=cache, collect_argmin=True)
         assert got.argmin_orders == want.argmin_orders
         assert len(exact.argmin_orders) < len(got.argmin_orders) < math.factorial(5)
+
+
+class TestPruning:
+    def test_random_search_skips_most_lookups(self):
+        p = params(8)
+        pruned, oracle = EntropyCache(8, 2), EntropyCache(8, 2)
+        got = directed_random_search(p, seed=7, budget=2500, cache=pruned)
+        order, bound = _random_oracle(p, 7, 2500, 2, oracle)
+        assert (got.best.order, got.best.bound.hex()) == (order, bound.hex())
+        assert len(pruned) < len(oracle) / 2
+        assert got.scored < got.evaluations == 2500
+
+    def test_exhaustive_scores_few_orders_in_full(self, shared_cache):
+        result = exhaustive_search(params(5), cache=shared_cache(5))
+        assert result.evaluations == math.factorial(9)
+        assert result.scored < result.evaluations / 10
+
+    # with n = 1 every order has the same denominator up to rounding, so no
+    # subtree can be cut and the permutation cap still bounds the work
+    def test_n1_prunes_nothing(self, shared_cache):
+        result = exhaustive_search(params(4, n=1), cache=shared_cache(4))
+        assert result.scored == result.evaluations == math.factorial(5)
+        result = directed_random_search(params(6, n=1), seed=0, budget=200, cache=shared_cache(6))
+        assert result.scored == result.evaluations == 200
 
 
 class TestExhaustive:
