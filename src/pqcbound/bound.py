@@ -48,10 +48,6 @@ class BoundParams:
         check_vertex_count(self.f)
         FieldSpec(self.q)  # primality guard
 
-    @property
-    def spec(self) -> FieldSpec:
-        return FieldSpec(self.q)
-
 
 @dataclass(frozen=True)
 class BoundReport:

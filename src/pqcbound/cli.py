@@ -21,7 +21,8 @@ import time
 from .bound import BoundParams
 from .entropy import EntropyCache
 from .errors import GuardViolation, PqcboundError, ValidationError
-from .search import FIXED_COLORS_METHODS, SearchConfig, SearchResult, feasible_fixed_colors, run
+from .search import (METHOD_OPTIONS, SearchConfig, SearchResult, feasible_fixed_colors,
+                     option_readers, run)
 from .verify import DEFAULT_F, SUITES
 
 EXIT_OK = 0
@@ -32,10 +33,7 @@ EXIT_GUARD = 3
 ORDER_METHODS = ("ec", "e-ec", "ldf", "ebg")
 SEARCH_METHODS = ("exhaustive", "random")
 TABLE_METHODS = ORDER_METHODS + SEARCH_METHODS
-# the methods that read --seed and --budget (in table, random only), and the
-# values random search takes when they are not given
-SEED_METHODS = ("ebg", "random")
-BUDGET_METHODS = ("random",)
+# the values random search takes when --seed and --budget are not given
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 1000
 
@@ -104,9 +102,10 @@ def _emit(rec: dict, result: SearchResult, fmt: str, out) -> None:
 
 def cmd_run(args) -> int:
     """order and search: run one method and print its record."""
-    for name, readers in (("seed", SEED_METHODS), ("budget", BUDGET_METHODS)):
-        if getattr(args, name) is not None and args.method not in readers:
-            raise ValidationError(f"--{name} applies to {' and '.join(readers)} only, not {args.method!r}")
+    for name in ("seed", "budget"):
+        if getattr(args, name) is not None and name not in METHOD_OPTIONS[args.method]:
+            raise ValidationError(f"--{name} applies to {' and '.join(option_readers(name))} only, "
+                                  f"not {args.method!r}")
     if args.command == "search":
         # search records echo random search's defaults, whatever the method
         args.seed = DEFAULT_SEED if args.seed is None else args.seed
@@ -150,11 +149,14 @@ def cmd_table(args) -> int:
             print(f"error: unknown method {m!r} (choose from {', '.join(TABLE_METHODS)})",
                   file=sys.stderr)
             return EXIT_USAGE
-    if args.fixed_colors is not None and not set(methods) & set(FIXED_COLORS_METHODS):
-        raise ValidationError("--fixed-colors applies to e-ec and random only, and --methods names neither")
-    for name in ("seed", "budget"):
-        if getattr(args, name) is not None and "random" not in methods:
-            raise ValidationError(f"--{name} applies to random only, and --methods does not name it")
+    for name in ("fixed_colors", "seed", "budget"):
+        # table breaks every tie lex, and a method with a tie policy reads
+        # its seed only to break ties at random
+        readers = [m for m in option_readers(name)
+                   if name != "seed" or "tie_policy" not in METHOD_OPTIONS[m]]
+        if getattr(args, name) is not None and not set(methods) & set(readers):
+            raise ValidationError(f"--{name.replace('_', '-')} applies to {' and '.join(readers)} "
+                                  f"only, not {args.methods!r}")
     seed = DEFAULT_SEED if args.seed is None else args.seed
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     workers = _threads(args)
@@ -164,7 +166,7 @@ def cmd_table(args) -> int:
         cache = EntropyCache(f, args.q)
         row = [str(f)]
         for m in methods:
-            fixed = args.fixed_colors if m in FIXED_COLORS_METHODS else None
+            fixed = args.fixed_colors if "fixed_colors" in METHOD_OPTIONS[m] else None
             if m == "e-ec" and fixed is None:
                 fixed = feasible_fixed_colors(f)
             config = SearchConfig(
@@ -180,8 +182,12 @@ def cmd_table(args) -> int:
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK

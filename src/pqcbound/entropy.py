@@ -85,9 +85,6 @@ class JointDistribution:
     def as_dict(self) -> dict:
         return dict(self.support)
 
-    def probability(self, outcome) -> Fraction:
-        return self.as_dict().get(tuple(outcome), Fraction(0))
-
 
 def joint_distribution(edges, f: int, spec_or_q) -> JointDistribution:
     """Joint distribution of the monomials named by edges, for f symbols.

@@ -75,7 +75,22 @@ EBG_TIE_TOLERANCE = 1e-12
 ARGMIN_TIE_TOLERANCE = 1e-12
 PATH_COUNT_LIMIT = 5
 PERMUTATION_CAP = 1_000_000
-FIXED_COLORS_METHODS = ("e-ec", "random")
+# The SearchConfig options each method reads besides its params.  Messages
+# name an option's readers in this order.  ebg reads its seed only to break
+# ties at random.
+METHOD_OPTIONS = {
+    "ec": (),
+    "e-ec": ("fixed_colors",),
+    "ldf": (),
+    "ebg": ("seed", "tie_policy"),
+    "exhaustive": (),
+    "random": ("seed", "budget", "fixed_colors"),
+}
+
+
+def option_readers(option: str) -> tuple[str, ...]:
+    """The methods that read option, in METHOD_OPTIONS order."""
+    return tuple(m for m, read in METHOD_OPTIONS.items() if option in read)
 
 
 def feasible_fixed_colors(f: int) -> int:
@@ -517,77 +532,48 @@ def _edge_remaps(f: int) -> tuple:
 
 
 def _canonical_form(mask: int, remaps) -> int:
-    best = None
-    for r in remaps:
-        m2 = 0
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            m2 |= 1 << r[bit.bit_length() - 1]
-        if best is None or m2 < best:
-            best = m2
-    return best
+    """The smallest mask among the relabelings of mask."""
+    bits = [i for i in range(len(remaps[0])) if mask >> i & 1]
+    return min(sum(1 << r[i] for i in bits) for r in remaps)
 
 
-def _path_count_guard(f: int) -> None:
+@lru_cache(maxsize=None)
+def _class_walk(f: int) -> tuple[int, int]:
+    """(states, paths) of the layered graph of the unlabeled graphs on f vertices.
+
+    Layer k maps the canonical mask of each class with k edges to the number
+    of distinct class sequences from the empty graph that reach it; a state's
+    successors are the distinct canonical forms of it plus one absent edge.
+    Canonical forms take all f! relabelings, so 2 <= f <= PATH_COUNT_LIMIT."""
     if f < 2 or f > PATH_COUNT_LIMIT:
         raise SearchSpaceTooLarge(
             f"path counting enumerates canonical forms over f! relabelings; supported for 2 <= f <= "
             f"{PATH_COUNT_LIMIT}, got {f}"
         )
+    remaps = _edge_remaps(f)
+    mu = edge_count(f)
+    layer = {0: 1}
+    states = 1
+    for _ in range(mu):
+        nxt: dict[int, int] = {}
+        for mask, paths in layer.items():
+            for s in {_canonical_form(mask | 1 << i, remaps) for i in range(mu) if not mask >> i & 1}:
+                nxt[s] = nxt.get(s, 0) + paths
+        layer = nxt
+        states += len(layer)
+    return states, layer[(1 << mu) - 1]
 
 
 def count_distinct_paths(f: int) -> int:
     """Number of edge-addition sequences from the empty graph to K_f that are
-    distinct up to graph isomorphism at every step (memoized DFS over
-    canonical unlabeled-graph states)."""
-    _path_count_guard(f)
-    remaps = _edge_remaps(f)
-    mu = edge_count(f)
-    full = (1 << mu) - 1
-    canon_cache: dict[int, int] = {}
-
-    def canon(mask):
-        c = canon_cache.get(mask)
-        if c is None:
-            c = _canonical_form(mask, remaps)
-            canon_cache[mask] = c
-        return c
-
-    memo: dict[int, int] = {full: 1}
-
-    def npaths(cmask):
-        hit = memo.get(cmask)
-        if hit is not None:
-            return hit
-        succ = {canon(cmask | (1 << i)) for i in range(mu) if not (cmask >> i) & 1}
-        total = sum(npaths(s) for s in sorted(succ))
-        memo[cmask] = total
-        return total
-
-    return npaths(0)
+    distinct up to graph isomorphism at every step: the paths of _class_walk."""
+    return _class_walk(f)[1]
 
 
 def count_graph_classes(f: int) -> int:
-    """Number of isomorphism classes of graphs on f unlabeled vertices,
-    counted as the canonical states reachable from the empty graph."""
-    _path_count_guard(f)
-    remaps = _edge_remaps(f)
-    mu = edge_count(f)
-    seen: set[int] = set()
-    stack = [0]
-    while stack:
-        cmask = stack.pop()
-        if cmask in seen:
-            continue
-        seen.add(cmask)
-        for i in range(mu):
-            if not (cmask >> i) & 1:
-                nxt = _canonical_form(cmask | (1 << i), remaps)
-                if nxt not in seen:
-                    stack.append(nxt)
-    return len(seen)
+    """Number of isomorphism classes of graphs on f unlabeled vertices: the
+    states of _class_walk."""
+    return _class_walk(f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +585,15 @@ def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult
     class count or a tie policy that the method would not read is refused."""
     params = config.params
     method = config.method
-    if config.fixed_colors is not None and method not in FIXED_COLORS_METHODS:
-        raise ValidationError(f"fixed_colors applies to e-ec and random only, not {method!r}")
-    if config.tie_policy != "lex" and method != "ebg":
-        raise ValidationError(f"tie policy {config.tie_policy!r} applies to ebg only, not {method!r}")
+    if method not in METHOD_OPTIONS:
+        raise ValidationError(f"unknown method {method!r}")
+    for option, given, name in (
+        ("fixed_colors", config.fixed_colors is not None, "fixed_colors"),
+        ("tie_policy", config.tie_policy != "lex", f"tie policy {config.tie_policy!r}"),
+    ):
+        if given and option not in METHOD_OPTIONS[method]:
+            readers = " and ".join(option_readers(option))
+            raise ValidationError(f"{name} applies to {readers} only, not {method!r}")
     if method == "ec":
         order = ec_order(params.f)
         return SearchResult(best=capacity_outer_bound(order, params, cache), evaluations=1)
@@ -620,12 +611,11 @@ def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult
         return ebg_order(params, tie_policy=config.tie_policy, seed=config.seed, cache=cache)
     if method == "exhaustive":
         return exhaustive_search(params, cache=cache, workers=config.workers)
-    if method == "random":
-        return directed_random_search(
-            params,
-            seed=config.seed,
-            budget=config.budget,
-            fixed_colors=2 if config.fixed_colors is None else config.fixed_colors,
-            cache=cache,
-        )
-    raise ValidationError(f"unknown method {method!r}")
+    # random, the one method left
+    return directed_random_search(
+        params,
+        seed=config.seed,
+        budget=config.budget,
+        fixed_colors=2 if config.fixed_colors is None else config.fixed_colors,
+        cache=cache,
+    )

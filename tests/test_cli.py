@@ -290,6 +290,16 @@ class TestTableCommand:
         assert text == "f,ec\n5,0.5382035621102\n"
         assert "\r" not in text
 
+    def test_out_to_missing_directory_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(
+            capsys, "table", "--f-range", "5..5", "--methods", "ec", "--out", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "--out" in err
+        assert not path.parent.exists()
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize(

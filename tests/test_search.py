@@ -36,7 +36,7 @@ from pqcbound.errors import (
 )
 from pqcbound import search
 from pqcbound.bound import make_cache
-from pqcbound.graphs import edge_from_index, edge_index
+from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
 from pqcbound.search import SearchResult, run
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
@@ -494,6 +494,34 @@ class TestEbg:
         with pytest.raises(ValidationError):
             ebg_order(params(4), tie_policy="coin", cache=shared_cache(4))
 
+    # fsum and IEEE division are monotone, so a candidate's partial bound
+    # never rises as H(order + e) rises: the tie window is the top of the
+    # entropy ranking, and an argmax of H that walks down that ranking with
+    # the same partial-bound test keeps every tie set
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_ties_are_the_top_of_the_entropy_ranking(self, data, shared_cache):
+        f = data.draw(st.integers(3, 8), label="f")
+        q = data.draw(st.sampled_from((2, 3) if f <= 6 else (2,)), label="q")
+        n = data.draw(st.sampled_from((1, 2, 3, 5, 7)), label="n")
+        tie = data.draw(st.sampled_from(("lex", "random")), label="tie")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        p = params(f, n=n, q=q)
+        cache = shared_cache(f, q)
+        order = ebg_order(p, tie_policy=tie, seed=seed, cache=cache).best.order
+        for k in range(1, len(order)):
+            prefix = list(order[:k])
+            mask = edges_to_mask(prefix, f)
+            scored = {e: (_partial_bound(prefix + [e], p, cache),
+                          cache.joint_entropy(mask | 1 << edge_index(e, f)))
+                      for e in all_edges(f) if e not in prefix}
+            best = min(pb for pb, _ in scored.values())
+            tied = [h for pb, h in scored.values() if pb <= best + search.EBG_TIE_TOLERANCE]
+            rest = [h for pb, h in scored.values() if pb > best + search.EBG_TIE_TOLERANCE]
+            assert scored[order[k]][0] <= best + search.EBG_TIE_TOLERANCE
+            assert not rest or min(tied) >= max(rest)
+
 
 def _entropy_table(params: BoundParams, cache: EntropyCache) -> list[float]:
     """Joint entropies for all 2^mu subsets, indexed by bitmask."""
@@ -730,6 +758,69 @@ class TestDirectedRandom:
             directed_random_search(params(6), seed=0, budget=5, fixed_colors=9, cache=shared_cache(6))
 
 
+# Oracles: the canonical form and the two walks that search._class_walk
+# replaced, copied unchanged apart from the f <= 5 guard, which now lives in
+# the walk.
+
+def _canonical_form_loop(mask: int, remaps) -> int:
+    best = None
+    for r in remaps:
+        m2 = 0
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            m2 |= 1 << r[bit.bit_length() - 1]
+        if best is None or m2 < best:
+            best = m2
+    return best
+
+
+def _count_distinct_paths_dfs(f: int) -> int:
+    remaps = search._edge_remaps(f)
+    mu = edge_count(f)
+    full = (1 << mu) - 1
+    canon_cache: dict[int, int] = {}
+
+    def canon(mask):
+        c = canon_cache.get(mask)
+        if c is None:
+            c = _canonical_form_loop(mask, remaps)
+            canon_cache[mask] = c
+        return c
+
+    memo: dict[int, int] = {full: 1}
+
+    def npaths(cmask):
+        hit = memo.get(cmask)
+        if hit is not None:
+            return hit
+        succ = {canon(cmask | (1 << i)) for i in range(mu) if not (cmask >> i) & 1}
+        total = sum(npaths(s) for s in sorted(succ))
+        memo[cmask] = total
+        return total
+
+    return npaths(0)
+
+
+def _count_graph_classes_stack(f: int) -> int:
+    remaps = search._edge_remaps(f)
+    mu = edge_count(f)
+    seen: set[int] = set()
+    stack = [0]
+    while stack:
+        cmask = stack.pop()
+        if cmask in seen:
+            continue
+        seen.add(cmask)
+        for i in range(mu):
+            if not (cmask >> i) & 1:
+                nxt = _canonical_form_loop(cmask | (1 << i), remaps)
+                if nxt not in seen:
+                    stack.append(nxt)
+    return len(seen)
+
+
 class TestPathCounting:
     def test_tiny_cases(self):
         assert count_distinct_paths(2) == 1
@@ -775,6 +866,37 @@ class TestPathCounting:
     def test_guard(self):
         with pytest.raises(SearchSpaceTooLarge):
             count_distinct_paths(6)
+        for f in (1, 6):
+            for count in (count_distinct_paths, count_graph_classes):
+                with pytest.raises(SearchSpaceTooLarge, match="2 <= f <= 5"):
+                    count(f)
+
+    @pytest.mark.parametrize("f", [2, 3, 4, 5])
+    def test_walk_matches_the_two_walks_it_replaced(self, f):
+        assert count_distinct_paths(f) == _count_distinct_paths_dfs(f)
+        assert count_graph_classes(f) == _count_graph_classes_stack(f)
+
+    @pytest.mark.parametrize("f", [4, 5])
+    def test_canonical_form_matches_loop(self, f):
+        remaps = search._edge_remaps(f)
+        for mask in range(1 << edge_count(f)):
+            assert search._canonical_form(mask, remaps) == _canonical_form_loop(mask, remaps)
+
+    def test_both_counts_read_one_walk(self, monkeypatch):
+        calls = []
+        canonical_form = search._canonical_form
+
+        def counting(mask, remaps):
+            calls.append(mask)
+            return canonical_form(mask, remaps)
+
+        monkeypatch.setattr(search, "_canonical_form", counting)
+        search._class_walk.cache_clear()
+        assert count_distinct_paths(5) == 657
+        assert calls
+        calls.clear()
+        assert count_graph_classes(5) == 34
+        assert calls == []
 
 
 class TestDispatch:
