@@ -6,6 +6,10 @@ Subcommands:
   table    bounds for a range of f, one CSV row per f and column per method
   verify   run a self-check suite
 
+Values are used as given: order and search pass them to search.run, the one
+gate that fills defaults and refuses options a method does not read; table
+gives each column only the values it reads.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard
 violation (search space too large, composite q, infeasible budget).
 """
@@ -21,8 +25,8 @@ import time
 from .bound import BoundParams
 from .entropy import EntropyCache
 from .errors import GuardViolation, PqcboundError, ValidationError
-from .search import (METHOD_OPTIONS, SearchConfig, SearchResult, feasible_fixed_colors,
-                     option_readers, run)
+from .search import (METHOD_OPTIONS, OPTION_NAMES, SearchConfig, SearchResult,
+                     feasible_fixed_colors, option_readers, reads_option, run)
 from .verify import DEFAULT_F, SUITES
 
 EXIT_OK = 0
@@ -32,10 +36,9 @@ EXIT_GUARD = 3
 
 ORDER_METHODS = ("ec", "e-ec", "ldf", "ebg")
 SEARCH_METHODS = ("exhaustive", "random")
-TABLE_METHODS = ORDER_METHODS + SEARCH_METHODS
-# the values random search takes when --seed and --budget are not given
-DEFAULT_SEED = 0
-DEFAULT_BUDGET = 1000
+RANDOM_DEFAULTS = METHOD_OPTIONS["random"]
+THREADS_HELP = ("worker processes, at least 1 (default: PQC_THREADS, else the CPUs this process "
+                "may run on)")
 
 
 def _threads(args) -> int:
@@ -63,14 +66,16 @@ def order_wire(order) -> str:
 
 def _record(args, result: SearchResult, wall_ms: int) -> dict:
     report = result.best
+    # search records echo random search's defaults, whatever the method
+    echo = RANDOM_DEFAULTS if args.command == "search" else {}
     rec = {
         "f": args.f,
         "q": args.q,
         "n": args.n,
         "method": args.method,
-        "seed": args.seed,
+        "seed": echo.get("seed") if args.seed is None else args.seed,
         "fixed_colors": args.fixed_colors,
-        "budget": args.budget,
+        "budget": echo.get("budget") if args.budget is None else args.budget,
         "order": [[k, l] for k, l in report.order],
         "bound": f"{report.bound:.13f}",
         "cond_entropies": list(report.cond_entropies),
@@ -102,14 +107,6 @@ def _emit(rec: dict, result: SearchResult, fmt: str, out) -> None:
 
 def cmd_run(args) -> int:
     """order and search: run one method and print its record."""
-    for name in ("seed", "budget"):
-        if getattr(args, name) is not None and name not in METHOD_OPTIONS[args.method]:
-            raise ValidationError(f"--{name} applies to {' and '.join(option_readers(name))} only, "
-                                  f"not {args.method!r}")
-    if args.command == "search":
-        # search records echo random search's defaults, whatever the method
-        args.seed = DEFAULT_SEED if args.seed is None else args.seed
-        args.budget = DEFAULT_BUDGET if args.budget is None else args.budget
     config = SearchConfig(
         method=args.method,
         params=BoundParams(n=args.n, f=args.f, q=args.q),
@@ -142,23 +139,18 @@ def _parse_range(text: str) -> range:
 def cmd_table(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
-        print("error: --methods must name at least one method", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValidationError("--methods must name at least one method")
     for m in methods:
-        if m not in TABLE_METHODS:
-            print(f"error: unknown method {m!r} (choose from {', '.join(TABLE_METHODS)})",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    for name in ("fixed_colors", "seed", "budget"):
-        # table breaks every tie lex, and a method with a tie policy reads
-        # its seed only to break ties at random
-        readers = [m for m in option_readers(name)
-                   if name != "seed" or "tie_policy" not in METHOD_OPTIONS[m]]
-        if getattr(args, name) is not None and not set(methods) & set(readers):
-            raise ValidationError(f"--{name.replace('_', '-')} applies to {' and '.join(readers)} "
-                                  f"only, not {args.methods!r}")
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+        if m not in METHOD_OPTIONS:
+            raise ValidationError(f"unknown method {m!r} (choose from {', '.join(METHOD_OPTIONS)})")
+    given = {"seed": args.seed, "budget": args.budget, "fixed_colors": args.fixed_colors}
+    for name, value in given.items():
+        # table breaks every tie lex
+        if value is not None and not any(reads_option(m, name) for m in methods):
+            flag, readers = OPTION_NAMES[name][1], " and ".join(option_readers(name))
+            raise ValidationError(f"{flag} applies to {readers} only, not {args.methods!r}")
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ValidationError(f"cannot write --out: no directory {os.path.dirname(args.out)!r}")
     workers = _threads(args)
     lines = ["f," + ",".join(methods)]
     for f in _parse_range(args.f_range):
@@ -166,17 +158,11 @@ def cmd_table(args) -> int:
         cache = EntropyCache(f, args.q)
         row = [str(f)]
         for m in methods:
-            fixed = args.fixed_colors if "fixed_colors" in METHOD_OPTIONS[m] else None
-            if m == "e-ec" and fixed is None:
-                fixed = feasible_fixed_colors(f)
-            config = SearchConfig(
-                method=m,
-                params=params,
-                seed=seed,
-                budget=budget,
-                fixed_colors=fixed,
-                workers=workers,
-            )
+            # each column gets only the values it reads
+            options = {name: v for name, v in given.items() if reads_option(m, name)}
+            if m == "e-ec" and options["fixed_colors"] is None:
+                options["fixed_colors"] = feasible_fixed_colors(f)
+            config = SearchConfig(method=m, params=params, workers=workers, **options)
             result = run(config, cache=cache)
             row.append(f"{result.best.bound:.13f}")
         lines.append(",".join(row))
@@ -186,8 +172,7 @@ def cmd_table(args) -> int:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write --out: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValidationError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -214,9 +199,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=2, help="number of databases (default 2)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--raw", action="store_true", help="include the bound as a hex float")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes, at least 1 (default: PQC_THREADS, else the CPUs "
-                   "this process may run on)")
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
+
+
+def _add_random_search(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"random-search seed (default {RANDOM_DEFAULTS['seed']})")
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"random-search draws (default {RANDOM_DEFAULTS['budget']})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,12 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive or directed random search")
     p.add_argument("--method", choices=SEARCH_METHODS, required=True)
     _add_common(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"random-search seed (default {DEFAULT_SEED})")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"random-search draws (default {DEFAULT_BUDGET})")
+    _add_random_search(p)
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
-                   help="leading color classes held fixed (random search, default 2)")
+                   help="leading color classes held fixed (random search, default "
+                   f"{RANDOM_DEFAULTS['fixed_colors']})")
     p.set_defaults(func=cmd_run, tie="lex")
 
     p = sub.add_parser("table", help="bounds for a range of f")
@@ -255,13 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="ec,e-ec,ldf,ebg",
                    help="comma-separated methods (default ec,e-ec,ldf,ebg)")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"random-search seed (default {DEFAULT_SEED})")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"random-search draws (default {DEFAULT_BUDGET})")
+    _add_random_search(p)
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (e-ec and random)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a self-check suite")

@@ -120,9 +120,6 @@ class Graph:
     def edge_set(self) -> frozenset:
         return frozenset(self._edges)
 
-    def edge_mask(self) -> int:
-        return edges_to_mask(self._edges, self.f)
-
     def has_edge(self, edge) -> bool:
         return check_edge(edge, self.f) in self._edges
 

@@ -19,6 +19,10 @@ bound.remaining_cap cannot reach the best one found so far.  The cap is
 widened, so pruning skips only orders strictly worse than that best and
 never changes a result; evaluations still counts every order covered.
 
+run is the one option gate: METHOD_OPTIONS names the options each method
+reads and the value each takes when not given, and run refuses any other
+option that is given.  ebg reads its seed only with the "random" tie policy.
+
 Deterministic conventions used throughout (all tie-breaks resolve to the
 smallest edge index or lexicographically smallest order):
 
@@ -75,28 +79,43 @@ EBG_TIE_TOLERANCE = 1e-12
 ARGMIN_TIE_TOLERANCE = 1e-12
 PATH_COUNT_LIMIT = 5
 PERMUTATION_CAP = 1_000_000
-# The SearchConfig options each method reads besides its params.  Messages
-# name an option's readers in this order.  ebg reads its seed only to break
-# ties at random.
+# The SearchConfig options each method reads besides its params, with the
+# value each takes when not given (None).  Messages name an option's readers
+# in this order.
 METHOD_OPTIONS = {
-    "ec": (),
-    "e-ec": ("fixed_colors",),
-    "ldf": (),
-    "ebg": ("seed", "tie_policy"),
-    "exhaustive": (),
-    "random": ("seed", "budget", "fixed_colors"),
+    "ec": {},
+    "e-ec": {"fixed_colors": 1},
+    "ldf": {},
+    "ebg": {"seed": None, "tie_policy": "lex"},
+    "exhaustive": {},
+    "random": {"seed": 0, "budget": 1000, "fixed_colors": 2},
 }
+# how refusals name each option, and the command-line flag that sets it
+OPTION_NAMES = {"seed": ("seed", "--seed"), "budget": ("budget", "--budget"),
+                "fixed_colors": ("fixed_colors", "--fixed-colors"),
+                "tie_policy": ("tie policy", "--tie")}
 
 
-def option_readers(option: str) -> tuple[str, ...]:
-    """The methods that read option, in METHOD_OPTIONS order."""
-    return tuple(m for m, read in METHOD_OPTIONS.items() if option in read)
+def reads_option(method: str, option: str, tie_policy: str | None = None) -> bool:
+    """Whether method reads option when ties are broken by tie_policy.  Every
+    method breaks its ties lex, so each reads a lex tie policy; ebg alone
+    breaks them at random, and reads its seed only then."""
+    if option == "tie_policy" and tie_policy == "lex":
+        return True
+    if method == "ebg" and option == "seed":
+        return tie_policy == "random"
+    return option in METHOD_OPTIONS[method]
+
+
+def option_readers(option: str, tie_policy: str | None = None) -> tuple[str, ...]:
+    """The methods that read option under tie_policy, in METHOD_OPTIONS order."""
+    return tuple(m for m in METHOD_OPTIONS if reads_option(m, option, tie_policy))
 
 
 def feasible_fixed_colors(f: int) -> int:
-    """Smallest leading-class count keeping the e-ec permutation search feasible."""
+    """Smallest leading-class count from e-ec's default up that keeps e-ec feasible."""
     chi = len(color_sets(f).sets)
-    fixed = 1
+    fixed = METHOD_OPTIONS["e-ec"]["fixed_colors"]
     while math.factorial(chi - fixed) > PERMUTATION_CAP:
         fixed += 1
     return fixed
@@ -104,14 +123,15 @@ def feasible_fixed_colors(f: int) -> int:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """One search invocation as driven by the CLI."""
+    """One search invocation as driven by the CLI.  An option left None is not
+    given: run gives it the method's METHOD_OPTIONS value."""
 
     method: str
     params: BoundParams
-    seed: int | None = 0
-    budget: int | None = 1000
+    seed: int | None = None
+    budget: int | None = None
     fixed_colors: int | None = None
-    tie_policy: str = "lex"
+    tie_policy: str | None = None
     workers: int = 1
 
 
@@ -254,7 +274,7 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
 
 def e_ec_search(
     params: BoundParams,
-    fixed_colors: int = 1,
+    fixed_colors: int = METHOD_OPTIONS["e-ec"]["fixed_colors"],
     leading_colors=None,
     cache: EntropyCache | None = None,
     workers: int = 1,
@@ -455,7 +475,7 @@ def directed_random_search(
     params: BoundParams,
     seed: int,
     budget: int,
-    fixed_colors: int = 2,
+    fixed_colors: int = METHOD_OPTIONS["random"]["fixed_colors"],
     cache: EntropyCache | None = None,
 ) -> SearchResult:
     """Random search over orders whose prefix is pinned to leading color classes.
@@ -581,41 +601,34 @@ def count_graph_classes(f: int) -> int:
 # ---------------------------------------------------------------------------
 
 def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult:
-    """Run one method from a SearchConfig (the CLI entry point).  A fixed
-    class count or a tie policy that the method would not read is refused."""
+    """Run one method from a SearchConfig (the CLI entry point).  A given
+    option that the method does not read is refused; one that it reads and
+    is not given takes its METHOD_OPTIONS value."""
     params = config.params
     method = config.method
     if method not in METHOD_OPTIONS:
         raise ValidationError(f"unknown method {method!r}")
-    for option, given, name in (
-        ("fixed_colors", config.fixed_colors is not None, "fixed_colors"),
-        ("tie_policy", config.tie_policy != "lex", f"tie policy {config.tie_policy!r}"),
-    ):
-        if given and option not in METHOD_OPTIONS[method]:
-            readers = " and ".join(option_readers(option))
-            raise ValidationError(f"{name} applies to {readers} only, not {method!r}")
-    if method == "ec":
-        order = ec_order(params.f)
+    tie = config.tie_policy
+    opts = {}
+    for option, (name, flag) in OPTION_NAMES.items():
+        value = getattr(config, option)
+        if value is None:
+            value = METHOD_OPTIONS[method].get(option)
+        elif not reads_option(method, option, tie):
+            readers = " and ".join(option_readers(option, tie))
+            has_tie = "tie_policy" in METHOD_OPTIONS[method]
+            where = f"{method!r} with tie policy {tie or 'lex'!r}" if has_tie else repr(method)
+            raise ValidationError(f"{name} {value!r} applies to {readers} only, not {where} ({flag})")
+        opts[option] = value
+    if method in ("ec", "ldf"):
+        order = ec_order(params.f) if method == "ec" else ldf_order(params.f)
         return SearchResult(best=capacity_outer_bound(order, params, cache), evaluations=1)
     if method == "e-ec":
-        return e_ec_search(
-            params,
-            fixed_colors=1 if config.fixed_colors is None else config.fixed_colors,
-            cache=cache,
-            workers=config.workers,
-        )
-    if method == "ldf":
-        order = ldf_order(params.f)
-        return SearchResult(best=capacity_outer_bound(order, params, cache), evaluations=1)
+        return e_ec_search(params, fixed_colors=opts["fixed_colors"], cache=cache, workers=config.workers)
     if method == "ebg":
-        return ebg_order(params, tie_policy=config.tie_policy, seed=config.seed, cache=cache)
+        return ebg_order(params, tie_policy=opts["tie_policy"], seed=opts["seed"], cache=cache)
     if method == "exhaustive":
         return exhaustive_search(params, cache=cache, workers=config.workers)
     # random, the one method left
-    return directed_random_search(
-        params,
-        seed=config.seed,
-        budget=config.budget,
-        fixed_colors=2 if config.fixed_colors is None else config.fixed_colors,
-        cache=cache,
-    )
+    return directed_random_search(params, seed=opts["seed"], budget=opts["budget"],
+                                  fixed_colors=opts["fixed_colors"], cache=cache)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from pqcbound import cli
 from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _threads, build_parser, main
 
 
@@ -80,12 +81,15 @@ class TestOrderCommand:
             (("order", "--method", "ldf", "--f", "5", "--seed", "3"), "--seed"),
             (("table", "--f-range", "5..5", "--methods", "ec", "--seed", "9"), "--seed"),
             (("table", "--f-range", "5..5", "--methods", "ec,ebg", "--budget", "7"), "--budget"),
+            # ebg reads its seed only to break ties at random
+            (("order", "--method", "ebg", "--f", "5", "--seed", "3"), "--seed"),
         ],
         ids=["ldf-f2", "random-budget-0", "random-fixed-0", "eec-fixed-0", "table-budget-0",
              "threads-0", "threads-negative", "table-threads-0", "ebg-fixed", "ec-fixed",
              "ldf-fixed", "exhaustive-fixed", "ec-tie-random", "eec-tie-random",
              "ldf-tie-random", "table-fixed-unused", "exhaustive-seed", "exhaustive-budget",
-             "ec-seed", "eec-seed", "ldf-seed", "table-seed-unused", "table-budget-unused"],
+             "ec-seed", "eec-seed", "ldf-seed", "table-seed-unused", "table-budget-unused",
+             "ebg-lex-seed"],
     )
     def test_invalid_value_rejected(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
@@ -155,8 +159,10 @@ class TestOrderCommand:
         assert json.dumps(json.loads(line)) == line
 
     def test_deterministic_apart_from_timing(self, capsys):
-        _, out1, _ = run_cli(capsys, "order", "--method", "ebg", "--f", "5", "--seed", "3")
-        _, out2, _ = run_cli(capsys, "order", "--method", "ebg", "--f", "5", "--seed", "3")
+        args = ["order", "--method", "ebg", "--f", "5", "--tie", "random", "--seed", "3"]
+        code, out1, _ = run_cli(capsys, *args)
+        _, out2, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK
         strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
         assert strip(out1) == strip(out2)
 
@@ -299,6 +305,26 @@ class TestTableCommand:
         assert out == ""
         assert err.startswith("error: ") and "--out" in err
         assert not path.parent.exists()
+
+    def test_out_checked_before_any_row(self, capsys, monkeypatch, tmp_path):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed for an --out that cannot be written")
+
+        monkeypatch.setattr(cli, "run", no_rows)
+        code, out, err = run_cli(capsys, "table", "--f-range", "5..9", "--methods", "ec,ebg",
+                                 "--out", str(tmp_path / "missing" / "table.csv"))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write --out:")
+
+    def test_guarded_row_leaves_out_untouched(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("kept\n", encoding="utf-8")
+        # the f = 5 row is computed; exhaustive search at f = 6 exits 3
+        code, _, _ = run_cli(capsys, "table", "--f-range", "5..6", "--methods", "exhaustive",
+                             "--threads", "1", "--out", str(path))
+        assert code == EXIT_GUARD
+        assert path.read_text(encoding="utf-8") == "kept\n"
 
 
 class TestVerifyCommand:

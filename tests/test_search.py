@@ -922,3 +922,58 @@ class TestDispatch:
     def test_unknown_method(self, shared_cache):
         with pytest.raises(ValidationError):
             run(SearchConfig(method="simulated-annealing", params=params(4)))
+
+    # (method, options, whether run reads them), written out by hand
+    GATE = [
+        ("ec", {"seed": 3}, False),
+        ("ec", {"budget": 5}, False),
+        ("ec", {"fixed_colors": 2}, False),
+        ("ec", {"tie_policy": "random"}, False),
+        ("e-ec", {"seed": 3}, False),
+        ("e-ec", {"budget": 5}, False),
+        ("e-ec", {"fixed_colors": 2}, True),
+        ("e-ec", {"tie_policy": "random"}, False),
+        ("ldf", {"seed": 3}, False),
+        ("ldf", {"budget": 5}, False),
+        ("ldf", {"fixed_colors": 2}, False),
+        ("ldf", {"tie_policy": "random"}, False),
+        ("ebg", {"seed": 3}, False),
+        ("ebg", {"budget": 5}, False),
+        ("ebg", {"fixed_colors": 2}, False),
+        ("ebg", {"tie_policy": "random"}, True),
+        ("ebg", {"seed": 3, "tie_policy": "lex"}, False),
+        ("ebg", {"seed": 3, "tie_policy": "random"}, True),
+        ("exhaustive", {"seed": 3}, False),
+        ("exhaustive", {"budget": 5}, False),
+        ("exhaustive", {"fixed_colors": 2}, False),
+        ("exhaustive", {"tie_policy": "random"}, False),
+        ("random", {"seed": 3}, True),
+        ("random", {"budget": 5}, True),
+        ("random", {"fixed_colors": 2}, True),
+        ("random", {"tie_policy": "random"}, False),
+        # every method breaks its ties lex
+        ("ec", {"tie_policy": "lex"}, True),
+        ("e-ec", {"tie_policy": "lex"}, True),
+        ("ldf", {"tie_policy": "lex"}, True),
+        ("ebg", {"tie_policy": "lex"}, True),
+        ("exhaustive", {"tie_policy": "lex"}, True),
+        ("random", {"tie_policy": "lex"}, True),
+    ]
+
+    @pytest.mark.parametrize("method,options,read", GATE)
+    def test_gate_refuses_exactly_the_unread_options(self, method, options, read, shared_cache):
+        config = SearchConfig(method=method, params=params(4), **options)
+        if read:
+            assert run(config, cache=shared_cache(4)).best.bound > 0
+        else:
+            with pytest.raises(ValidationError, match="applies to"):
+                run(config, cache=shared_cache(4))
+
+    def test_defaults_fill_what_is_not_given(self, shared_cache):
+        p, cache = params(6), shared_cache(6)
+        assert run(SearchConfig("random", p), cache=cache) == run(
+            SearchConfig("random", p, seed=0, budget=1000, fixed_colors=2), cache=cache)
+        assert run(SearchConfig("e-ec", p), cache=cache) == run(
+            SearchConfig("e-ec", p, fixed_colors=1), cache=cache)
+        assert run(SearchConfig("ebg", p), cache=cache) == run(
+            SearchConfig("ebg", p, tie_policy="lex"), cache=cache)
