@@ -25,7 +25,7 @@ import time
 from .bound import BoundParams
 from .entropy import EntropyCache
 from .errors import GuardViolation, PqcboundError, ValidationError
-from .search import (METHOD_OPTIONS, OPTION_NAMES, SearchConfig, SearchResult,
+from .search import (METHOD_OPTIONS, OPTION_NAMES, TIE_POLICIES, SearchConfig, SearchResult,
                      feasible_fixed_colors, option_readers, reads_option, run)
 from .verify import DEFAULT_F, SUITES
 
@@ -149,6 +149,8 @@ def cmd_table(args) -> int:
         if value is not None and not any(reads_option(m, name) for m in methods):
             flag, readers = OPTION_NAMES[name][1], " and ".join(option_readers(name))
             raise ValidationError(f"{flag} applies to {readers} only, not {args.methods!r}")
+    if args.out and os.path.isdir(args.out):
+        raise ValidationError(f"cannot write --out: {args.out!r} is a directory")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ValidationError(f"cannot write --out: no directory {os.path.dirname(args.out)!r}")
     workers = _threads(args)
@@ -223,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed for random tie-breaking")
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (e-ec)")
-    p.add_argument("--tie", choices=("lex", "random"), default="lex",
+    p.add_argument("--tie", choices=TIE_POLICIES, default="lex",
                    help="tie-breaking of ebg (default lex, which every method follows)")
     p.set_defaults(func=cmd_run, budget=None)
 

@@ -5,10 +5,18 @@ Vertices are labelled 1..f.  An edge is an ordered pair (k, l) with
 its bit position in edge-set bitmasks, which are the canonical subset keys
 used throughout the package.
 
-Cycle counting is done with a subset dynamic program over vertex bitmasks:
-per source vertex, one integer matrix product and one scatter per popcount
-layer (O(2^f * f^2) work in f - 1 numpy steps), so per-length censuses stay
-exact and cheap up to f = 16 without enumerating individual paths.
+A Graph holds one bitmask adjacency row per vertex; its edges are read off
+the rows.
+
+Every path count comes from one subset dynamic program over vertex bitmasks,
+simple_path_counts: per source vertex, one matrix product and one scatter per
+popcount layer (O(2^f * f^2) work in f - 1 numpy steps), so per-length
+censuses stay exact and cheap up to f = 16 without enumerating individual
+paths.  The cycle censuses read its counts.  A chord (k, l) closes one cycle
+of length L + 1 per simple path of L edges from k to l (chord_censuses).  A
+cycle of length L is, from each of its L vertices and in each direction, one
+path of L - 1 edges to a neighbour of the start, so cycle_census sums those
+paths over every start and neighbour and divides by 2L.
 """
 from __future__ import annotations
 
@@ -86,25 +94,26 @@ def edge_bits(f: int) -> dict:
     return {e: 1 << i for i, e in enumerate(all_edges(f))}
 
 
-def mask_to_edges(mask: int, f: int) -> list[Edge]:
-    out = []
+def _bits(mask: int):
     while mask:
         bit = mask & -mask
         mask ^= bit
-        out.append(edge_from_index(bit.bit_length() - 1, f))
-    return out
+        yield bit.bit_length() - 1
+
+
+def mask_to_edges(mask: int, f: int) -> list[Edge]:
+    return [edge_from_index(i, f) for i in _bits(mask)]
 
 
 class Graph:
     """Simple undirected graph on [1..f] with bitmask adjacency."""
 
-    __slots__ = ("f", "_adj", "_edges")
+    __slots__ = ("f", "_adj")
 
     def __init__(self, f: int, edges=()):
         check_vertex_count(f)
         self.f = f
         self._adj = [0] * f
-        self._edges: set[Edge] = set()
         for e in edges:
             self.add_edge(e)
 
@@ -114,24 +123,23 @@ class Graph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self._edges))
+        return tuple((k + 1, l + 1) for k, row in enumerate(self._adj) for l in _bits(row) if l > k)
 
     @property
     def edge_set(self) -> frozenset:
-        return frozenset(self._edges)
+        return frozenset(self.edges)
 
     def has_edge(self, edge) -> bool:
-        return check_edge(edge, self.f) in self._edges
+        k, l = check_edge(edge, self.f)
+        return bool(self._adj[k - 1] >> (l - 1) & 1)
 
     def add_edge(self, edge) -> None:
         k, l = check_edge(edge, self.f)
         self._adj[k - 1] |= 1 << (l - 1)
         self._adj[l - 1] |= 1 << (k - 1)
-        self._edges.add((k, l))
 
     def remove_edge(self, edge) -> None:
         k, l = check_edge(edge, self.f)
-        self._edges.discard((k, l))
         self._adj[k - 1] &= ~(1 << (l - 1))
         self._adj[l - 1] &= ~(1 << (k - 1))
 
@@ -142,7 +150,6 @@ class Graph:
     def copy(self) -> "Graph":
         g = Graph(self.f)
         g._adj = self._adj.copy()
-        g._edges = self._edges.copy()
         return g
 
     def _check_vertex(self, v: int) -> None:
@@ -150,17 +157,10 @@ class Graph:
             raise InvalidVertex(f"vertex {v!r} out of range for f={self.f}")
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return sum(bin(row).count("1") for row in self._adj) // 2
 
     def __repr__(self) -> str:
         return f"Graph(f={self.f}, edges={self.edges})"
-
-
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1
 
 
 def distance(g: Graph, u: int, v: int):
@@ -199,22 +199,13 @@ def connected_components(g: Graph) -> list[list[int]]:
     smallest vertex label), so zero-degree and sparsely attached components
     come first; vertices inside each component are sorted ascending.
     """
-    seen = 0
     comps = []
-    for s in range(g.f):
-        if (seen >> s) & 1:
-            continue
-        comp = 1 << s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for i in _bits(frontier):
-                nxt |= g._adj[i]
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
-        seen |= comp
-        comps.append([i + 1 for i in _bits(comp)])
+    placed = set()
+    for s in range(1, g.f + 1):
+        if s not in placed:
+            dist = _distances_from(g, s)
+            comps.append([v for v in range(1, g.f + 1) if dist[v - 1] < math.inf])
+            placed.update(comps[-1])
     comps.sort(key=lambda vs: (min(g.degree(v) for v in vs), len(vs), vs[0]))
     return comps
 
@@ -279,66 +270,73 @@ def _popcount_layers(f: int) -> tuple:
     return tuple(masks[pc == k] for k in range(f + 1))
 
 
-def _path_counts_dp(adj: list[int], f: int, src0: int) -> np.ndarray:
-    """counts[t, L] = number of simple paths from src0 to t with L edges (0-based t).
+def simple_path_counts(g: Graph, source: int) -> np.ndarray:
+    """Per-target, per-length counts of simple paths from source.
 
-    dp[m, w] counts the simple paths from src0 that visit exactly the vertex
-    set m and end at w.  One step per popcount layer k extends every path of
-    layer k by one edge: dp[m] @ a sums over the last vertex w, giving for
-    each x the paths that can step to x, and one scatter adds that count into
-    dp[m | 1<<x, x] when x is not in m.  The scatter loses no update: for a
-    fixed x, distinct masks without x stay distinct after setting bit x, and
-    a mask that already holds x targets itself, on layer k rather than k + 1,
-    and receives 0.  Layer k + 1 starts empty, so its column sums, the paths
-    with k edges, are the column sums of the step.
+    Returns an (f+1, f) int64 array where entry [t, L] is the number of
+    simple paths from source to vertex t (1-based) with exactly L edges; row
+    0 is zero.
 
-    The counts are held in float64, whose products run in BLAS: every count
-    is at most (f - 1)! < 2^53 for f <= MAX_VERTICES, so they stay exact, and
-    the result is converted back to int64.
+    dp[m, w] counts the simple paths from source that visit exactly the
+    vertex set m and end at w.  One step per popcount layer k extends every
+    path of layer k by one edge: dp[m] @ a sums over the last vertex w,
+    giving for each x the paths that can step to x, and one scatter adds that
+    count into dp[m | 1<<x, x] when x is not in m.  The scatter loses no
+    update: for a fixed x, distinct masks without x stay distinct after
+    setting bit x, and a mask that already holds x targets itself, on layer
+    k rather than k + 1, and receives 0.  Layer k + 1 starts empty, so its
+    column sums, the paths with k edges, are the column sums of the step.
+
+    The DP is held in float64, whose products run in BLAS: every count is at
+    most (f - 1)! < 2^53 for f <= MAX_VERTICES, so they stay exact when
+    stored into the int64 result.
     """
+    g._check_vertex(source)
+    f, src = g.f, source - 1
     bits = np.int64(1) << np.arange(f, dtype=np.int64)
-    a = ((np.array(adj, dtype=np.int64)[:, None] & bits) != 0).astype(np.float64)
+    a = ((np.array(g._adj, dtype=np.int64)[:, None] & bits) != 0).astype(np.float64)
     dp = np.zeros((1 << f, f), dtype=np.float64)
-    dp[1 << src0, src0] = 1
-    res = np.zeros((f, f), dtype=np.float64)
+    dp[1 << src, src] = 1
+    out = np.zeros((f + 1, f), dtype=np.int64)
     for k, masks in enumerate(_popcount_layers(f)[1:f], 1):
-        masks = masks[(masks & bits[src0]) != 0]
+        masks = masks[(masks & bits[src]) != 0]
         m = masks[:, None]
         ext = m | bits
         step = np.where(ext != m, dp[masks] @ a, 0)
         dp[ext, np.arange(f)] += step
-        res[:, k] = step.sum(axis=0)
-    return res.astype(np.int64)
-
-
-def simple_path_counts(g: Graph, source: int) -> np.ndarray:
-    """Per-target, per-length counts of simple paths from source.
-
-    Returns an (f+1, f) array where entry [t, L] is the number of simple
-    paths from source to vertex t (1-based) with exactly L edges.
-    """
-    g._check_vertex(source)
-    raw = _path_counts_dp(g._adj, g.f, source - 1)
-    out = np.zeros((g.f + 1, g.f), dtype=np.int64)
-    out[1:, :] = raw
+        out[1:, k] = step.sum(axis=0)
     return out
 
 
 def cycle_census(g: Graph) -> tuple[int, ...]:
-    """Counts of simple cycles of g by length, lengths 3..f."""
-    f = g.f
-    census = [0] * (f - 2)
-    for s in range(f):
-        # cycles whose smallest vertex is s: paths within {s..f-1} closed by an edge to s
-        adj_sub = [g._adj[w] & ~((1 << s) - 1) if w >= s else 0 for w in range(f)]
-        if adj_sub[s] == 0:
-            continue
-        res = _path_counts_dp(adj_sub, f, s)
-        for w in _bits(adj_sub[s]):
-            for length in range(2, f):
-                census[length - 1 - 1] += int(res[w, length])
-    # each cycle was traversed in both directions
-    return tuple(c // 2 for c in census)
+    """Counts of simple cycles of g by length, lengths 3..f.
+
+    Each cycle of length L is counted 2L times: from each of its vertices s,
+    in each direction, as a path of L - 1 edges from s to a neighbour of s.
+    """
+    closing = np.zeros(g.f, dtype=np.int64)
+    for s in range(1, g.f + 1):
+        neighbours = [w + 1 for w in _bits(g._adj[s - 1])]
+        if neighbours:
+            closing += simple_path_counts(g, s)[neighbours].sum(axis=0)
+    return tuple(int(closing[length - 1]) // (2 * length) for length in range(3, g.f + 1))
+
+
+def chord_censuses(g: Graph, chords) -> dict:
+    """Per-length census, lengths 3..f, of the cycles that each absent chord
+    would close in g: the simple paths between its endpoints, shifted by one
+    edge.  The path counts are computed once per distinct source."""
+    counts = {}
+    censuses = {}
+    for chord in chords:
+        k, l = check_edge(chord, g.f)
+        if g.has_edge((k, l)):
+            raise EdgePresent(f"candidate edge {chord!r} already in graph")
+        if k not in counts:
+            counts[k] = simple_path_counts(g, k)
+        # a list, not a generator: see bound.capacity_outer_bound
+        censuses[k, l] = tuple([int(counts[k][l, length]) for length in range(2, g.f)])
+    return censuses
 
 
 def complete_cycle_census(f: int) -> tuple[int, ...]:
@@ -361,8 +359,7 @@ def induced_cycle_vector(g: Graph, candidate, mode: str = "through-edge") -> tup
     if g.has_edge((k, l)):
         raise EdgePresent(f"candidate edge {candidate!r} already in graph")
     if mode == "through-edge":
-        res = _path_counts_dp(g._adj, g.f, k - 1)
-        return tuple(int(res[l - 1, length]) for length in range(2, g.f))
+        return chord_censuses(g, [(k, l)])[k, l]
     if mode == "full-graph":
         work = g.copy()
         work.add_edge((k, l))

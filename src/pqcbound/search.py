@@ -66,19 +66,21 @@ from .graphs import (
     Graph,
     all_edges,
     check_edge,
+    chord_censuses,
     connected_components,
     edge_bits,
     edge_count,
     edge_index,
     edges_to_mask,
     periphery,
-    simple_path_counts,
 )
 
 EBG_TIE_TOLERANCE = 1e-12
 ARGMIN_TIE_TOLERANCE = 1e-12
 PATH_COUNT_LIMIT = 5
 PERMUTATION_CAP = 1_000_000
+# how ebg breaks ties within EBG_TIE_TOLERANCE; every other method breaks them lex
+TIE_POLICIES = ("lex", "random")
 # The SearchConfig options each method reads besides its params, with the
 # value each takes when not given (None).  Messages name an option's readers
 # in this order.
@@ -110,6 +112,11 @@ def reads_option(method: str, option: str, tie_policy: str | None = None) -> boo
 def option_readers(option: str, tie_policy: str | None = None) -> tuple[str, ...]:
     """The methods that read option under tie_policy, in METHOD_OPTIONS order."""
     return tuple(m for m in METHOD_OPTIONS if reads_option(m, option, tie_policy))
+
+
+def _check_tie_policy(tie_policy) -> None:
+    if tie_policy not in TIE_POLICIES:
+        raise ValidationError(f"tie_policy must be {' or '.join(map(repr, TIE_POLICIES))}, got {tie_policy!r}")
 
 
 def feasible_fixed_colors(f: int) -> int:
@@ -354,10 +361,10 @@ def order_inner_edges(g: Graph, partial) -> tuple[Edge, ...]:
     """Extend a partial order over g by repeatedly adding the chord that
     induces the lexicographically smallest per-length cycle census.
 
-    Candidates are scored through-edge (cycles containing the chord); the
-    base census of g is a common additive offset, so the argmin matches
-    full-graph scoring.  The last two edges are appended in lexicographic
-    order.
+    Candidates are scored through-edge by graphs.chord_censuses (cycles
+    containing the chord); the base census of g is a common additive offset,
+    so the argmin matches full-graph scoring.  Ties go to the smallest chord,
+    and the last two edges are appended in lexicographic order.
     """
     partial = [check_edge(e, g.f) for e in partial]
     if set(partial) != g.edge_set or len(partial) != len(g.edge_set):
@@ -368,22 +375,11 @@ def order_inner_edges(g: Graph, partial) -> tuple[Edge, ...]:
     work = g.copy()
     order = list(partial)
     while len(missing) > 2:
-        counts_by_source: dict[int, object] = {}
-        best_vec = None
-        best_edge = None
-        for k, l in missing:
-            res = counts_by_source.get(k)
-            if res is None:
-                res = simple_path_counts(work, k)
-                counts_by_source[k] = res
-            # paths of length L close to cycles of length L+1
-            # a list, not a generator: see bound.capacity_outer_bound
-            vec = tuple([int(res[l, length]) for length in range(2, work.f)])
-            if best_vec is None or vec < best_vec:
-                best_vec, best_edge = vec, (k, l)
-        work.add_edge(best_edge)
-        order.append(best_edge)
-        missing.remove(best_edge)
+        census = chord_censuses(work, missing)
+        best = min(missing, key=lambda e: (census[e], e))
+        work.add_edge(best)
+        order.append(best)
+        missing.remove(best)
     order.extend(missing)
     return tuple(order)
 
@@ -407,8 +403,7 @@ def ebg_order(
     ("random").  The order's weighted terms are carried from step to step,
     so a candidate costs one entropy lookup and one fsum over the terms.
     """
-    if tie_policy not in ("lex", "random"):
-        raise ValidationError(f"tie_policy must be 'lex' or 'random', got {tie_policy!r}")
+    _check_tie_policy(tie_policy)
     cache = make_cache(params, cache)
     hmin = cache.marginal_entropy()
     rng = random.Random(seed)
@@ -609,6 +604,8 @@ def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult
     if method not in METHOD_OPTIONS:
         raise ValidationError(f"unknown method {method!r}")
     tie = config.tie_policy
+    if tie is not None:
+        _check_tie_policy(tie)
     opts = {}
     for option, (name, flag) in OPTION_NAMES.items():
         value = getattr(config, option)

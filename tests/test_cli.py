@@ -317,6 +317,18 @@ class TestTableCommand:
         assert out == ""
         assert err.startswith("error: cannot write --out:")
 
+    def test_out_directory_checked_before_any_row(self, capsys, monkeypatch, tmp_path):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed for an --out that names a directory")
+
+        monkeypatch.setattr(cli, "run", no_rows)
+        code, out, err = run_cli(capsys, "table", "--f-range", "5..9", "--methods", "ec,ebg",
+                                 "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write --out:")
+        assert tmp_path.is_dir()
+
     def test_guarded_row_leaves_out_untouched(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("kept\n", encoding="utf-8")

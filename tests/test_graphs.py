@@ -23,6 +23,7 @@ from pqcbound import (
     is_perfect_matching,
     ldf_order,
     matching_size,
+    order_inner_edges,
     periphery,
     simple_path_counts,
 )
@@ -34,7 +35,7 @@ HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
 
 def _path_counts_oracle(adj: list[int], f: int, src0: int) -> np.ndarray:
     """Reference loop over (popcount layer, last vertex w, neighbour x) for
-    graphs._path_counts_dp, kept only as a test oracle."""
+    the path-count DP: counts[t, L] for 0-based t, kept only as a test oracle."""
     dp = np.zeros((1 << f, f), dtype=np.int64)
     dp[1 << src0, src0] = 1
     layers = _popcount_layers(f)
@@ -67,6 +68,89 @@ def _path_counts_oracle(adj: list[int], f: int, src0: int) -> np.ndarray:
         if masks.size:
             res[:, k - 1] = dp[masks, :].sum(axis=0)
     return res
+
+
+def _simple_path_counts_oracle(g: Graph, source: int) -> np.ndarray:
+    """simple_path_counts's (f+1, f) layout over the loop oracle."""
+    out = np.zeros((g.f + 1, g.f), dtype=np.int64)
+    out[1:] = _path_counts_oracle(g._adj, g.f, source - 1)
+    return out
+
+
+def _cycle_census_oracle(g: Graph) -> tuple[int, ...]:
+    """cycle_census as it was before it read simple_path_counts: per smallest
+    vertex s, the paths within {s..f} closed by an edge back to s."""
+    f = g.f
+    census = [0] * (f - 2)
+    for s in range(f):
+        # cycles whose smallest vertex is s: paths within {s..f-1} closed by an edge to s
+        adj_sub = [g._adj[w] & ~((1 << s) - 1) if w >= s else 0 for w in range(f)]
+        if adj_sub[s] == 0:
+            continue
+        res = _path_counts_oracle(adj_sub, f, s)
+        for w in _bits(adj_sub[s]):
+            for length in range(2, f):
+                census[length - 1 - 1] += int(res[w, length])
+    # each cycle was traversed in both directions
+    return tuple(c // 2 for c in census)
+
+
+def _order_inner_edges_oracle(g: Graph, partial) -> tuple:
+    """order_inner_edges's chord loop as it was before chord_censuses: one
+    path count per source per step, and the first strictly smallest census
+    in sorted order wins."""
+    missing = sorted(set(all_edges(g.f)) - g.edge_set)
+    work = g.copy()
+    order = list(partial)
+    while len(missing) > 2:
+        counts_by_source = {}
+        best_vec = None
+        best_edge = None
+        for k, l in missing:
+            res = counts_by_source.get(k)
+            if res is None:
+                res = simple_path_counts(work, k)
+                counts_by_source[k] = res
+            # paths of length L close to cycles of length L+1
+            vec = tuple([int(res[l, length]) for length in range(2, work.f)])
+            if best_vec is None or vec < best_vec:
+                best_vec, best_edge = vec, (k, l)
+        work.add_edge(best_edge)
+        order.append(best_edge)
+        missing.remove(best_edge)
+    order.extend(missing)
+    return tuple(order)
+
+
+def _connected_components_oracle(g: Graph) -> list[list[int]]:
+    """connected_components as it was before it read _distances_from: a
+    bitmask flood fill from each vertex not yet seen."""
+    seen = 0
+    comps = []
+    for s in range(g.f):
+        if (seen >> s) & 1:
+            continue
+        comp = 1 << s
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for i in _bits(frontier):
+                nxt |= g._adj[i]
+            nxt &= ~comp
+            comp |= nxt
+            frontier = nxt
+        seen |= comp
+        comps.append([i + 1 for i in _bits(comp)])
+    comps.sort(key=lambda vs: (min(g.degree(v) for v in vs), len(vs), vs[0]))
+    return comps
+
+
+@st.composite
+def graphs_on(draw, low=2, high=9):
+    """A random graph on f = low..high vertices, each edge set equally likely."""
+    f = draw(st.integers(low, high), label="f")
+    mask = draw(st.integers(0, (1 << (f * (f - 1) // 2)) - 1), label="edges")
+    return Graph(f, mask_to_edges(mask, f))
 
 
 class TestEdgeIndexing:
@@ -112,6 +196,27 @@ class TestGraph:
         with pytest.raises(InvalidVertex):
             g.degree(5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_edge_set_model(self, data):
+        f = data.draw(st.integers(2, 9), label="f")
+        edge = st.sampled_from(all_edges(f))
+        steps = data.draw(st.lists(st.tuples(st.booleans(), edge), max_size=60), label="steps")
+        g, model = Graph(f), set()
+        for add, e in steps:
+            if add:
+                g.add_edge(e)
+                model.add(e)
+            else:
+                g.remove_edge(e)
+                model.discard(e)
+            assert g.edges == tuple(sorted(model))
+            assert g.edge_set == frozenset(model)
+            assert len(g) == len(model)
+        assert [g.has_edge(e) for e in all_edges(f)] == [e in model for e in all_edges(f)]
+        assert [g.degree(v) for v in range(1, f + 1)] == [
+            sum(v in e for e in model) for v in range(1, f + 1)]
+
 
 class TestDistance:
     def test_partial_matching_distances(self):
@@ -144,6 +249,11 @@ class TestComponents:
     def test_perfect_matching(self):
         g = Graph(6, [(1, 2), (3, 4), (5, 6)])
         assert connected_components(g) == [[1, 2], [3, 4], [5, 6]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs_on())
+    def test_matches_flood_fill_oracle(self, g):
+        assert connected_components(g) == _connected_components_oracle(g)
 
 
 class TestPeriphery:
@@ -247,6 +357,40 @@ class TestCycleCensus:
         g = Graph(6, [(1, 2), (2, 3), (4, 5)])
         assert cycle_census(g) == (0, 0, 0, 0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(g=graphs_on())
+    def test_matches_smallest_vertex_oracle(self, g):
+        assert cycle_census(g) == _cycle_census_oracle(g)
+
+
+class TestChordCensuses:
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs_on())
+    def test_matches_chord_loop_oracle(self, g):
+        f = g.f
+        absent = [e for e in all_edges(f) if not g.has_edge(e)]
+        want = {(k, l): tuple([int(simple_path_counts(g, k)[l, length]) for length in range(2, f)])
+                for k, l in absent}
+        assert graphs.chord_censuses(g, absent) == want
+        if absent:
+            assert order_inner_edges(g, g.edges) == _order_inner_edges_oracle(g, g.edges)
+
+    def test_one_path_count_per_source(self, monkeypatch):
+        calls = []
+
+        def counted(g, source):
+            calls.append(source)
+            return simple_path_counts(g, source)
+
+        monkeypatch.setattr(graphs, "simple_path_counts", counted)
+        chords = [(1, 3), (1, 4), (2, 5), (1, 5), (2, 4)]
+        graphs.chord_censuses(Graph(6, HEXAGON), chords)
+        assert calls == [1, 2]
+
+    def test_rejects_present_chord(self):
+        with pytest.raises(EdgePresent):
+            graphs.chord_censuses(Graph(6, HEXAGON), [(1, 3), (1, 2)])
+
 
 class TestSimplePathCounts:
     def test_path_graph(self):
@@ -271,24 +415,21 @@ class TestPathCountKernel:
         f = data.draw(st.integers(2, 10), label="f")
         mask = data.draw(st.integers(0, (1 << (f * (f - 1) // 2)) - 1), label="edges")
         g = Graph(f, mask_to_edges(mask, f))
-        for src0 in range(f):
-            got = graphs._path_counts_dp(g._adj, f, src0)
-            want = _path_counts_oracle(g._adj, f, src0)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
-        new_paths = [simple_path_counts(g, s) for s in range(1, f + 1)]
+        for s in range(1, f + 1):
+            got = simple_path_counts(g, s)
+            assert got.dtype == np.int64 and got.shape == (f + 1, f)
+            assert not got[0].any()
+            assert np.array_equal(got[1:], _path_counts_oracle(g._adj, f, s - 1))
         new_census = cycle_census(g)
         absent = [e for e in all_edges(f) if not g.has_edge(e)]
         new_vectors = [induced_cycle_vector(g, e) for e in absent]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "_path_counts_dp", _path_counts_oracle)
-            for s, got in enumerate(new_paths, 1):
-                assert np.array_equal(got, simple_path_counts(g, s))
+            mp.setattr(graphs, "simple_path_counts", _simple_path_counts_oracle)
             assert new_census == cycle_census(g)
             assert new_vectors == [induced_cycle_vector(g, e) for e in absent]
 
     @pytest.mark.parametrize("f", range(5, 12))
     def test_ldf_order_matches_loop_oracle(self, f, monkeypatch):
         got = ldf_order(f)
-        monkeypatch.setattr(graphs, "_path_counts_dp", _path_counts_oracle)
+        monkeypatch.setattr(graphs, "simple_path_counts", _simple_path_counts_oracle)
         assert got == ldf_order(f)

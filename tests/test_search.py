@@ -969,6 +969,12 @@ class TestDispatch:
             with pytest.raises(ValidationError, match="applies to"):
                 run(config, cache=shared_cache(4))
 
+    @pytest.mark.parametrize("method,options", [("ebg", {"seed": 3}), ("ec", {})])
+    def test_bad_tie_policy_named_before_other_options(self, method, options, shared_cache):
+        config = SearchConfig(method, params(4), tie_policy="coin", **options)
+        with pytest.raises(ValidationError, match="^tie_policy must be 'lex' or 'random', got 'coin'$"):
+            run(config, cache=shared_cache(4))
+
     def test_defaults_fill_what_is_not_given(self, shared_cache):
         p, cache = params(6), shared_cache(6)
         assert run(SearchConfig("random", p), cache=cache) == run(
