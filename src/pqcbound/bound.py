@@ -10,13 +10,15 @@ exact arithmetic.  Lower values are tighter.  The denominator is accumulated
 with exactly rounded summation so relabeling a whole order leaves the value
 unchanged to the last bit.
 
-One kernel, weighted_terms, gives the denominator terms of the edges that
-join an order from any point on; every bound and search score sums them.
-Next to it, remaining_cap bounds what the terms still to come can add: every
+An order's state is the tuple (mask, length, joint entropy) of its edges so
+far, EMPTY_ORDER for none.  One kernel, weighted_terms, gives the denominator
+terms of the edges that join an order from a state and the state where they
+stop; every bound and search score sums these terms, and no caller rebuilds
+a state.  remaining_cap bounds what the terms still to come can add: every
 weight is positive and nonincreasing and every conditional entropy is
-nonnegative, so from position pos with joint entropy H(S) the rest adds at
-most n^-pos * (H(K_f) - H(S)).  The searches stop scoring an order once its
-denominator plus this cap cannot reach the best one found so far.
+nonnegative, so from a state of length pos and joint entropy H(S) the rest
+adds at most n^-pos * (H(K_f) - H(S)).  The searches stop scoring an order
+once its denominator plus this cap cannot reach the best one found so far.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .graphs import check_edge, check_vertex_count, edge_bits, edge_count
 # at most a few hundred terms and of the entropies' last bits, far below
 # any gap between two bounds that a search must tell apart.
 CAP_MARGIN = 1e-9
+EMPTY_ORDER = (0, 0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -79,14 +82,15 @@ def _weights(n: int, mu: int) -> tuple:
     return tuple(weights)
 
 
-def weighted_terms(cache: EntropyCache, n: int, edges, mask: int = 0, pos: int = 0, prev: float = 0.0):
-    """Weighted terms and conditional entropies of validated edges joining an order.
+def weighted_terms(cache: EntropyCache, n: int, edges, state: tuple = EMPTY_ORDER):
+    """Weighted terms and conditional entropies of validated edges joining an
+    order at state = (mask, pos, prev), and the state where they stop.
 
-    The order so far is the edge set `mask`, with `pos` edges and joint
-    entropy `prev` (the empty order by default).  Edge e at position v adds
-    the term n^-v * (H(mask + e) - H(mask)) and the conditional entropy
-    H(mask + e) - H(mask); then e joins the mask.
+    The order so far is the edge set mask, with pos edges and joint entropy
+    prev.  Edge e at position v adds the term n^-v * (H(mask + e) - H(mask))
+    and the conditional entropy H(mask + e) - H(mask); then e joins the mask.
     """
+    mask, pos, prev = state
     bits = edge_bits(cache.f)
     weights = _weights(n, cache.mu)
     entropy = cache.joint_entropy
@@ -98,12 +102,12 @@ def weighted_terms(cache: EntropyCache, n: int, edges, mask: int = 0, pos: int =
         terms.append(weights[pos] * (h - prev))
         prev = h
         pos += 1
-    return terms, cond
+    return terms, cond, (mask, pos, prev)
 
 
-def remaining_cap(cache: EntropyCache, n: int, pos: int, prev: float) -> float:
-    """Widened largest value that the terms after an order's first pos edges,
-    whose joint entropy is prev, can add to its denominator.
+def remaining_cap(cache: EntropyCache, n: int, state: tuple) -> float:
+    """Widened largest value that the terms after an order's state, of length
+    pos and joint entropy prev, can add to its denominator.
 
     Every completion's left-to-right fold of weighted_terms stays below the
     denominator so far plus this cap by about CAP_MARGIN * H(K_f), so an
@@ -111,6 +115,7 @@ def remaining_cap(cache: EntropyCache, n: int, pos: int, prev: float) -> float:
     strictly worse than the incumbent, after rounding too.  With nothing
     left (pos = mu) the cap is the widening alone.
     """
+    _, pos, prev = state
     top = cache.joint_entropy((1 << cache.mu) - 1)
     rest = _weights(n, cache.mu)[pos] * (top - prev) if pos < cache.mu else 0.0
     return rest + CAP_MARGIN * top
@@ -128,7 +133,7 @@ def capacity_outer_bound(order, params: BoundParams, cache: EntropyCache | None 
             f"order must list each of the {mu} edges of K_{params.f} exactly once"
         )
     cache = make_cache(params, cache)
-    terms, cond = weighted_terms(cache, params.n, order)
+    terms, cond, _ = weighted_terms(cache, params.n, order)
     bound = cache.marginal_entropy() / math.fsum(terms)
     return BoundReport(
         order=order,

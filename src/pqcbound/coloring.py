@@ -75,18 +75,17 @@ def color_sets_odd(f: int) -> ColorPartition:
 def color_sets_even(f: int) -> ColorPartition:
     """f-1 perfect matchings covering K_f, even f (a 1-factorization).
 
-    Inner edges (k, l) with k, l < f join class c when k + l - 1 = c - 1
-    (mod f-1); rim edges (k, f) join class c when 2k - 1 = c - 1 (mod f-1).
+    Class c (1-based) is the near-perfect matching odd_color_set(f-1, k) of
+    vertices 1..f-1, whose uncovered center k has 2k = c (mod f-1), plus the
+    rim edge (k, f); so inner edges (k, l) join class c when k + l = c
+    (mod f-1).  Since f = 1 (mod f-1), that center is c * f/2 (mod* f-1).
     """
     check_vertex_count(f)
     if f % 2 == 1:
         raise ParityError(f"even construction requires even f, got {f}")
-    sets: list[list[Edge]] = [[] for _ in range(f - 1)]
-    for k in range(1, f):
-        for l in range(k + 1, f):
-            sets[(k + l - 1) % (f - 1)].append((k, l))
-        sets[(2 * k - 1) % (f - 1)].append((k, f))
-    return ColorPartition(f=f, sets=tuple(tuple(sorted(s)) for s in sets))
+    centers = (mod_star(c * (f // 2), f - 1) for c in range(1, f))
+    sets = (sorted(odd_color_set(f - 1, k) + ((k, f),)) for k in centers)
+    return ColorPartition(f=f, sets=tuple(map(tuple, sets)))
 
 
 def color_sets(f: int) -> ColorPartition:
@@ -104,8 +103,7 @@ def validate_coloring(partition: ColorPartition) -> bool:
     for s in partition.sets:
         if len(s) != eta or not is_matching(s):
             return False
-        ok = is_perfect_matching(s, f) if f % 2 == 0 else is_near_perfect_matching(s, f)
-        if not ok and f > 2:
+        if not (is_perfect_matching(s, f) or is_near_perfect_matching(s, f)):
             return False
         if seen & set(s):
             return False

@@ -68,10 +68,8 @@ from .graphs import (
     check_edge,
     chord_censuses,
     connected_components,
-    edge_bits,
     edge_count,
     edge_index,
-    edges_to_mask,
     periphery,
 )
 
@@ -222,9 +220,10 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
     The entropies come from a table built once through the cache: for every
     set of blocks already placed, the remaining_cap from there and, for
     every block j outside it, the weighted_terms of j's edges from there, so
-    every order scores the bits of a left-to-right fold of its terms.  There
-    is one DFS task per second block (the first after the head), run in
-    worker processes when workers > 1.  Each task prunes against its own
+    every order scores the bits of a left-to-right fold of its terms; each
+    set's state is where a walk of one of its blocks ends.  There is one DFS
+    task per second block (the first after the head), run in at most that
+    many worker processes when workers > 1.  Each task prunes against its own
     best only, so every task returns its true local winner and the worker
     count never changes the result.  Ties in the bound go to the
     lexicographically smallest edge order.  With tie_tol, every order within
@@ -238,27 +237,25 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
         return SearchResult(best=capacity_outer_bound(head, params, cache), evaluations=1,
                             scored=1, argmin_orders=None if tie_tol is None else (head,))
     k, n = len(blocks), params.n
-    head_mask = edges_to_mask(head, params.f)
-    block_masks = [edges_to_mask(block, params.f) for block in blocks]
+    head_terms, _, start = weighted_terms(cache, n, head)
+    # states[done]: where the head and the blocks in the set done end, in any order
+    states = [start] + [None] * ((1 << k) - 1)
     terms, cap, free = [], [], []
-    for done in range(1 << k):
-        placed = [j for j in range(k) if done >> j & 1]
-        base = head_mask | sum(block_masks[j] for j in placed)
-        pos = len(head) + sum(len(blocks[j]) for j in placed)
-        cache.hold(base)
-        prev = cache.joint_entropy(base)
-        terms.append([None if done >> j & 1 else weighted_terms(cache, n, block, base, pos, prev)[0]
-                      for j, block in enumerate(blocks)])
-        cap.append(remaining_cap(cache, n, pos, prev))
+    for done, state in enumerate(states):
+        cache.hold(state[0])
         free.append(tuple(j for j in range(k) if not done >> j & 1))
+        row = [None] * k
+        for j in free[-1]:
+            row[j], _, states[done | 1 << j] = weighted_terms(cache, n, blocks[j], state)
+        terms.append(row)
+        cap.append(remaining_cap(cache, n, state))
 
-    head_terms = weighted_terms(cache, n, head)[0]
     tasks = [
         (terms, cap, free, cache.marginal_entropy(), head, head_terms, blocks, second, tie_tol)
         for second in range(k)
     ]
     if workers > 1 and k > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_block_branch, tasks))
     else:
         results = [_block_branch(t) for t in tasks]
@@ -411,25 +408,23 @@ def ebg_order(
     remaining = [e for e in all_edges(params.f) if e != (1, 2)]
     evaluations = 0
     log = []
-    # the order so far: its edge set, joint entropy and weighted terms
-    mask, prev = 1, hmin
-    terms = weighted_terms(cache, params.n, order)[0]
+    # the order so far: its weighted terms and its state
+    terms, _, state = weighted_terms(cache, params.n, order)
     while remaining:
-        cache.hold(mask)
+        cache.hold(state[0])
         scored = {}
         for e in remaining:
-            t = weighted_terms(cache, params.n, (e,), mask, len(order), prev)[0]
+            t, _, end = weighted_terms(cache, params.n, (e,), state)
             # the partial bound of order + [e], to the bit
-            scored[e] = (hmin / math.fsum(terms + t), t)
+            scored[e] = (hmin / math.fsum(terms + t), t, end)
             evaluations += 1
-        best = min(pb for pb, _ in scored.values())
-        tied = [e for e, (pb, _) in scored.items() if pb <= best + EBG_TIE_TOLERANCE]
+        best = min(pb for pb, _, _ in scored.values())
+        tied = [e for e, (pb, _, _) in scored.items() if pb <= best + EBG_TIE_TOLERANCE]
         pick = min(tied) if tie_policy == "lex" else rng.choice(tied)
         order.append(pick)
         remaining.remove(pick)
-        terms += scored[pick][1]
-        mask |= 1 << edge_index(pick, params.f)
-        prev = cache.joint_entropy(mask)
+        _, t, state = scored[pick]
+        terms += t
         if trace:
             log.append((pick, best))
     report = capacity_outer_bound(order, params, cache)
@@ -492,17 +487,15 @@ def directed_random_search(
         raise ValidationError(f"fixed_colors {fixed_colors} exceeds chi' = {len(part.sets)}")
     cache = make_cache(params, cache)
     n = params.n
-    prefix = [e for c in range(fixed_colors) for e in part.sets[c]]
+    prefix = part.concatenated(range(fixed_colors))
     rest_base = sorted(set(all_edges(params.f)) - set(prefix))
     cache.hold(prefix)
-    # each draw adds its tail's terms to the prefix's, left to right
+    # each draw folds its tail's terms onto the prefix's, from the prefix's state
+    head_terms, _, start = weighted_terms(cache, n, prefix)
     head = 0.0
-    for t in weighted_terms(cache, n, prefix)[0]:
+    for t in head_terms:
         head += t
-    base = edges_to_mask(prefix, params.f)
-    hbase = cache.joint_entropy(base)
     hmin = cache.marginal_entropy()
-    bits = edge_bits(params.f)
     rng = random.Random(seed)
     best = (math.inf, ())
     floor = 0.0  # the best draw's denominator
@@ -510,17 +503,16 @@ def directed_random_search(
     for _ in range(budget):
         rest = rest_base.copy()
         rng.shuffle(rest)
-        acc, mask, prev = head, base, hbase
-        for pos, e in enumerate(rest, len(prefix)):
-            if acc + remaining_cap(cache, n, pos, prev) < floor:
+        acc, state = head, start
+        for e in rest:
+            if acc + remaining_cap(cache, n, state) < floor:
                 break
-            acc += weighted_terms(cache, n, (e,), mask, pos, prev)[0][0]
-            mask |= bits[e]
-            prev = cache.joint_entropy(mask)
+            (t,), _, state = weighted_terms(cache, n, (e,), state)
+            acc += t
         else:
             scored += 1
             b = hmin / acc
-            order = tuple(prefix + rest)
+            order = prefix + tuple(rest)
             if (b, order) < best:
                 best = (b, order)
                 floor = acc

@@ -22,7 +22,6 @@ from .graphs import (
     distance,
     edge_count,
     induced_cycle_vector,
-    is_matching,
     is_near_perfect_matching,
     is_perfect_matching,
     matching_size,
@@ -143,9 +142,7 @@ def coloring_suite(f: int) -> list[Check]:
     )
     eta = matching_size(f)
     lead = order[:eta]
-    ok = is_perfect_matching(lead, f) if f % 2 == 0 else is_near_perfect_matching(lead, f)
-    if f == 2:
-        ok = is_matching(lead)
+    ok = is_perfect_matching(lead, f) or is_near_perfect_matching(lead, f)
     checks.append(("leading class is a matching", ok, f"first {eta} edge(s)"))
     return checks
 
@@ -154,11 +151,11 @@ def remarks_suite(f: int) -> list[Check]:
     checks: list[Check] = []
     eta = matching_size(f)
     lead = ec_order(f)[:eta]
-    ok = is_perfect_matching(lead, f) if f % 2 == 0 else is_near_perfect_matching(lead, f)
+    ok = is_perfect_matching(lead, f) or is_near_perfect_matching(lead, f)
     checks.append(("ec matching prefix", ok, f"first {eta} edges"))
     if f >= 4:
         lead = ldf_order(f)[:eta]
-        ok = is_perfect_matching(lead, f) if f % 2 == 0 else is_near_perfect_matching(lead, f)
+        ok = is_perfect_matching(lead, f) or is_near_perfect_matching(lead, f)
         checks.append(("ldf matching prefix", ok, f"first {eta} edges"))
     if f <= 5:
         r2 = exhaustive_search(BoundParams(n=2, f=f, q=2), collect_argmin=True)

@@ -14,7 +14,7 @@ from pqcbound import (
     edge_count,
     partial_bound,
 )
-from pqcbound.bound import remaining_cap, weighted_terms
+from pqcbound.bound import EMPTY_ORDER, remaining_cap, weighted_terms
 from pqcbound.errors import DuplicateEdge, NotAPermutation, ValidationError
 from pqcbound.graphs import edges_to_mask
 from tests.test_coloring import S_EC_6, S_EEC_6
@@ -114,7 +114,7 @@ class TestWeightedTerms:
         cache = shared_cache(6)
         order = all_edges(6)
         random.Random(n).shuffle(order)
-        terms, cond = weighted_terms(cache, n, order)
+        terms, cond, _ = weighted_terms(cache, n, order)
         weight = 1.0
         for t, h in zip(terms, cond):
             assert t == weight * h
@@ -125,11 +125,37 @@ class TestWeightedTerms:
         cache = shared_cache(6)
         order = all_edges(6)
         random.Random(split).shuffle(order)
-        terms, cond = weighted_terms(cache, 3, order)
+        terms, cond, _ = weighted_terms(cache, 3, order)
+        state = weighted_terms(cache, 3, order[:split])[2]
         mask = edges_to_mask(order[:split], 6)
-        tail = weighted_terms(cache, 3, order[split:], mask, split, cache.joint_entropy(mask))
+        assert state == (mask, split, cache.joint_entropy(mask))
+        tail = weighted_terms(cache, 3, order[split:], state)
         assert [t.hex() for t in tail[0]] == [t.hex() for t in terms[split:]]
         assert [h.hex() for h in tail[1]] == [h.hex() for h in cond[split:]]
+
+    # a caller carries the state that one walk returns into the next, so any
+    # chain of walks over an order is that order's one walk, to the bit
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_chained_end_states_give_one_walk(self, data, shared_cache):
+        f = data.draw(st.integers(2, 7), label="f")
+        q = data.draw(st.sampled_from((2, 3)), label="q")
+        n = data.draw(st.sampled_from((1, 2, 3)), label="n")
+        cache = shared_cache(f, q)
+        order = data.draw(st.permutations(all_edges(f)), label="order")
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=6), label="cuts"))
+        whole = weighted_terms(cache, n, order)
+        state, terms, cond = EMPTY_ORDER, [], []
+        for a, b in zip([0] + cuts, cuts + [len(order)]):
+            assert weighted_terms(cache, n, [], state) == ([], [], state)
+            t, c, state = weighted_terms(cache, n, order[a:b], state)
+            terms += t
+            cond += c
+        assert [t.hex() for t in terms] == [t.hex() for t in whole[0]]
+        assert [h.hex() for h in cond] == [h.hex() for h in whole[1]]
+        full = (1 << edge_count(f)) - 1
+        assert state == whole[2] == (full, edge_count(f), cache.joint_entropy(full))
 
 
 class TestRemainingCap:
@@ -148,12 +174,11 @@ class TestRemainingCap:
         order = data.draw(st.permutations(all_edges(f)), label="order")
         pos = data.draw(st.integers(0, len(order)), label="pos")
         head, tail = order[:pos], order[pos:]
+        head_terms, _, state = weighted_terms(cache, n, head)
         acc = 0.0
-        for t in weighted_terms(cache, n, head)[0]:
+        for t in head_terms:
             acc += t
-        mask = edges_to_mask(head, f)
-        prev = cache.joint_entropy(mask)
-        top = acc + remaining_cap(cache, n, pos, prev)
+        top = acc + remaining_cap(cache, n, state)
         hmin = cache.marginal_entropy()
         if len(tail) <= 6:
             completions = permutations(tail)
@@ -162,7 +187,7 @@ class TestRemainingCap:
                                     label="completions")
         for rest in completions:
             a = acc
-            for t in weighted_terms(cache, n, rest, mask, pos, prev)[0]:
+            for t in weighted_terms(cache, n, rest, state)[0]:
                 a += t
             assert a < top
             assert hmin / a > hmin / top

@@ -60,6 +60,18 @@ class TestOddConstruction:
             color_sets_odd(6)
 
 
+def _color_sets_even_loop(f: int) -> tuple:
+    """The even classes by residues, the construction that odd_color_set
+    replaced, copied: inner edges (k, l) join class index (k + l - 1) mod
+    (f-1), rim edges (k, f) class index (2k - 1) mod (f-1)."""
+    sets = [[] for _ in range(f - 1)]
+    for k in range(1, f):
+        for l in range(k + 1, f):
+            sets[(k + l - 1) % (f - 1)].append((k, l))
+        sets[(2 * k - 1) % (f - 1)].append((k, f))
+    return tuple(tuple(sorted(s)) for s in sets)
+
+
 class TestEvenConstruction:
     def test_reference_classes_f6(self):
         part = color_sets_even(6)
@@ -83,6 +95,10 @@ class TestEvenConstruction:
     def test_f2_single_class(self):
         part = color_sets_even(2)
         assert part.sets == (((1, 2),),)
+
+    @pytest.mark.parametrize("f", range(2, 17, 2))
+    def test_matches_residue_loop_oracle(self, f):
+        assert color_sets_even(f).sets == _color_sets_even_loop(f)
 
 
 class TestValidation:

@@ -706,6 +706,29 @@ class TestExhaustive:
         assert r2.best.order in r2.argmin_orders
         assert r2.argmin_orders == r3.argmin_orders
 
+    def test_pool_never_exceeds_its_tasks(self, monkeypatch, shared_cache):
+        # a fake pool that records its size and maps inline: no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        got = exhaustive_search(params(4), cache=shared_cache(4), workers=64)
+        want = exhaustive_search(params(4), cache=shared_cache(4), workers=1)
+        assert sizes and max(sizes) <= edge_count(4) - 1
+        assert (got.best, got.evaluations, got.scored) == (want.best, want.evaluations, want.scored)
+
     def test_worker_count_does_not_change_result(self, shared_cache):
         one = exhaustive_search(params(4), cache=shared_cache(4), workers=1, collect_argmin=True)
         two = exhaustive_search(params(4), cache=shared_cache(4), workers=2, collect_argmin=True)
