@@ -116,7 +116,7 @@ def remaining_cap(cache: EntropyCache, n: int, state: tuple) -> float:
     left (pos = mu) the cap is the widening alone.
     """
     _, pos, prev = state
-    top = cache.joint_entropy((1 << cache.mu) - 1)
+    top = cache.full_entropy
     rest = _weights(n, cache.mu)[pos] * (top - prev) if pos < cache.mu else 0.0
     return rest + CAP_MARGIN * top
 

@@ -8,27 +8,39 @@ All entropies are in q-ary units (log base q): a uniform F_q symbol has
 entropy 1.
 
 One kernel, EntropyCache._classes, gives every assignment an outcome class
-code by folding in one monomial column at a time (code * q + column).  H
-depends only on the partition of the assignments into classes, not on the
-code values, so a code can be refined by further columns in any order.  The
-cache carries two codes: that of its last miss, which serves chains of
-growing masks, and a base that the caller pins with hold(mask).  A miss
-for mask M starts from the carried code with the most columns among those
-whose mask is a subset of M and folds in only the columns it lacks, so
-H(S + e) after H(S) costs O(q^f), not O(|S| q^f).  A refine never changes
-the code it starts from.  The monomial columns are built on first use.
+code, an int64 in [0, span), by folding in one monomial column at a time
+(code * q + column).  H depends only on the partition of the assignments
+into classes, not on the code values, so a code can be refined by further
+columns in any order.  The cache carries two codes: that of its last miss,
+which serves chains of growing masks, and a base that the caller pins with
+hold(mask).  A miss for mask M starts from the carried code with the most
+columns among those whose mask is a subset of M and folds in only the
+columns it lacks, so H(S + e) after H(S) costs O(q^f), not O(|S| q^f).  A
+refine never changes the code it starts from.  The monomial columns are
+built on first use.
+
+A code is re-ranked, each value replaced by its rank among the values it
+takes, which keeps the order of the codes, in two places: when the next
+column could overflow 63 bits, and once when hold pins a base.  A held base
+with K classes then spans exactly [0, K), and a miss one column past it
+spans K * q.  A miss counts its classes, and a code is ranked, with
+np.bincount over the span when the span is at most BINCOUNT_SPAN * q^f,
+which after a held base it is for every q <= BINCOUNT_SPAN; a larger span
+falls back to np.unique's O(q^f log q^f) sort.
 
 The entropy sum groups equal class counts and takes one logarithm per
-distinct count, then hands math.fsum the same multiset of terms c*log(c)
-that a per-class sum would.  fsum is exactly rounded, so identical count
-multisets produce bit-identical entropies regardless of tally or grouping
-order, and vertex relabelings leave every entropy unchanged to the last bit.
+distinct count, then hands math.fsum two exact products per distinct count
+whose exact sum is that of the per-class terms c*log(c).  fsum is exactly
+rounded, so identical count multisets produce bit-identical entropies
+regardless of tally or grouping order, and vertex relabelings leave every
+entropy unchanged to the last bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +49,11 @@ from .graphs import check_edge, check_vertex_count, edge_count, edge_from_index,
 
 # ceiling on the q^f assignments, all of which are held in memory at once
 ENUMERATION_GUARD = 1 << 22
+# codes whose span is at most this multiple of q^f are counted and ranked
+# with np.bincount over the span; larger spans are sorted with np.unique
+BINCOUNT_SPAN = 8
+# Veltkamp's splitting factor 2^27 + 1 for doubles
+_SPLIT = float((1 << 27) + 1)
 
 
 def is_prime(q: int) -> bool:
@@ -108,14 +125,23 @@ def joint_distribution(edges, f: int, spec_or_q) -> JointDistribution:
 def _xlogx_sum(counts: np.ndarray) -> float:
     """Exactly rounded sum of c*log(c) over the class counts c > 1.
 
-    Equal counts share one logarithm; fsum still gets each term once per
-    class, as [c*log(c)] * m, because m * (c*log(c)) would add a rounding.
+    Equal counts share one logarithm.  The m classes of count c add m * x,
+    x = c*log(c) rounded, but the product m * x would round once more.  So
+    x is split as hi + lo (Veltkamp, factor 2^27 + 1): hi has at most 26
+    significant bits and lo at most 27.  The count sum is q^f, so m <=
+    q^f / 2 <= 2^21 has at most 22 bits, m*hi and m*lo have at most 49 and
+    are exact doubles, and their sum is m * x exactly.  fsum thus gets terms
+    with the same exact sum as the per-class multiset [x] * m, and rounds it
+    to the same bits.
     """
     tally = np.bincount(counts)
     sizes = np.flatnonzero(tally[2:]) + 2
     terms = []
     for c, m in zip(sizes.tolist(), tally[sizes].tolist()):
-        terms += [c * math.log(c)] * m
+        x = c * math.log(c)
+        t = x * _SPLIT
+        hi = t - (t - x)
+        terms += (m * hi, m * (x - hi))
     return math.fsum(terms)
 
 
@@ -164,28 +190,49 @@ class EntropyCache:
 
     def _classes(self, indices, code=None, span=1):
         """Outcome class of every assignment under the monomials at the given
-        edge indices, folded into `code`, the classes under earlier columns
-        with values in [0, span) (one class when code is None).  Returns the
-        new code and span.  From no code, the order of the codes is the
-        lexicographic order of the outcome vectors.
+        edge indices, folded into `code`, the int64 classes under earlier
+        columns with values in [0, span) (one class when code is None).
+        Returns the new code and span.  From no code, the order of the codes
+        is the lexicographic order of the outcome vectors.
 
         Each column makes the code the big-endian base-q number code * q +
         column; whenever the next column could overflow 63 bits, the codes
-        are replaced by their ranks, which keeps their order.  The given code
+        are re-ranked (see _ranks), which keeps their order.  The given code
         is never changed: the first column writes a new array.
         """
         owned = code is None
         if owned:
-            code = np.zeros(self.total, dtype=np.uint64)
+            code = np.zeros(self.total, dtype=np.int64)
         for i in indices:
             if span * self.q > 1 << 63:
-                values, code = np.unique(code, return_inverse=True)
-                code, span, owned = code.astype(np.uint64), len(values), True
-            code = np.multiply(code, np.uint64(self.q), out=code if owned else None)
+                code, span = self._ranks(code, span)
+                owned = True
+            code = np.multiply(code, self.q, out=code if owned else None)
             owned = True
             code += self._row(i)
             span *= self.q
         return code, span
+
+    def _ranks(self, code, span, owned=False):
+        """The code replaced by the rank of each value among the values it
+        takes, and the number of those values.  Keeps the order of the codes.
+
+        A span of at most BINCOUNT_SPAN * q^f is ranked by a prefix sum over
+        the values that np.bincount finds occupied, with every buffer
+        filled in place; the ranks overwrite the code only if `owned`, else
+        they go to a new array.  A larger span is ranked by np.unique's
+        sort, into a new array.
+        """
+        if span > BINCOUNT_SPAN * self.total:
+            values, code = np.unique(code, return_inverse=True)
+            return code, len(values)
+        rank = np.bincount(code)
+        np.minimum(rank, 1, out=rank)
+        np.cumsum(rank, out=rank)
+        classes = int(rank[-1])
+        rank -= 1
+        # every code is in range; mode "raise" would copy `out` first
+        return rank.take(code, out=code if owned else None, mode="clip"), classes
 
     def _carried(self, mask: int) -> tuple:
         """(mask, code, span) for mask, refined from the carried code with the
@@ -204,11 +251,19 @@ class EntropyCache:
         """Pin the code of this subset as the base that later misses refine.
 
         Callers pin a set that many of the coming masks extend, such as a
-        greedy prefix.  Adds no entropy to the cache.
+        greedy prefix.  The pinned code is rank-compacted once (see _ranks),
+        in place only if no carried code holds its array, so the K classes
+        of the base take the values [0, K) and a miss one column past it
+        counts K * q bins, not q times the base's span.  Adds no entropy to
+        the cache.
         """
         mask = self._mask_of(edges_or_mask)
         if mask != self._base[0]:
-            self._base = self._carried(mask)
+            mask, code, span = self._carried(mask)
+            self._base = _NO_CODE  # the old base's array is not needed now
+            if code is not None:
+                code, span = self._ranks(code, span, owned=code is not self._last[1])
+            self._base = (mask, code, span)
 
     def _mask_of(self, edges_or_mask) -> int:
         if isinstance(edges_or_mask, int):
@@ -223,8 +278,11 @@ class EntropyCache:
         h = self._entropies.get(mask)
         if h is not None:
             return h
-        self._last = self._carried(mask)
-        counts = np.unique(self._last[1], return_counts=True)[1]
+        _, code, span = self._last = self._carried(mask)
+        if span > BINCOUNT_SPAN * self.total:
+            counts = np.unique(code, return_counts=True)[1]
+        else:
+            counts = np.bincount(code)  # zeros for unused values are harmless
         # H = log_q(q^f) - sum c/q^f * log_q c, with the count sum exact
         h = self.f - _xlogx_sum(counts) / (self.total * self._ln_q)
         self._entropies[mask] = h
@@ -240,6 +298,11 @@ class EntropyCache:
         h = self.joint_entropy(given_mask | bit) - self.joint_entropy(given_mask)
         # exact difference can dip a hair below zero in floating point
         return 0.0 if -1e-12 < h < 0.0 else h
+
+    @cached_property
+    def full_entropy(self) -> float:
+        """H(K_f), the entropy of all mu monomials; looked up once per cache."""
+        return self.joint_entropy((1 << self.mu) - 1)
 
     def marginal_entropy(self) -> float:
         """Entropy of any single monomial (all mu marginals are equal)."""

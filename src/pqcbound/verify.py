@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from .bound import BoundParams
 from .coloring import color_sets, ec_order, validate_coloring
@@ -72,6 +72,27 @@ def entropy_suite(f: int, q: int, samples: int = 25, seed: int = 2024) -> list[C
         if cache.joint_entropy(sub) > cache.joint_entropy(sup) + 1e-12:
             ok = False
     checks.append(("monotonicity", ok, f"{samples} subset pairs"))
+
+    # one cache walks a chain through every edge (past the 63-bit re-rank at
+    # q = 2, f >= 12), then branches off a held base and off a base pinned on
+    # its last miss; fresh caches recompute the branches and a chain sample
+    mu = len(edges)
+    carried = EntropyCache(f, q)
+    order = rng.sample(range(mu), mu)
+    chain = list(accumulate(1 << i for i in order))
+    got = {m: carried.joint_entropy(m) for m in chain}
+    got = {m: got[m] for m in chain[::-max(1, mu // samples)]}
+    base = chain[mu // 2] & ~(1 << order[0])
+    for _ in range(2):
+        carried.hold(base)
+        last = base
+        for i in rng.sample(range(mu), min(mu, samples // 2)):
+            if not base >> i & 1:
+                last = base | 1 << i
+                got[last] = carried.joint_entropy(last)
+        base = last
+    bad = sum(EntropyCache(f, q).joint_entropy(m).hex() != h.hex() for m, h in got.items())
+    checks.append(("carried codes vs fresh caches", bad == 0, f"{bad} of {len(got)} masks differ"))
     return checks
 
 

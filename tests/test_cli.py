@@ -6,8 +6,47 @@ import sys
 
 import pytest
 
-from pqcbound import cli
+from pqcbound import EntropyCache, cli
 from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _threads, build_parser, main
+
+
+# Records of `order --method ebg --tie random --seed S --f F --q Q --n 2`,
+# the entropy-cold benchmark's random-tie EBG runs: (F, Q, S) -> (bound_hex,
+# order).  Taken from the output of commit 9a4a972.
+EBG_RANDOM_RECORDS = {
+    (12, 2, 7): (
+        "0x1.00f9edd735600p-1",
+        "1,2 5,9 3,10 6,8 11,12 4,7 1,7 8,11 3,5 4,9 2,6 10,12 1,5 6,10 4,11 9,12 7,8 2,3 2,4 "
+        "5,8 1,12 7,10 3,11 6,9 6,11 8,12 3,7 4,10 1,9 2,5 2,11 4,12 2,10 2,8 5,10 5,6 8,10 "
+        "6,12 1,11 1,8 6,7 7,9 8,9 2,12 4,5 1,10 9,10 1,6 1,4 3,9 10,11 5,11 4,8 3,12 3,8 "
+        "5,12 9,11 7,11 4,6 2,9 2,7 3,4 3,6 1,3 7,12 5,7",
+    ),
+    (9, 3, 7): (
+        "0x1.030531bb7f08cp-1",
+        "1,2 4,9 3,7 5,8 1,6 3,5 2,4 7,9 6,8 8,9 1,3 2,5 4,6 6,7 1,9 2,7 3,4 2,8 5,9 3,8 5,6 "
+        "1,4 1,7 7,8 4,5 2,6 3,9 2,9 4,7 3,6 1,8 6,9 1,5 5,7 4,8 2,3",
+    ),
+    (7, 5, 7): (
+        "0x1.061cf7accf0e8p-1",
+        "1,2 4,6 3,5 4,7 1,3 2,6 5,7 2,3 4,5 1,7 1,6 3,7 2,5 3,6 3,4 1,5 1,4 5,6 2,4 2,7 6,7",
+    ),
+    (12, 2, 8): (
+        "0x1.00f9edd7391b5p-1",
+        "1,2 4,10 5,11 6,8 3,9 7,12 6,12 1,4 3,5 2,9 7,11 8,10 4,12 2,11 3,8 9,10 5,6 1,7 7,8 "
+        "4,5 9,12 2,6 10,11 1,3 1,6 2,8 11,12 7,9 3,10 2,4 5,9 1,11 2,3 6,9 6,10 1,10 5,12 "
+        "1,8 3,11 3,4 8,11 1,12 5,8 8,12 6,7 3,6 9,11 2,10 2,5 1,9 10,12 5,10 3,7 2,12 6,11 "
+        "4,11 8,9 5,7 4,7 4,8 3,12 4,9 2,7 1,5 4,6 7,10",
+    ),
+    (9, 3, 8): (
+        "0x1.030531bb80d7bp-1",
+        "1,2 4,6 5,8 3,9 3,7 1,8 4,7 2,6 5,9 2,9 4,8 1,7 3,6 5,7 3,8 5,6 4,9 2,8 1,6 2,7 1,9 "
+        "3,5 2,4 1,3 4,5 7,9 6,8 8,9 6,9 6,7 1,4 2,5 1,5 2,3 7,8 3,4",
+    ),
+    (7, 5, 8): (
+        "0x1.061cf7accf0e8p-1",
+        "1,2 3,7 4,6 4,5 1,7 2,6 3,5 1,3 2,4 6,7 2,5 1,6 4,7 3,6 5,6 2,7 5,7 2,3 1,5 3,4 1,4",
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +204,18 @@ class TestOrderCommand:
         assert code == EXIT_OK
         strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
         assert strip(out1) == strip(out2)
+
+    @pytest.mark.parametrize("f,q,seed", sorted(EBG_RANDOM_RECORDS))
+    def test_ebg_random_tie_records_pinned(self, capsys, f, q, seed):
+        code, out, _ = run_cli(
+            capsys, "order", "--method", "ebg", "--tie", "random", "--seed", str(seed),
+            "--f", str(f), "--q", str(q), "--n", "2", "--raw", "--threads", "1",
+        )
+        assert code == EXIT_OK
+        rec = json.loads(out)
+        bound_hex, order = EBG_RANDOM_RECORDS[f, q, seed]
+        assert rec["bound_hex"] == bound_hex
+        assert " ".join(f"{k},{l}" for k, l in rec["order"]) == order
 
     def test_eec_worker_count_invariant(self, capsys):
         args = ["order", "--method", "e-ec", "--f", "9", "--raw", "--threads"]
@@ -349,6 +400,24 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "FAIL" not in out
         assert "PASS" in out
+
+    def test_entropy_suite_checks_carried_codes(self, capsys, monkeypatch):
+        argv = ("verify", "--suite", "entropy", "--f", "12", "--q", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert "PASS carried codes vs fresh caches: 0 of" in out
+        # a held base whose ranks merge classes gives wrong branch entropies;
+        # the fresh caches, which rank only past 63 columns, do not
+        ranks = EntropyCache._ranks
+
+        def merged(self, *args, **kwargs):
+            code, classes = ranks(self, *args, **kwargs)
+            return code // 2, classes
+
+        monkeypatch.setattr(EntropyCache, "_ranks", merged)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_VERIFY
+        assert "FAIL carried codes vs fresh caches" in out
 
     def test_default_f(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "paths")

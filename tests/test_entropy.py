@@ -17,7 +17,7 @@ from pqcbound import (
     field_mul,
     joint_distribution,
 )
-from pqcbound.entropy import _xlogx_sum
+from pqcbound.entropy import BINCOUNT_SPAN, _xlogx_sum
 from pqcbound.errors import (
     EdgeAlreadyConditioned,
     EnumerationTooLarge,
@@ -245,6 +245,17 @@ def _edges_of(mask, f):
     return [e for i, e in enumerate(all_edges(f)) if mask >> i & 1]
 
 
+def _lexicographic_ranks(edges, f, q):
+    """Rank of each assignment's outcome vector among all outcome vectors,
+    in the cache's assignment order (symbol j is base-q digit j)."""
+    vectors = []
+    for a in range(q ** f):
+        w = [a // q ** j % q for j in range(f)]
+        vectors.append(tuple(w[k - 1] * w[l - 1] % q for k, l in edges))
+    rank = {v: r for r, v in enumerate(sorted(set(vectors)))}
+    return np.array([rank[v] for v in vectors])
+
+
 class TestCarriedCodes:
     """Misses refine a carried code (the last miss's, or the base pinned by
     hold) by the columns it lacks; the values must not depend on that."""
@@ -307,6 +318,50 @@ class TestCarriedCodes:
             assert cache.joint_entropy(base | 1 << i).hex() == fresh.joint_entropy(base | 1 << i).hex()
         assert len(cache) == size + 2
 
+    def test_sort_fallbacks_against_oracle(self):
+        # 14 and 15 columns at q = 5 span 5^14 and 5^15, far above
+        # BINCOUNT_SPAN * 5^6: a held K_6 minus one edge is ranked, and K_6 in
+        # a fresh cache counted, by np.unique's sort
+        f, q = 6, 5
+        full = (1 << 15) - 1
+        base = full & ~1
+        assert q ** 14 > BINCOUNT_SPAN * q ** f
+        cache = EntropyCache(f, q)
+        cache.hold(base)
+        _, code, span = cache._base
+        ranks = _lexicographic_ranks(_edges_of(base, f), f, q)
+        assert span == ranks.max() + 1 < q ** f
+        assert np.array_equal(code, ranks)
+        # the miss one column past the compacted base is counted by np.bincount
+        want = counter_oracle(all_edges(f), f, q)[0]
+        assert cache.joint_entropy(full).hex() == want.hex()
+        assert cache._last[2] == span * q <= BINCOUNT_SPAN * q ** f
+        fresh = EntropyCache(f, q)
+        assert fresh.joint_entropy(full).hex() == want.hex()
+        assert fresh._last[2] == q ** 15 > BINCOUNT_SPAN * q ** f
+
+    def test_hold_never_changes_a_code_it_starts_from(self):
+        f, q = 6, 3
+        cache = EntropyCache(f, q)
+        cache.hold(0b111)
+        cache.joint_entropy(0b1111)
+        # the base pinned next is the last miss itself: both start from one array
+        last = cache._last[1]
+        before = last.copy()
+        cache.hold(0b1111)
+        assert cache._last[1] is last and np.array_equal(last, before)
+        assert cache._base[1] is not last
+        assert np.array_equal(cache._base[1], np.unique(before, return_inverse=True)[1])
+        assert cache._base[2] == len(np.unique(before))
+        # a base that refines a carried code is ranked in the refine's array
+        refined = cache._carried(0b110111)[1]
+        cache.hold(0b110111)
+        assert cache._last[1] is last and np.array_equal(last, before)
+        assert np.array_equal(cache._base[1], np.unique(refined, return_inverse=True)[1])
+        for mask in (0b111111, 0b1110111, 0b11111):
+            want = counter_oracle(_edges_of(mask, f), f, q)[0]
+            assert cache.joint_entropy(mask).hex() == want.hex()
+
     def test_hold_adds_no_entropy(self):
         cache = EntropyCache(6, 3)
         cache.hold([(1, 2), (3, 4)])
@@ -320,6 +375,21 @@ class TestCarriedCodes:
         counts = np.array([2] * 3 + [12] * 5 + [14] * 7 + [1] * 4, dtype=np.int64)
         assert _xlogx_sum(counts).hex() == per_class_sum(counts).hex()
         assert _xlogx_sum(np.array([1, 1], dtype=np.int64)) == per_class_sum(np.array([1, 1])) == 0.0
+
+    def test_grouped_sum_at_the_extremes(self):
+        # counts of q^f = 2^22 assignments: multiplicities up to 2^21 and
+        # counts near 2^22.  In the last two, rounding each m * (c*log c)
+        # would change the bits of the sum.
+        for groups in (
+            [(2, 1 << 21)],
+            [(1 << 21, 2)],
+            [((1 << 22) - 3, 1), (3, 1)],
+            [(2, (1 << 21) - 2), (3, 1), (1, 1)],
+            [(4183279, 1), (3, 3675)],
+        ):
+            counts = np.repeat(*np.array(groups, dtype=np.int64).T)
+            assert counts.sum() == 1 << 22
+            assert _xlogx_sum(counts).hex() == per_class_sum(counts).hex()
 
     @settings(max_examples=100, deadline=None)
     @given(
