@@ -154,10 +154,15 @@ def cmd_table(args) -> int:
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ValidationError(f"cannot write --out: no directory {os.path.dirname(args.out)!r}")
     workers = _threads(args)
+    # every row's guards before the first row; each row's cache is built
+    # again when the row runs, since caches grow as they are used
+    rows = [BoundParams(n=args.n, f=f, q=args.q) for f in _parse_range(args.f_range)]
+    for params in rows:
+        EntropyCache(params.f, params.q)
     lines = ["f," + ",".join(methods)]
-    for f in _parse_range(args.f_range):
-        params = BoundParams(n=args.n, f=f, q=args.q)
-        cache = EntropyCache(f, args.q)
+    for params in rows:
+        f = params.f
+        cache = EntropyCache(f, params.q)
         row = [str(f)]
         for m in methods:
             # each column gets only the values it reads

@@ -45,7 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EdgeAlreadyConditioned, EnumerationTooLarge, InvalidFieldSize
-from .graphs import check_edge, check_vertex_count, edge_count, edge_from_index, edge_index, edges_to_mask
+from .graphs import (_bits, check_edge, check_vertex_count, edge_count, edge_from_index, edge_index,
+                     edges_to_mask)
 
 # ceiling on the q^f assignments, all of which are held in memory at once
 ENUMERATION_GUARD = 1 << 22
@@ -89,10 +90,6 @@ def field_mul(a: int, b: int, spec: FieldSpec) -> int:
     return (a * b) % spec.q
 
 
-def _as_spec(spec_or_q) -> FieldSpec:
-    return spec_or_q if isinstance(spec_or_q, FieldSpec) else FieldSpec(spec_or_q)
-
-
 @dataclass(frozen=True)
 class JointDistribution:
     """Exact joint law of a monomial tuple: outcome vectors with rational mass."""
@@ -103,14 +100,14 @@ class JointDistribution:
         return dict(self.support)
 
 
-def joint_distribution(edges, f: int, spec_or_q) -> JointDistribution:
+def joint_distribution(edges, f: int, q: int) -> JointDistribution:
     """Joint distribution of the monomials named by edges, for f symbols.
 
     Enumerates all q^f assignments; counts sum exactly to q^f.  Outcome
     vectors are listed in lexicographic order.  Only the named monomial
     columns are built.
     """
-    cache = EntropyCache(f, spec_or_q)
+    cache = EntropyCache(f, q)
     indices = [edge_index(e, f) for e in edges]
     code, _ = cache._classes(indices)
     _, first, counts = np.unique(code, return_index=True, return_counts=True)
@@ -158,11 +155,11 @@ class EntropyCache:
     carried outcome codes (see the module docstring).
     """
 
-    def __init__(self, f: int, spec_or_q):
+    def __init__(self, f: int, q: int):
         check_vertex_count(f)
-        self.spec = _as_spec(spec_or_q)
+        FieldSpec(q)  # primality guard
         self.f = f
-        self.q = self.spec.q
+        self.q = q
         self.total = self.q ** f
         if self.total > ENUMERATION_GUARD:
             raise EnumerationTooLarge(
@@ -244,7 +241,7 @@ class EntropyCache:
         rest = mask & ~start[0]
         if not rest:
             return start
-        code, span = self._classes([i for i in range(self.mu) if rest >> i & 1], start[1], start[2])
+        code, span = self._classes(_bits(rest), start[1], start[2])
         return mask, code, span
 
     def hold(self, edges_or_mask) -> None:

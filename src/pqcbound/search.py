@@ -29,8 +29,9 @@ smallest edge index or lexicographically smallest order):
 * EBG ties: candidates whose partial bound lies within 1e-12 of the best are
   tied; the "lex" policy picks the smallest edge, "random" picks with the
   seeded generator.
-* EBG and exhaustive search fix the first edge to (1, 2): all single edges
-  are equivalent under vertex relabeling, which leaves the bound unchanged.
+* LDF, EBG and exhaustive search start from the edge (1, 2): all single
+  edges are equivalent under vertex relabeling, which leaves the bound
+  unchanged.
 * The last two edges of the LDF construction are appended in lexicographic
   order.
 * Parallel workers merge results by (smallest bound, lexicographically
@@ -165,16 +166,17 @@ def _permutation_guard(k: int, error: type, advice: str) -> None:
 
 def _block_branch(task):
     """Best (bound, order), the number of orders scored in full and the
-    near-ties among the orders whose first block is `second`.
+    near-ties among the orders whose first block is one of `firsts`.
 
     terms[done][j] holds the weighted terms of block j's edges when it follows
     the head and the blocks in the set `done`, and cap[done] the
     remaining_cap from there, so a DFS over the blocks carries only the set
-    placed so far and the running denominator.  A subtree whose denominator
-    plus cap cannot reach this task's best bound (plus tie_tol) is skipped:
-    none of its orders could win or tie here.
+    placed so far and the running denominator.  The DFS enters a set, a
+    whole order included, only if its denominator plus cap can reach this
+    task's best bound (plus tie_tol): no order below a set it skips could
+    win or tie here.  It scores an order when it enters the full set.
     """
-    terms, cap, free, hmin, head, head_terms, blocks, second, tie_tol = task
+    terms, cap, free, hmin, head, head_terms, blocks, firsts, tie_tol = task
     full = len(terms) - 1
     slack = 0.0 if tie_tol is None else tie_tol
     best = (math.inf, ())
@@ -185,31 +187,32 @@ def _block_branch(task):
 
     def visit(done, acc, choices):
         nonlocal best, floor, scored
+        if done == full:
+            scored += 1
+            b = hmin / acc
+            if b <= best[0] + slack:
+                order = head + tuple(e for i in perm for e in blocks[i])
+                if (b, order) < best:
+                    best = (b, order)
+                    floor = hmin / (b + slack)
+                if tie_tol is not None:
+                    ties.append((b, order))
+            return
         row = terms[done]
         for j in choices:
             a = acc
             for t in row[j]:
                 a += t
             nxt = done | 1 << j
-            perm.append(j)
-            if nxt == full:
-                scored += 1
-                b = hmin / a
-                if b <= best[0] + slack:
-                    order = head + tuple(e for i in perm for e in blocks[i])
-                    if (b, order) < best:
-                        best = (b, order)
-                        floor = hmin / (b + slack)
-                    if tie_tol is not None:
-                        ties.append((b, order))
-            elif a + cap[nxt] >= floor:
+            if a + cap[nxt] >= floor:
+                perm.append(j)
                 visit(nxt, a, free[nxt])
-            perm.pop()
+                perm.pop()
 
     acc = 0.0
     for t in head_terms:
         acc += t
-    visit(0, acc, (second,))
+    visit(0, acc, firsts)
     del visit  # visit refers to itself; dropping it frees the task without a collection
     return best, scored, ties
 
@@ -222,20 +225,17 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
     every block j outside it, the weighted_terms of j's edges from there, so
     every order scores the bits of a left-to-right fold of its terms; each
     set's state is where a walk of one of its blocks ends.  There is one DFS
-    task per second block (the first after the head), run in at most that
-    many worker processes when workers > 1.  Each task prunes against its own
-    best only, so every task returns its true local winner and the worker
-    count never changes the result.  Ties in the bound go to the
-    lexicographically smallest edge order.  With tie_tol, every order within
-    tie_tol of the minimum is returned as argmin_orders, sorted.  With no
-    blocks the head is the one order.  evaluations counts the orders
+    task per first block after the head, run in at most that many worker
+    processes when workers > 1; with no blocks, one task scores the head
+    alone.  Each task prunes against its own best only, so every task
+    returns its true local winner and the worker count never changes the
+    result.  Ties in the bound go to the lexicographically smallest edge
+    order.  With tie_tol, every order within tie_tol of the minimum is
+    returned as argmin_orders, sorted.  evaluations counts the orders
     covered, k! for k blocks, and scored those scored in full.  Callers
     apply _permutation_guard.
     """
     cache = make_cache(params, cache)
-    if not blocks:
-        return SearchResult(best=capacity_outer_bound(head, params, cache), evaluations=1,
-                            scored=1, argmin_orders=None if tie_tol is None else (head,))
     k, n = len(blocks), params.n
     head_terms, _, start = weighted_terms(cache, n, head)
     # states[done]: where the head and the blocks in the set done end, in any order
@@ -251,8 +251,8 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
         cap.append(remaining_cap(cache, n, state))
 
     tasks = [
-        (terms, cap, free, cache.marginal_entropy(), head, head_terms, blocks, second, tie_tol)
-        for second in range(k)
+        (terms, cap, free, cache.marginal_entropy(), head, head_terms, blocks, firsts, tie_tol)
+        for firsts in [(j,) for j in range(k)] or [()]
     ]
     if workers > 1 and k > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -314,24 +314,19 @@ def e_ec_search(
 # LDF: matching, then a spanning cycle, then inner edges by cycle census
 # ---------------------------------------------------------------------------
 
-def ldf_order(f: int, start: Edge | None = (1, 2), seed=None) -> tuple[Edge, ...]:
+def ldf_order(f: int) -> tuple[Edge, ...]:
     """Longest-distance-first order.
 
-    Builds a Hamiltonian cycle greedily: starting from one edge, repeatedly
-    join the two most weakly connected components at their minimum-degree
-    vertices (which lays down a (near) perfect matching first), close the
-    cycle across the periphery pair, then hand the chords to
-    order_inner_edges.  start=None picks a random starting edge with the
-    seeded generator.
+    Builds a Hamiltonian cycle greedily: starting from the edge (1, 2),
+    repeatedly join the two most weakly connected components at their
+    minimum-degree vertices (which lays down a (near) perfect matching
+    first), close the cycle across the periphery pair, then hand the chords
+    to order_inner_edges.
     """
     if f < 3:
         raise ValidationError(f"the distance-first construction needs f >= 3, got {f}")
-    if start is None:
-        rng = random.Random(seed)
-        start = tuple(sorted(rng.sample(range(1, f + 1), 2)))
-    start = check_edge(start, f)
-    g = Graph(f, [start])
-    order = [start]
+    g = Graph(f, [(1, 2)])
+    order = [(1, 2)]
     for _ in range(f - 2):
         comps = connected_components(g)
         ends = []
@@ -489,9 +484,9 @@ def directed_random_search(
     n = params.n
     prefix = part.concatenated(range(fixed_colors))
     rest_base = sorted(set(all_edges(params.f)) - set(prefix))
-    cache.hold(prefix)
     # each draw folds its tail's terms onto the prefix's, from the prefix's state
     head_terms, _, start = weighted_terms(cache, n, prefix)
+    cache.hold(start[0])
     head = 0.0
     for t in head_terms:
         head += t

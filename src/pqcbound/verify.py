@@ -16,7 +16,6 @@ from .entropy import EntropyCache
 from .graphs import (
     Graph,
     all_edges,
-    chromatic_index,
     complete_cycle_census,
     cycle_census,
     distance,
@@ -34,11 +33,14 @@ from .search import (
 )
 
 KNOWN_CLASS_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34}
+# random draws per sampled check, and the seed of each suite's generator
+ENTROPY_SAMPLES, ENTROPY_SEED = 25, 2024
+GRAPH_SAMPLES, GRAPH_SEED = 15, 99
 
 Check = tuple[str, bool, str]
 
 
-def entropy_suite(f: int, q: int, samples: int = 25, seed: int = 2024) -> list[Check]:
+def entropy_suite(f: int, q: int) -> list[Check]:
     cache = EntropyCache(f, q)
     checks: list[Check] = []
     checks.append(("empty-set entropy", cache.joint_entropy(0) == 0.0, "H() = 0"))
@@ -52,26 +54,27 @@ def entropy_suite(f: int, q: int, samples: int = 25, seed: int = 2024) -> list[C
     diff = abs(small.marginal_entropy() - marg)
     checks.append(("marginal f-independence", diff <= 1e-12, f"|H_f - H_2| = {diff:.2e}"))
 
-    rng = random.Random(seed)
+    rng = random.Random(ENTROPY_SEED)
     edges = all_edges(f)
     worst_chain = 0.0
-    for _ in range(samples):
+    for _ in range(ENTROPY_SAMPLES):
         k = rng.randint(1, min(8, len(edges)))
         prefix = rng.sample(edges, k)
         total = math.fsum(
             cache.conditional_entropy(prefix[i], prefix[:i]) for i in range(k)
         )
         worst_chain = max(worst_chain, abs(total - cache.joint_entropy(prefix)))
-    checks.append(("chain rule", worst_chain <= 1e-12, f"max defect {worst_chain:.2e} over {samples} prefixes"))
+    checks.append(("chain rule", worst_chain <= 1e-12,
+                   f"max defect {worst_chain:.2e} over {ENTROPY_SAMPLES} prefixes"))
 
     ok = True
-    for _ in range(samples):
+    for _ in range(ENTROPY_SAMPLES):
         k = rng.randint(1, len(edges))
         sup = rng.sample(edges, k)
         sub = rng.sample(sup, rng.randint(0, k))
         if cache.joint_entropy(sub) > cache.joint_entropy(sup) + 1e-12:
             ok = False
-    checks.append(("monotonicity", ok, f"{samples} subset pairs"))
+    checks.append(("monotonicity", ok, f"{ENTROPY_SAMPLES} subset pairs"))
 
     # one cache walks a chain through every edge (past the 63-bit re-rank at
     # q = 2, f >= 12), then branches off a held base and off a base pinned on
@@ -81,12 +84,12 @@ def entropy_suite(f: int, q: int, samples: int = 25, seed: int = 2024) -> list[C
     order = rng.sample(range(mu), mu)
     chain = list(accumulate(1 << i for i in order))
     got = {m: carried.joint_entropy(m) for m in chain}
-    got = {m: got[m] for m in chain[::-max(1, mu // samples)]}
+    got = {m: got[m] for m in chain[::-max(1, mu // ENTROPY_SAMPLES)]}
     base = chain[mu // 2] & ~(1 << order[0])
     for _ in range(2):
         carried.hold(base)
         last = base
-        for i in rng.sample(range(mu), min(mu, samples // 2)):
+        for i in rng.sample(range(mu), min(mu, ENTROPY_SAMPLES // 2)):
             if not base >> i & 1:
                 last = base | 1 << i
                 got[last] = carried.joint_entropy(last)
@@ -96,17 +99,17 @@ def entropy_suite(f: int, q: int, samples: int = 25, seed: int = 2024) -> list[C
     return checks
 
 
-def graph_suite(f: int, samples: int = 15, seed: int = 99) -> list[Check]:
+def graph_suite(f: int) -> list[Check]:
     checks: list[Check] = []
     if f <= 10:
         got = cycle_census(Graph.complete(f))
         want = complete_cycle_census(f)
         checks.append(("complete-graph cycle census", got == want, f"{got}"))
 
-    rng = random.Random(seed)
+    rng = random.Random(GRAPH_SEED)
     edges = all_edges(f)
     ok = True
-    for _ in range(samples):
+    for _ in range(GRAPH_SAMPLES):
         g = Graph(f, rng.sample(edges, rng.randint(0, len(edges) - 1)))
         candidates = sorted(set(edges) - g.edge_set)
         e = rng.choice(candidates)
@@ -115,15 +118,15 @@ def graph_suite(f: int, samples: int = 15, seed: int = 99) -> list[Check]:
         full = induced_cycle_vector(g, e, "full-graph")
         if tuple(b + t for b, t in zip(base, through)) != full:
             ok = False
-    checks.append(("through-edge vs full-graph", ok, f"{samples} random graph/candidate pairs"))
+    checks.append(("through-edge vs full-graph", ok, f"{GRAPH_SAMPLES} random graph/candidate pairs"))
 
     ok = True
-    for _ in range(samples):
+    for _ in range(GRAPH_SAMPLES):
         g = Graph(f, rng.sample(edges, rng.randint(0, len(edges))))
         u, v = rng.sample(range(1, f + 1), 2)
         if distance(g, u, v) != distance(g, v, u) or distance(g, u, u) != 0:
             ok = False
-    checks.append(("distance symmetry", ok, f"{samples} random pairs"))
+    checks.append(("distance symmetry", ok, f"{GRAPH_SAMPLES} random pairs"))
 
     if f == 6:
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
@@ -234,7 +237,7 @@ def paths_suite(f: int) -> list[Check]:
 
 
 SUITES = {
-    "entropy": lambda f, q: entropy_suite(f, q),
+    "entropy": entropy_suite,
     "graph": lambda f, q: graph_suite(f),
     "coloring": lambda f, q: coloring_suite(f),
     "remarks": lambda f, q: remarks_suite(f),

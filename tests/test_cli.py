@@ -178,6 +178,14 @@ class TestOrderCommand:
         assert "1,5;2,4;3,6;1,6" in out
         assert "bound:        0.5198943946817" in out
 
+    def test_text_format_raw_prints_hex(self, capsys):
+        _, out, _ = run_cli(capsys, "order", "--method", "ec", "--f", "5", "--raw")
+        want = json.loads(out)["bound_hex"]
+        code, out, _ = run_cli(capsys, "order", "--method", "ec", "--f", "5", "--format", "text",
+                               "--raw")
+        assert code == EXIT_OK
+        assert f"bound (hex):  {want}\n" in out
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "order", "--method", "ec", "--f", "5", "--format", "csv")
         assert code == EXIT_OK
@@ -335,6 +343,33 @@ class TestTableCommand:
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "table", "--f-range", "7", "--methods", "ec")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text,message", [
+        ("5-7", "--f-range must look like A..B, got '5-7'"),
+        ("a..b", "--f-range must look like A..B with integers, got 'a..b'"),
+        ("7..5", "--f-range is empty: '7..5'"),
+    ], ids=["no-dots", "not-integers", "empty"])
+    def test_range_refusals(self, capsys, text, message):
+        code, out, err = run_cli(capsys, "table", "--f-range", text, "--methods", "ec")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    # f = 17 is past the vertex range, and 3^14 assignments past the
+    # enumeration guard: both refused before the first row is computed
+    @pytest.mark.parametrize("argv,exit_code,message", [
+        (("--f-range", "9..17", "--methods", "ec,ldf"), EXIT_USAGE, "vertex count"),
+        (("--q", "3", "--f-range", "12..14"), EXIT_GUARD, "enumeration guard"),
+    ], ids=["f-17", "q3-f14"])
+    def test_guards_checked_before_any_row(self, capsys, monkeypatch, argv, exit_code, message):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed for a range that a guard refuses")
+
+        monkeypatch.setattr(cli, "run", no_rows)
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == exit_code
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

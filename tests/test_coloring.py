@@ -112,6 +112,11 @@ class TestValidation:
         bad = ColorPartition(f=4, sets=(((1, 2), (1, 3)), ((1, 4), (2, 3)), ((2, 4), (3, 4))))
         assert not validate_coloring(bad)
 
+    def test_overlapping_classes_rejected(self):
+        # three perfect matchings of K_4, but the first two are one class twice
+        twice = ColorPartition(f=4, sets=(((1, 2), (3, 4)), ((1, 2), (3, 4)), ((1, 3), (2, 4))))
+        assert not validate_coloring(twice)
+
     def test_wrong_color_count_rejected(self):
         part = color_sets(6)
         assert not validate_coloring(ColorPartition(f=6, sets=part.sets[:4]))

@@ -168,6 +168,13 @@ class TestJointEntropy:
             mask |= 1 << edge_index(e, 5)
         assert cache.joint_entropy(edges) == cache.joint_entropy(mask)
 
+    def test_rejects_mask_bits_at_or_above_mu(self, shared_cache):
+        cache = shared_cache(4)  # mu = 6
+        assert cache.joint_entropy((1 << 6) - 1) == cache.full_entropy
+        for mask in (1 << 6, 1 | 1 << 9, -1):
+            with pytest.raises(ValueError, match="out of range for f=4"):
+                cache.joint_entropy(mask)
+
     def test_oracle_equivalence_small(self):
         rng = random.Random(11)
         for f, q in [(3, 2), (4, 2), (3, 3), (4, 3)]:
@@ -468,5 +475,6 @@ class TestMarginalEntropy:
             for e in all_edges(5):
                 assert cache.joint_entropy([e]) == pytest.approx(marg, abs=1e-12)
 
-    def test_accepts_spec_instance(self):
-        assert EntropyCache(3, FieldSpec(3)).q == 3
+    def test_field_size_is_an_int(self):
+        with pytest.raises(InvalidFieldSize):
+            EntropyCache(3, FieldSpec(3))

@@ -352,10 +352,25 @@ class TestEEc:
         with pytest.raises(InfeasibleBudget, match="permutation cap"):
             e_ec_search(params(12), fixed_colors=1)
 
+    # chi' = 9 at f = 10 leaves 8! orders; chi' = 11 at f = 11 and 12 needs a
+    # second fixed class to leave 9!
+    @pytest.mark.parametrize("f,fixed", [(10, 1), (11, 2), (12, 2)])
+    def test_feasible_fixed_colors(self, f, fixed):
+        assert search.feasible_fixed_colors(f) == fixed
+
     def test_all_colors_fixed(self, shared_cache):
         result = e_ec_search(params(5), fixed_colors=5, cache=shared_cache(5))
         assert result.evaluations == 1
         assert result.best.order == ec_order(5)
+
+    # with no free class (or, for exhaustive search, no edge after (1, 2))
+    # the one task starts at the whole order and scores it
+    def test_no_blocks_scores_the_head_once(self, shared_cache):
+        head = e_ec_search(params(6), fixed_colors=5, cache=shared_cache(6))
+        assert (head.best.order, head.evaluations, head.scored) == (ec_order(6), 1, 1)
+        edge = exhaustive_search(params(2), cache=shared_cache(2), collect_argmin=True)
+        assert (edge.evaluations, edge.scored, edge.argmin_orders) == (1, 1, (((1, 2),),))
+        assert edge.best.bound == 1.0
 
     def test_worker_count_does_not_change_result(self, shared_cache):
         one = e_ec_search(params(6), cache=shared_cache(6), workers=1)
@@ -396,7 +411,6 @@ class TestLdf:
 
     def test_starts_with_default_edge(self):
         assert ldf_order(6)[0] == (1, 2)
-        assert ldf_order(6, start=(2, 5))[0] == (2, 5)
 
     def test_matching_built_first(self):
         order = ldf_order(8)
@@ -411,15 +425,6 @@ class TestLdf:
     def test_too_small_f(self):
         with pytest.raises(ValidationError):
             ldf_order(2)
-
-    def test_random_start_reproducible(self, shared_cache):
-        a = ldf_order(6, start=None, seed=42)
-        b = ldf_order(6, start=None, seed=42)
-        assert a == b
-        assert sorted(a) == all_edges(6)
-        # any start is relabeling-equivalent: same bound
-        report = capacity_outer_bound(a, params(6), shared_cache(6))
-        assert report.bound == pytest.approx(self.LDF_REFERENCE[6], abs=1e-11)
 
 
 class TestOrderInnerEdges:
