@@ -6,7 +6,7 @@ databases, and searches for monomial orderings that minimize it.
 """
 from .bound import BoundParams, BoundReport, capacity_outer_bound, partial_bound
 from .coloring import ColorPartition, color_sets, color_sets_even, color_sets_odd, ec_order, validate_coloring
-from .entropy import EntropyCache, FieldSpec, JointDistribution, field_mul, joint_distribution
+from .entropy import EntropyCache
 from .graphs import (
     Graph,
     all_edges,
@@ -45,9 +45,7 @@ __all__ = [
     "BoundReport",
     "ColorPartition",
     "EntropyCache",
-    "FieldSpec",
     "Graph",
-    "JointDistribution",
     "SearchConfig",
     "SearchResult",
     "all_edges",
@@ -69,12 +67,10 @@ __all__ = [
     "edge_from_index",
     "edge_index",
     "exhaustive_search",
-    "field_mul",
     "induced_cycle_vector",
     "is_matching",
     "is_near_perfect_matching",
     "is_perfect_matching",
-    "joint_distribution",
     "ldf_order",
     "matching_size",
     "order_inner_edges",

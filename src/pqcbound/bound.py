@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .entropy import EntropyCache, FieldSpec
+from .entropy import EntropyCache, check_field_size
 from .errors import DuplicateEdge, NotAPermutation, ValidationError
 from .graphs import check_edge, check_vertex_count, edge_bits, edge_count
 
@@ -49,7 +49,7 @@ class BoundParams:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"n must be a positive integer, got {self.n!r}")
         check_vertex_count(self.f)
-        FieldSpec(self.q)  # primality guard
+        check_field_size(self.q)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidPermutation, ParityError
+from .errors import ParityError
 from .graphs import (
     Edge,
     all_edges,
@@ -107,23 +107,9 @@ def validate_coloring(partition: ColorPartition) -> bool:
     return seen == set(all_edges(f))
 
 
-def ec_order(f: int, color_permutation=None) -> tuple[Edge, ...]:
-    """Monomial order from the edge-coloring: color classes concatenated.
-
-    color_permutation lists 1-based color numbers in the order their classes
-    should appear; None means the natural order 1..chi'.  Edges inside each
-    class stay lexicographic.
-    """
-    part = color_sets(f)
-    chi = len(part.sets)
-    if color_permutation is None:
-        order = range(chi)
-    else:
-        order = [c - 1 for c in color_permutation]
-        if sorted(order) != list(range(chi)):
-            raise InvalidPermutation(
-                f"color permutation must arrange 1..{chi} exactly once, got {color_permutation!r}"
-            )
-    result = part.concatenated(order)
+def ec_order(f: int) -> tuple[Edge, ...]:
+    """Monomial order from the edge-coloring: color classes concatenated in
+    their natural order, edges inside each class lexicographic."""
+    result = color_sets(f).concatenated()
     assert len(result) == edge_count(f)
     return result

@@ -38,8 +38,6 @@ entropy unchanged to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -72,51 +70,9 @@ def is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """A prime field F_q."""
-
-    q: int
-
-    def __post_init__(self):
-        if not isinstance(self.q, int) or not is_prime(self.q):
-            raise InvalidFieldSize(f"field size must be prime, got {self.q!r}")
-
-
-def field_mul(a: int, b: int, spec: FieldSpec) -> int:
-    """Product in F_q; inputs must already be reduced."""
-    if not (0 <= a < spec.q and 0 <= b < spec.q):
-        raise ValueError(f"field elements must lie in [0, {spec.q}), got {a}, {b}")
-    return (a * b) % spec.q
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Exact joint law of a monomial tuple: outcome vectors with rational mass."""
-
-    support: tuple
-
-    def as_dict(self) -> dict:
-        return dict(self.support)
-
-
-def joint_distribution(edges, f: int, q: int) -> JointDistribution:
-    """Joint distribution of the monomials named by edges, for f symbols.
-
-    Enumerates all q^f assignments; counts sum exactly to q^f.  Outcome
-    vectors are listed in lexicographic order.  Only the named monomial
-    columns are built.
-    """
-    cache = EntropyCache(f, q)
-    indices = [edge_index(e, f) for e in edges]
-    code, _ = cache._classes(indices)
-    _, first, counts = np.unique(code, return_index=True, return_counts=True)
-    rows = np.array([cache._row(i)[first] for i in indices]).reshape(len(indices), len(first))
-    support = tuple(
-        (tuple(row), Fraction(c, cache.total)) for row, c in zip(rows.T.tolist(), counts.tolist())
-    )
-    assert sum(c for _, c in support) == 1
-    return JointDistribution(support=support)
+def check_field_size(q: int) -> None:
+    if not isinstance(q, int) or not is_prime(q):
+        raise InvalidFieldSize(f"field size must be prime, got {q!r}")
 
 
 def _xlogx_sum(counts: np.ndarray) -> float:
@@ -157,7 +113,7 @@ class EntropyCache:
 
     def __init__(self, f: int, q: int):
         check_vertex_count(f)
-        FieldSpec(q)  # primality guard
+        check_field_size(q)
         self.f = f
         self.q = q
         self.total = self.q ** f

@@ -46,10 +46,6 @@ class ParityError(ValidationError):
     pass
 
 
-class InvalidPermutation(ValidationError):
-    pass
-
-
 class NotAPermutation(ValidationError):
     pass
 

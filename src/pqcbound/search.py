@@ -435,7 +435,6 @@ def exhaustive_search(
     cache: EntropyCache | None = None,
     workers: int = 1,
     collect_argmin: bool = False,
-    tie_tol: float = ARGMIN_TIE_TOLERANCE,
 ) -> SearchResult:
     """Minimum bound over every monomial order.
 
@@ -443,13 +442,13 @@ def exhaustive_search(
     can be vertex-relabeled so that its first edge is (1, 2) without changing
     the bound.  The rest is _block_search with one block per remaining edge,
     so the permutation cap admits f <= 5 ((mu - 1)! = 9! orders).  With
-    collect_argmin, all enumerated orders within tie_tol of the minimum are
-    returned.
+    collect_argmin, all enumerated orders within ARGMIN_TIE_TOLERANCE of the
+    minimum are returned.
     """
     first, *rest = all_edges(params.f)
     _permutation_guard(len(rest), SearchSpaceTooLarge, "exhaustive search supports f <= 5")
     return _block_search(params, cache, (first,), [(e,) for e in rest], workers,
-                         tie_tol if collect_argmin else None)
+                         ARGMIN_TIE_TOLERANCE if collect_argmin else None)
 
 
 # ---------------------------------------------------------------------------

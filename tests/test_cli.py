@@ -415,6 +415,21 @@ class TestTableCommand:
         assert err.startswith("error: cannot write --out:")
         assert tmp_path.is_dir()
 
+    def test_out_write_failure_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "table.csv"
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        # the checks before the rows pass; the write after them fails
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        code, out, err = run_cli(capsys, "table", "--f-range", "5..5", "--methods", "ec",
+                                 "--out", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write --out:") and "Permission denied" in err
+        assert not path.exists()
+
     def test_guarded_row_leaves_out_untouched(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("kept\n", encoding="utf-8")

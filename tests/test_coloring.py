@@ -15,7 +15,7 @@ from pqcbound import (
     validate_coloring,
 )
 from pqcbound.coloring import ColorPartition, mod_star, odd_color_set
-from pqcbound.errors import InvalidPermutation, ParityError
+from pqcbound.errors import ParityError
 
 S_EC_6 = (
     (1, 5), (2, 4), (3, 6), (1, 6), (2, 5), (3, 4), (1, 2), (3, 5),
@@ -127,7 +127,7 @@ class TestEcOrder:
         assert ec_order(6) == S_EC_6
 
     def test_color_permutation_f6(self):
-        assert ec_order(6, (1, 2, 5, 3, 4)) == S_EEC_6
+        assert color_sets(6).concatenated((0, 1, 4, 2, 3)) == S_EEC_6
 
     def test_f3_is_permutation(self):
         assert sorted(ec_order(3)) == all_edges(3)
@@ -147,9 +147,3 @@ class TestEcOrder:
             assert is_perfect_matching(lead, f)
         else:
             assert is_near_perfect_matching(lead, f)
-
-    def test_invalid_permutation(self):
-        with pytest.raises(InvalidPermutation):
-            ec_order(6, (1, 2, 3))
-        with pytest.raises(InvalidPermutation):
-            ec_order(6, (1, 1, 2, 3, 4))

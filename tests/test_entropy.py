@@ -10,14 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqcbound import (
-    EntropyCache,
-    FieldSpec,
-    all_edges,
-    field_mul,
-    joint_distribution,
-)
-from pqcbound.entropy import BINCOUNT_SPAN, _xlogx_sum
+from pqcbound import EntropyCache, all_edges, edge_index
+from pqcbound.entropy import BINCOUNT_SPAN, _xlogx_sum, check_field_size
 from pqcbound.errors import (
     EdgeAlreadyConditioned,
     EnumerationTooLarge,
@@ -47,14 +41,22 @@ def outcome_space_entropy(edges, f, q):
 def counter_oracle(edges, f, q):
     """Independent oracle: a pure-Python tally of outcome vectors over every
     assignment.  Returns the entropy, by the formula EntropyCache uses, and
-    the support in lexicographic order."""
+    the assignments per outcome vector in lexicographic order."""
     total = q ** f
     tally = Counter(
         tuple(w[k - 1] * w[l - 1] % q for k, l in edges) for w in product(range(q), repeat=f)
     )
     s = math.fsum(c * math.log(c) for c in tally.values() if c > 1)
-    support = tuple((row, Fraction(c, total)) for row, c in sorted(tally.items()))
-    return f - s / (total * math.log(q)), support
+    return f - s / (total * math.log(q)), [c for _, c in sorted(tally.items())]
+
+
+def class_counts(edges, f, q):
+    """Assignments per outcome class of EntropyCache._classes, in the order of
+    the class codes, which from no code is the lexicographic order of the
+    outcome vectors."""
+    cache = EntropyCache(f, q)
+    code, _ = cache._classes([edge_index(e, f) for e in edges])
+    return np.unique(code, return_counts=True)[1].tolist()
 
 
 def per_class_sum(counts):
@@ -64,51 +66,33 @@ def per_class_sum(counts):
 
 
 class TestFieldSpec:
+    """check_field_size: a field size must be a prime int."""
+
     def test_prime_accepted(self):
         for q in (2, 3, 5, 7, 11, 13):
-            assert FieldSpec(q).q == q
+            check_field_size(q)
+            assert EntropyCache(2, q).q == q
 
     @pytest.mark.parametrize("q", [0, 1, 4, 6, 8, 9, 15])
     def test_composite_rejected(self, q):
-        with pytest.raises(InvalidFieldSize):
-            FieldSpec(q)
-
-    def test_field_mul(self):
-        assert field_mul(1, 1, FieldSpec(2)) == 1
-        for q in (2, 3, 5):
-            spec = FieldSpec(q)
-            for x in range(q):
-                assert field_mul(0, x, spec) == 0
-        assert field_mul(2, 2, FieldSpec(3)) == 1
-        # full table against integer arithmetic
-        for q in (2, 3, 5):
-            spec = FieldSpec(q)
-            for a in range(q):
-                for b in range(q):
-                    assert field_mul(a, b, spec) == (a * b) % q
-
-    def test_field_mul_rejects_unreduced(self):
-        with pytest.raises(ValueError):
-            field_mul(3, 1, FieldSpec(3))
+        with pytest.raises(InvalidFieldSize, match=f"field size must be prime, got {q}"):
+            check_field_size(q)
 
 
 class TestJointDistribution:
+    """The joint law of the named monomials up to the labels of its outcomes:
+    the assignments in each outcome class that EntropyCache builds."""
+
     def test_single_monomial_f2_q2(self):
-        d = joint_distribution([(1, 2)], 2, 2).as_dict()
-        assert d == {(0,): Fraction(3, 4), (1,): Fraction(1, 4)}
+        # outcomes 0 and 1 with mass 3/4 and 1/4
+        assert class_counts([(1, 2)], 2, 2) == [3, 1]
 
     def test_empty_product(self):
-        d = joint_distribution([], 4, 2).as_dict()
-        assert d == {(): Fraction(1)}
+        assert class_counts([], 4, 2) == [16]
 
     def test_two_monomials_f3_q2(self):
-        d = joint_distribution([(1, 2), (1, 3)], 3, 2).as_dict()
-        assert d == {
-            (0, 0): Fraction(5, 8),
-            (0, 1): Fraction(1, 8),
-            (1, 0): Fraction(1, 8),
-            (1, 1): Fraction(1, 8),
-        }
+        # outcomes (0, 0), (0, 1), (1, 0), (1, 1) with mass 5/8, 1/8, 1/8, 1/8
+        assert class_counts([(1, 2), (1, 3)], 3, 2) == [5, 1, 1, 1]
 
     def test_probabilities_sum_to_one_exactly(self):
         rng = random.Random(5)
@@ -116,30 +100,31 @@ class TestJointDistribution:
             f = rng.randint(2, 5)
             q = rng.choice([2, 3])
             edges = rng.sample(all_edges(f), rng.randint(0, f))
-            d = joint_distribution(edges, f, q)
-            assert sum(p for _, p in d.support) == 1
+            counts = class_counts(edges, f, q)
+            assert sum(counts) == q ** f
+            assert counts == counter_oracle(edges, f, q)[1]
 
     def test_invalid_edge(self):
+        cache = EntropyCache(4, 2)
         with pytest.raises(InvalidEdge):
-            joint_distribution([(2, 1)], 4, 2)
+            cache.joint_entropy([(2, 1)])
         with pytest.raises(InvalidEdge):
-            joint_distribution([(1, 7)], 4, 2)
-
-    def test_enumeration_guard(self):
-        with pytest.raises(EnumerationTooLarge):
-            joint_distribution([(1, 2)], 16, 5)
+            cache.joint_entropy([(1, 7)])
 
     def test_builds_only_the_named_monomials(self):
         # the whole 78-monomial table at (13, 3) is 124 MB
         tracemalloc.start()
         try:
-            d = joint_distribution([(1, 2), (1, 3)], 13, 3)
+            cache = EntropyCache(13, 3)
+            h = cache.joint_entropy(0b11)  # (1, 2) and (1, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20
-        assert sum(p for _, p in d.support) == 1
-        assert len(d.support) == 9
+        assert sum(row is not None for row in cache._rows) == 2
+        assert np.count_nonzero(np.bincount(cache._last[1])) == 9
+        # the other eleven symbols leave the law of (1, 2) and (1, 3) unchanged
+        assert h == pytest.approx(EntropyCache(3, 3).joint_entropy(0b11), abs=1e-12)
 
 
 class TestJointEntropy:
@@ -162,8 +147,6 @@ class TestJointEntropy:
         cache = shared_cache(5)
         edges = [(1, 2), (3, 4), (2, 5)]
         mask = 0
-        from pqcbound import edge_index
-
         for e in edges:
             mask |= 1 << edge_index(e, 5)
         assert cache.joint_entropy(edges) == cache.joint_entropy(mask)
@@ -231,9 +214,7 @@ class TestJointEntropy:
     @pytest.mark.parametrize("f,q", [(12, 2), (10, 3), (2, 257)])
     def test_counter_oracle_all_edges(self, f, q):
         edges = all_edges(f)
-        want_h, want_support = counter_oracle(edges, f, q)
-        assert EntropyCache(f, q).joint_entropy(edges) == want_h
-        assert joint_distribution(edges, f, q).support == want_support
+        assert EntropyCache(f, q).joint_entropy(edges) == counter_oracle(edges, f, q)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -243,9 +224,7 @@ class TestJointEntropy:
         mu = f * (f - 1) // 2
         mask = data.draw(st.integers(1, (1 << mu) - 1), label="mask")
         edges = [e for i, e in enumerate(all_edges(f)) if mask >> i & 1]
-        want_h, want_support = counter_oracle(edges, f, q)
-        assert EntropyCache(f, q).joint_entropy(mask) == want_h
-        assert joint_distribution(edges, f, q).support == want_support
+        assert EntropyCache(f, q).joint_entropy(mask) == counter_oracle(edges, f, q)[0]
 
 
 def _edges_of(mask, f):
@@ -476,5 +455,8 @@ class TestMarginalEntropy:
                 assert cache.joint_entropy([e]) == pytest.approx(marg, abs=1e-12)
 
     def test_field_size_is_an_int(self):
+        for q in (3.0, "3", None):
+            with pytest.raises(InvalidFieldSize):
+                check_field_size(q)
         with pytest.raises(InvalidFieldSize):
-            EntropyCache(3, FieldSpec(3))
+            EntropyCache(3, 3.0)

@@ -636,10 +636,12 @@ class TestExhaustiveOracle:
 
     def test_wide_tie_tolerance(self, shared_cache):
         # the f <= 5 optima tie exactly, so only a wide tolerance tells the
-        # running near-tie filter from an exact one
+        # running near-tie filter from an exact one; exhaustive_search fixes
+        # the tolerance, so this calls its kernel
         p = params(4)
         cache = shared_cache(4)
-        got = exhaustive_search(p, cache=cache, collect_argmin=True, tie_tol=0.01)
+        first, *rest = all_edges(4)
+        got = search._block_search(p, cache, (first,), [(e,) for e in rest], 1, tie_tol=0.01)
         want = _exhaustive_oracle(p, cache, collect_argmin=True, tie_tol=0.01)
         exact = exhaustive_search(p, cache=cache, collect_argmin=True)
         assert got.argmin_orders == want.argmin_orders
