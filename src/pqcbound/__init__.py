@@ -26,7 +26,6 @@ from .graphs import (
     simple_path_counts,
 )
 from .search import (
-    SearchConfig,
     SearchResult,
     count_distinct_paths,
     count_graph_classes,
@@ -46,7 +45,6 @@ __all__ = [
     "ColorPartition",
     "EntropyCache",
     "Graph",
-    "SearchConfig",
     "SearchResult",
     "all_edges",
     "capacity_outer_bound",

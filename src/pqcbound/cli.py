@@ -11,7 +11,7 @@ gate that fills defaults and refuses options a method does not read; table
 gives each column only the values it reads.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard
-violation (search space too large, composite q, infeasible budget).
+violation (search space too large, composite q).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import time
 from .bound import BoundParams
 from .entropy import EntropyCache
 from .errors import GuardViolation, PqcboundError, ValidationError
-from .search import (METHOD_OPTIONS, OPTION_NAMES, TIE_POLICIES, SearchConfig, SearchResult,
+from .search import (METHOD_OPTIONS, OPTION_NAMES, TIE_POLICIES, SearchResult,
                      feasible_fixed_colors, option_readers, reads_option, run)
 from .verify import DEFAULT_F, SUITES
 
@@ -37,27 +37,13 @@ EXIT_GUARD = 3
 ORDER_METHODS = ("ec", "e-ec", "ldf", "ebg")
 SEARCH_METHODS = ("exhaustive", "random")
 RANDOM_DEFAULTS = METHOD_OPTIONS["random"]
-THREADS_HELP = ("worker processes, at least 1 (default: PQC_THREADS, else the CPUs this process "
-                "may run on)")
+THREADS_HELP = "worker processes for e-ec and exhaustive search, at least 1 (default 1)"
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get("PQC_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValidationError(f"PQC_THREADS must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ValidationError(f"PQC_THREADS must be at least 1, got {threads}")
-        return threads
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
 
 
 def order_wire(order) -> str:
@@ -107,17 +93,13 @@ def _emit(rec: dict, result: SearchResult, fmt: str, out) -> None:
 
 def cmd_run(args) -> int:
     """order and search: run one method and print its record."""
-    config = SearchConfig(
-        method=args.method,
-        params=BoundParams(n=args.n, f=args.f, q=args.q),
-        seed=args.seed,
-        budget=args.budget,
-        fixed_colors=args.fixed_colors,
-        tie_policy=args.tie,
-        workers=_threads(args),
-    )
+    if args.raw and args.format == "csv":
+        raise ValidationError("--raw applies to the json and text formats only")
+    params = BoundParams(n=args.n, f=args.f, q=args.q)
+    workers = _threads(args)
     t0 = time.perf_counter()
-    result = run(config)
+    result = run(args.method, params, workers=workers, seed=args.seed, budget=args.budget,
+                 fixed_colors=args.fixed_colors, tie_policy=args.tie)
     wall_ms = int((time.perf_counter() - t0) * 1000)
     _emit(_record(args, result, wall_ms), result, args.format, sys.stdout)
     return EXIT_OK
@@ -169,8 +151,7 @@ def cmd_table(args) -> int:
             options = {name: v for name, v in given.items() if reads_option(m, name)}
             if m == "e-ec" and options["fixed_colors"] is None:
                 options["fixed_colors"] = feasible_fixed_colors(f)
-            config = SearchConfig(method=m, params=params, workers=workers, **options)
-            result = run(config, cache=cache)
+            result = run(m, params, cache=cache, workers=workers, **options)
             row.append(f"{result.best.bound:.13f}")
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
@@ -186,9 +167,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
+    q = {} if args.q is None else {"q": args.q}
+    if q and args.suite != "entropy":
+        raise ValidationError("--q applies to the entropy suite only")
     f = args.f if args.f is not None else DEFAULT_F[args.suite]
-    checks = suite(f, args.q)
+    checks = SUITES[args.suite](f, **q)
     failed = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -206,7 +189,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=2, help="number of databases (default 2)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--raw", action="store_true", help="include the bound as a hex float")
-    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
 
 
 def _add_random_search(p: argparse.ArgumentParser) -> None:
@@ -253,13 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_random_search(p)
     p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
                    help="leading color classes held fixed (e-ec and random)")
-    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a self-check suite")
     p.add_argument("--suite", choices=tuple(SUITES), required=True)
     p.add_argument("--f", type=int, default=None)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=int, default=None,
+                   help="prime field size, entropy suite only (default 2)")
     p.set_defaults(func=cmd_verify)
 
     return parser

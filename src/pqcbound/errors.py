@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 ValidationError covers malformed inputs (bad edges, non-permutations, parity
-mismatches).  GuardViolation covers feasibility guards (enumeration or search
-space too large, composite field size); the CLI maps these to exit code 3.
+mismatches).  GuardViolation covers feasibility guards (an enumeration past
+its q^f guard, a search past the permutation cap or the path-count limit, a
+composite field size); the CLI maps these to exit code 3.
 """
 
 
@@ -63,8 +64,4 @@ class EnumerationTooLarge(GuardViolation):
 
 
 class SearchSpaceTooLarge(GuardViolation):
-    pass
-
-
-class InfeasibleBudget(GuardViolation):
     pass

@@ -56,12 +56,7 @@ from .bound import (
 )
 from .coloring import color_sets, ec_order
 from .entropy import EntropyCache
-from .errors import (
-    GraphComplete,
-    InfeasibleBudget,
-    SearchSpaceTooLarge,
-    ValidationError,
-)
+from .errors import GraphComplete, SearchSpaceTooLarge, ValidationError
 from .graphs import (
     Edge,
     Graph,
@@ -74,13 +69,13 @@ from .graphs import (
     periphery,
 )
 
-EBG_TIE_TOLERANCE = 1e-12
-ARGMIN_TIE_TOLERANCE = 1e-12
+# how close to the best bound an ebg candidate or an exhaustive argmin ties it
+TIE_TOLERANCE = 1e-12
 PATH_COUNT_LIMIT = 5
 PERMUTATION_CAP = 1_000_000
-# how ebg breaks ties within EBG_TIE_TOLERANCE; every other method breaks them lex
+# how ebg breaks ties within TIE_TOLERANCE; every other method breaks them lex
 TIE_POLICIES = ("lex", "random")
-# The SearchConfig options each method reads besides its params, with the
+# The options of run that each method reads besides its params, with the
 # value each takes when not given (None).  Messages name an option's readers
 # in this order.
 METHOD_OPTIONS = {
@@ -91,7 +86,7 @@ METHOD_OPTIONS = {
     "exhaustive": {},
     "random": {"seed": 0, "budget": 1000, "fixed_colors": 2},
 }
-# how refusals name each option, and the command-line flag that sets it
+# the options run takes: how refusals name each, and the command-line flag that sets it
 OPTION_NAMES = {"seed": ("seed", "--seed"), "budget": ("budget", "--budget"),
                 "fixed_colors": ("fixed_colors", "--fixed-colors"),
                 "tie_policy": ("tie policy", "--tie")}
@@ -128,20 +123,6 @@ def feasible_fixed_colors(f: int) -> int:
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """One search invocation as driven by the CLI.  An option left None is not
-    given: run gives it the method's METHOD_OPTIONS value."""
-
-    method: str
-    params: BoundParams
-    seed: int | None = None
-    budget: int | None = None
-    fixed_colors: int | None = None
-    tie_policy: str | None = None
-    workers: int = 1
-
-
-@dataclass(frozen=True)
 class SearchResult:
     best: BoundReport
     evaluations: int
@@ -155,11 +136,11 @@ class SearchResult:
 # Brute force: every order of the blocks after a fixed head
 # ---------------------------------------------------------------------------
 
-def _permutation_guard(k: int, error: type, advice: str) -> None:
+def _permutation_guard(k: int, advice: str) -> None:
     """Refuse a brute-force search over more than PERMUTATION_CAP block orders."""
     count = math.factorial(k)
     if count > PERMUTATION_CAP:
-        raise error(
+        raise SearchSpaceTooLarge(
             f"{k}! = {count} block orders exceed the permutation cap {PERMUTATION_CAP}; {advice}"
         )
 
@@ -306,7 +287,7 @@ def e_ec_search(
                 f"leading_colors must be distinct class numbers in [1, {chi}], got {leading_colors!r}"
             )
     blocks = [tuple(part.sets[c]) for c in range(chi) if c not in leading]
-    _permutation_guard(len(blocks), InfeasibleBudget, "fix more leading classes")
+    _permutation_guard(len(blocks), "fix more leading classes")
     return _block_search(params, cache, part.concatenated(leading), blocks, workers)
 
 
@@ -414,7 +395,7 @@ def ebg_order(
             scored[e] = (hmin / math.fsum(terms + t), t, end)
             evaluations += 1
         best = min(pb for pb, _, _ in scored.values())
-        tied = [e for e, (pb, _, _) in scored.items() if pb <= best + EBG_TIE_TOLERANCE]
+        tied = [e for e, (pb, _, _) in scored.items() if pb <= best + TIE_TOLERANCE]
         pick = min(tied) if tie_policy == "lex" else rng.choice(tied)
         order.append(pick)
         remaining.remove(pick)
@@ -442,13 +423,13 @@ def exhaustive_search(
     can be vertex-relabeled so that its first edge is (1, 2) without changing
     the bound.  The rest is _block_search with one block per remaining edge,
     so the permutation cap admits f <= 5 ((mu - 1)! = 9! orders).  With
-    collect_argmin, all enumerated orders within ARGMIN_TIE_TOLERANCE of the
-    minimum are returned.
+    collect_argmin, all enumerated orders within TIE_TOLERANCE of the minimum
+    are returned.
     """
     first, *rest = all_edges(params.f)
-    _permutation_guard(len(rest), SearchSpaceTooLarge, "exhaustive search supports f <= 5")
+    _permutation_guard(len(rest), "exhaustive search supports f <= 5")
     return _block_search(params, cache, (first,), [(e,) for e in rest], workers,
-                         ARGMIN_TIE_TOLERANCE if collect_argmin else None)
+                         TIE_TOLERANCE if collect_argmin else None)
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +562,23 @@ def count_graph_classes(f: int) -> int:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult:
-    """Run one method from a SearchConfig (the CLI entry point).  A given
-    option that the method does not read is refused; one that it reads and
-    is not given takes its METHOD_OPTIONS value."""
-    params = config.params
-    method = config.method
+def run(method: str, params: BoundParams, cache: EntropyCache | None = None, workers: int = 1,
+        **options) -> SearchResult:
+    """Run one method (the CLI entry point).  options are the keywords of
+    OPTION_NAMES; one that is None is not given.  A given option that the
+    method does not read is refused; one that it reads and is not given takes
+    its METHOD_OPTIONS value."""
+    unknown = sorted(set(options) - set(OPTION_NAMES))
+    if unknown:
+        raise TypeError(f"run() got unknown options {', '.join(unknown)}")
     if method not in METHOD_OPTIONS:
         raise ValidationError(f"unknown method {method!r}")
-    tie = config.tie_policy
+    tie = options.get("tie_policy")
     if tie is not None:
         _check_tie_policy(tie)
     opts = {}
     for option, (name, flag) in OPTION_NAMES.items():
-        value = getattr(config, option)
+        value = options.get(option)
         if value is None:
             value = METHOD_OPTIONS[method].get(option)
         elif not reads_option(method, option, tie):
@@ -607,11 +591,11 @@ def run(config: SearchConfig, cache: EntropyCache | None = None) -> SearchResult
         order = ec_order(params.f) if method == "ec" else ldf_order(params.f)
         return SearchResult(best=capacity_outer_bound(order, params, cache), evaluations=1)
     if method == "e-ec":
-        return e_ec_search(params, fixed_colors=opts["fixed_colors"], cache=cache, workers=config.workers)
+        return e_ec_search(params, fixed_colors=opts["fixed_colors"], cache=cache, workers=workers)
     if method == "ebg":
         return ebg_order(params, tie_policy=opts["tie_policy"], seed=opts["seed"], cache=cache)
     if method == "exhaustive":
-        return exhaustive_search(params, cache=cache, workers=config.workers)
+        return exhaustive_search(params, cache=cache, workers=workers)
     # random, the one method left
     return directed_random_search(params, seed=opts["seed"], budget=opts["budget"],
                                   fixed_colors=opts["fixed_colors"], cache=cache)

@@ -40,7 +40,7 @@ GRAPH_SAMPLES, GRAPH_SEED = 15, 99
 Check = tuple[str, bool, str]
 
 
-def entropy_suite(f: int, q: int) -> list[Check]:
+def entropy_suite(f: int, q: int = 2) -> list[Check]:
     cache = EntropyCache(f, q)
     checks: list[Check] = []
     checks.append(("empty-set entropy", cache.joint_entropy(0) == 0.0, "H() = 0"))
@@ -236,12 +236,13 @@ def paths_suite(f: int) -> list[Check]:
     return checks
 
 
+# each suite takes f; the entropy suite alone also takes q
 SUITES = {
     "entropy": entropy_suite,
-    "graph": lambda f, q: graph_suite(f),
-    "coloring": lambda f, q: coloring_suite(f),
-    "remarks": lambda f, q: remarks_suite(f),
-    "paths": lambda f, q: paths_suite(f),
+    "graph": graph_suite,
+    "coloring": coloring_suite,
+    "remarks": remarks_suite,
+    "paths": paths_suite,
 }
 
 DEFAULT_F = {"entropy": 6, "graph": 6, "coloring": 6, "remarks": 4, "paths": 5}

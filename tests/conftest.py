@@ -28,3 +28,28 @@ def shared_cache():
         return _CACHES[key]
 
     return get
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace search's process pool with one that maps inline, so no process
+    starts; returns the list of pool sizes requested."""
+    from pqcbound import search
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    return sizes

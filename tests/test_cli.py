@@ -1,12 +1,11 @@
 import json
-import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from pqcbound import EntropyCache, cli
+from pqcbound import EntropyCache, cli, search
 from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _threads, build_parser, main
 
 
@@ -53,6 +52,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strip_time(out: str) -> str:
+    return re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', out)
 
 
 class TestOrderCommand:
@@ -141,28 +144,45 @@ class TestOrderCommand:
         assert code == EXIT_OK
         assert out == "f,ec,e-ec\n5,0.5382035621102,0.5382035621102\n6,0.5198943946817,0.5198121367672\n"
 
-    def test_threads_default_is_affinity(self, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ("order", "--method", "ec", "--f", "5"),
+        ("search", "--method", "exhaustive", "--f", "4"),
+        ("table", "--f-range", "5..5"),
+    ], ids=["order", "search", "table"])
+    def test_threads_default_is_one(self, argv):
+        assert _threads(build_parser().parse_args(argv)) == 1
+
+    def test_pqc_threads_is_not_read(self, capsys, monkeypatch):
+        argv = ("order", "--method", "e-ec", "--f", "5")
         monkeypatch.delenv("PQC_THREADS", raising=False)
-        args = build_parser().parse_args(["order", "--method", "ec", "--f", "5"])
-        if hasattr(os, "sched_getaffinity"):
-            assert _threads(args) == len(os.sched_getaffinity(0))
-        else:
-            assert _threads(args) == (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("env", ["0", "-2", "two"])
-    def test_bad_pqc_threads_rejected(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("PQC_THREADS", env)
-        code, out, err = run_cli(capsys, "order", "--method", "e-ec", "--f", "5")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "PQC_THREADS" in err
-
-    def test_pqc_threads_used_unless_flag_given(self, monkeypatch):
-        monkeypatch.setenv("PQC_THREADS", "3")
-        assert _threads(build_parser().parse_args(["order", "--method", "ec", "--f", "5"])) == 3
+        want_code, want_out, _ = run_cli(capsys, *argv)
         monkeypatch.setenv("PQC_THREADS", "two")
-        args = build_parser().parse_args(["order", "--method", "ec", "--f", "5", "--threads", "2"])
-        assert _threads(args) == 2
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want_code == EXIT_OK
+        assert strip_time(out) == strip_time(want_out)
+        assert err == ""
+
+    def test_default_run_starts_no_pool(self, capsys, monkeypatch, inline_pool):
+        runs = [("search", "--method", "exhaustive", "--f", "4"),
+                ("table", "--f-range", "5..6", "--methods", "e-ec")]
+        want = [run_cli(capsys, *argv, "--threads", "1") for argv in runs]
+        inline = search.ProcessPoolExecutor
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a run without --threads started a worker pool")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", NoPool)
+        for argv, (want_code, want_out, _) in zip(runs, want):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == want_code == EXIT_OK
+            assert strip_time(out) == strip_time(want_out)
+        # --threads 2 still enters a pool, here the inline one
+        monkeypatch.setattr(search, "ProcessPoolExecutor", inline)
+        code, out, _ = run_cli(capsys, *runs[0], "--threads", "2")
+        assert code == EXIT_OK
+        assert strip_time(out) == strip_time(want[0][1])
+        assert inline_pool == [2]
 
     def test_unknown_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -195,6 +215,20 @@ class TestOrderCommand:
         assert cells[0] == "5" and cells[1] == "ec" and cells[2] == "0.5382035621102"
         assert cells[3] == "1"
 
+    @pytest.mark.parametrize("argv", [
+        ("order", "--method", "ec", "--f", "5"),
+        ("search", "--method", "exhaustive", "--f", "4"),
+    ], ids=["order", "search"])
+    def test_csv_refuses_raw(self, capsys, monkeypatch, argv):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran for a --format csv --raw pair that is refused")
+
+        monkeypatch.setattr(cli, "run", no_search)
+        code, out, err = run_cli(capsys, *argv, "--format", "csv", "--raw")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --raw applies to the json and text formats only\n"
+
     def test_raw_flag_adds_hex(self, capsys):
         code, out, _ = run_cli(capsys, "order", "--method", "ec", "--f", "5", "--raw")
         rec = json.loads(out)
@@ -210,8 +244,7 @@ class TestOrderCommand:
         code, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert code == EXIT_OK
-        strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
-        assert strip(out1) == strip(out2)
+        assert strip_time(out1) == strip_time(out2)
 
     @pytest.mark.parametrize("f,q,seed", sorted(EBG_RANDOM_RECORDS))
     def test_ebg_random_tie_records_pinned(self, capsys, f, q, seed):
@@ -229,8 +262,7 @@ class TestOrderCommand:
         args = ["order", "--method", "e-ec", "--f", "9", "--raw", "--threads"]
         _, out1, _ = run_cli(capsys, *args, "1")
         _, out2, _ = run_cli(capsys, *args, "2")
-        strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
-        assert strip(out1) == strip(out2)
+        assert strip_time(out1) == strip_time(out2)
         assert json.loads(out1)["bound"] == "0.5058885273733"
 
 
@@ -264,8 +296,7 @@ class TestSearchCommand:
         args = ["search", "--method", "exhaustive", "--f", "5", "--raw", "--threads"]
         _, out1, _ = run_cli(capsys, *args, "1")
         _, out2, _ = run_cli(capsys, *args, "2")
-        strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
-        assert strip(out1) == strip(out2)
+        assert strip_time(out1) == strip_time(out2)
         assert json.loads(out1)["bound"] == "0.5321513151313"
 
     def test_random_beats_eec_reference(self, capsys):
@@ -300,8 +331,7 @@ class TestSearchCommand:
         args = ["search", "--method", "random", "--f", "6", "--budget", "50", "--seed", "41"]
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
-        strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
-        assert strip(out1) == strip(out2)
+        assert strip_time(out1) == strip_time(out2)
 
 
 class TestTableCommand:
@@ -468,6 +498,31 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_VERIFY
         assert "FAIL carried codes vs fresh caches" in out
+
+    @pytest.mark.parametrize("suite,q", [
+        ("graph", "5"), ("coloring", "3"), ("remarks", "7"), ("paths", "7"), ("graph", "2"),
+    ])
+    def test_q_refused_outside_the_entropy_suite(self, capsys, monkeypatch, suite, q):
+        def no_checks(*args, **kwargs):
+            raise AssertionError(f"the {suite} suite ran with a --q that it does not read")
+
+        monkeypatch.setitem(cli.SUITES, suite, no_checks)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--q", q)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --q applies to the entropy suite only\n"
+
+    def test_entropy_suite_reads_q(self, capsys, monkeypatch):
+        seen = []
+
+        def entropy(f, q=2):
+            seen.append((f, q))
+            return [("recorded", True, "")]
+
+        monkeypatch.setitem(cli.SUITES, "entropy", entropy)
+        assert run_cli(capsys, "verify", "--suite", "entropy")[0] == EXIT_OK
+        assert run_cli(capsys, "verify", "--suite", "entropy", "--f", "4", "--q", "5")[0] == EXIT_OK
+        assert seen == [(6, 2), (4, 5)]
 
     def test_default_f(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "paths")

@@ -12,7 +12,6 @@ from pqcbound import (
     BoundParams,
     Graph,
     EntropyCache,
-    SearchConfig,
     all_edges,
     capacity_outer_bound,
     color_sets,
@@ -28,12 +27,7 @@ from pqcbound import (
     matching_size,
     order_inner_edges,
 )
-from pqcbound.errors import (
-    GraphComplete,
-    InfeasibleBudget,
-    SearchSpaceTooLarge,
-    ValidationError,
-)
+from pqcbound.errors import GraphComplete, SearchSpaceTooLarge, ValidationError
 from pqcbound import search
 from pqcbound.bound import make_cache
 from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
@@ -349,7 +343,7 @@ class TestEEc:
 
     def test_permutation_cap(self):
         # chi' = 11 at f = 12, so one fixed class leaves 10! > 10^6 orders
-        with pytest.raises(InfeasibleBudget, match="permutation cap"):
+        with pytest.raises(SearchSpaceTooLarge, match="permutation cap"):
             e_ec_search(params(12), fixed_colors=1)
 
     # chi' = 9 at f = 10 leaves 8! orders; chi' = 11 at f = 11 and 12 needs a
@@ -522,9 +516,9 @@ class TestEbg:
                           cache.joint_entropy(mask | 1 << edge_index(e, f)))
                       for e in all_edges(f) if e not in prefix}
             best = min(pb for pb, _ in scored.values())
-            tied = [h for pb, h in scored.values() if pb <= best + search.EBG_TIE_TOLERANCE]
-            rest = [h for pb, h in scored.values() if pb > best + search.EBG_TIE_TOLERANCE]
-            assert scored[order[k]][0] <= best + search.EBG_TIE_TOLERANCE
+            tied = [h for pb, h in scored.values() if pb <= best + search.TIE_TOLERANCE]
+            rest = [h for pb, h in scored.values() if pb > best + search.TIE_TOLERANCE]
+            assert scored[order[k]][0] <= best + search.TIE_TOLERANCE
             assert not rest or min(tied) >= max(rest)
 
 
@@ -713,27 +707,10 @@ class TestExhaustive:
         assert r2.best.order in r2.argmin_orders
         assert r2.argmin_orders == r3.argmin_orders
 
-    def test_pool_never_exceeds_its_tasks(self, monkeypatch, shared_cache):
-        # a fake pool that records its size and maps inline: no process starts
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    def test_pool_never_exceeds_its_tasks(self, inline_pool, shared_cache):
         got = exhaustive_search(params(4), cache=shared_cache(4), workers=64)
         want = exhaustive_search(params(4), cache=shared_cache(4), workers=1)
-        assert sizes and max(sizes) <= edge_count(4) - 1
+        assert inline_pool and max(inline_pool) <= edge_count(4) - 1
         assert (got.best, got.evaluations, got.scored) == (want.best, want.evaluations, want.scored)
 
     def test_worker_count_does_not_change_result(self, shared_cache):
@@ -940,18 +917,16 @@ class TestDispatch:
         ],
     )
     def test_order_methods(self, method, expected, shared_cache):
-        config = SearchConfig(method=method, params=params(6))
-        result = run(config, cache=shared_cache(6))
+        result = run(method, params(6), cache=shared_cache(6))
         assert result.best.bound == pytest.approx(expected, abs=1e-11)
 
     def test_random_method(self, shared_cache):
-        config = SearchConfig(method="random", params=params(6), seed=7, budget=50)
-        result = run(config, cache=shared_cache(6))
+        result = run("random", params(6), cache=shared_cache(6), seed=7, budget=50)
         assert result.evaluations == 50
 
     def test_unknown_method(self, shared_cache):
         with pytest.raises(ValidationError):
-            run(SearchConfig(method="simulated-annealing", params=params(4)))
+            run("simulated-annealing", params(4))
 
     # (method, options, whether run reads them), written out by hand
     GATE = [
@@ -992,24 +967,26 @@ class TestDispatch:
 
     @pytest.mark.parametrize("method,options,read", GATE)
     def test_gate_refuses_exactly_the_unread_options(self, method, options, read, shared_cache):
-        config = SearchConfig(method=method, params=params(4), **options)
         if read:
-            assert run(config, cache=shared_cache(4)).best.bound > 0
+            assert run(method, params(4), cache=shared_cache(4), **options).best.bound > 0
         else:
             with pytest.raises(ValidationError, match="applies to"):
-                run(config, cache=shared_cache(4))
+                run(method, params(4), cache=shared_cache(4), **options)
 
     @pytest.mark.parametrize("method,options", [("ebg", {"seed": 3}), ("ec", {})])
     def test_bad_tie_policy_named_before_other_options(self, method, options, shared_cache):
-        config = SearchConfig(method, params(4), tie_policy="coin", **options)
         with pytest.raises(ValidationError, match="^tie_policy must be 'lex' or 'random', got 'coin'$"):
-            run(config, cache=shared_cache(4))
+            run(method, params(4), cache=shared_cache(4), tie_policy="coin", **options)
 
     def test_defaults_fill_what_is_not_given(self, shared_cache):
         p, cache = params(6), shared_cache(6)
-        assert run(SearchConfig("random", p), cache=cache) == run(
-            SearchConfig("random", p, seed=0, budget=1000, fixed_colors=2), cache=cache)
-        assert run(SearchConfig("e-ec", p), cache=cache) == run(
-            SearchConfig("e-ec", p, fixed_colors=1), cache=cache)
-        assert run(SearchConfig("ebg", p), cache=cache) == run(
-            SearchConfig("ebg", p, tie_policy="lex"), cache=cache)
+        assert run("random", p, cache=cache) == run(
+            "random", p, cache=cache, seed=0, budget=1000, fixed_colors=2)
+        assert run("e-ec", p, cache=cache) == run("e-ec", p, cache=cache, fixed_colors=1)
+        assert run("ebg", p, cache=cache) == run("ebg", p, cache=cache, tie_policy="lex")
+        # None is not given, also for an option that the method does not read
+        assert run("e-ec", p, cache=cache, fixed_colors=None, seed=None) == run("e-ec", p, cache=cache)
+
+    def test_unknown_option_name_refused(self, shared_cache):
+        with pytest.raises(TypeError, match="fixed_colours"):
+            run("e-ec", params(4), cache=shared_cache(4), fixed_colours=2)
