@@ -9,14 +9,19 @@ A Graph holds one bitmask adjacency row per vertex; its edges are read off
 the rows.
 
 Every path count comes from one subset dynamic program over vertex bitmasks,
-simple_path_counts: per source vertex, one matrix product and one scatter per
-popcount layer (O(2^f * f^2) work in f - 1 numpy steps), so per-length
-censuses stay exact and cheap up to f = 16 without enumerating individual
-paths.  The cycle censuses read its counts.  A chord (k, l) closes one cycle
-of length L + 1 per simple path of L edges from k to l (chord_censuses).  A
-cycle of length L is, from each of its L vertices and in each direction, one
-path of L - 1 edges to a neighbour of the start, so cycle_census sums those
-paths over every start and neighbour and divides by 2L.
+simple_path_counts.  It relabels the source as vertex 0, which every path
+holds, so it keeps one row per set of the other f - 1 vertices: 2^(f-1) rows,
+stored by popcount, with one matrix product and one assignment per layer.
+The layout of those rows and of each layer's steps is one cached table per f
+(_layer_table), shared by every graph and source.  Per-length censuses stay
+exact and cheap up to f = 16 without enumerating individual paths.  The
+cycle censuses read its counts.  A chord (k, l) closes one cycle of length
+L + 1 per simple path of L edges from k to l (chord_censuses); the first two
+of those counts, the 2-edge and 3-edge paths, also come straight from the
+adjacency rows (short_path_counts).  A cycle of length L is, from each of its
+L vertices and in each direction, one path of L - 1 edges to a neighbour of
+the start, so cycle_census sums those paths over every start and neighbour
+and divides by 2L.
 """
 from __future__ import annotations
 
@@ -261,13 +266,35 @@ def matching_size(f: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _popcount_layers(f: int) -> tuple:
-    """Vertex-subset masks grouped by popcount, as int64 arrays."""
-    masks = np.arange(1 << f, dtype=np.int64)
-    pc = np.zeros(1 << f, dtype=np.int64)
-    for i in range(f):
-        pc += (masks >> i) & 1
-    return tuple(masks[pc == k] for k in range(f + 1))
+def _layer_table(f: int) -> tuple:
+    """The layout of simple_path_counts's DP on f vertices, shared by every
+    graph and source.
+
+    With the source relabelled as vertex 0, a row is a set r of the other
+    f - 1 vertices (vertex i + 1 is bit i), and rows are stored by popcount,
+    so layer k is the contiguous block starts[k]:starts[k + 1].  news[k] is
+    the (rows of layer k, f - 1) table that is True where vertex x + 1 is not
+    in r, and dests[k] lists, for its True entries in row-major order, the
+    flat index of dp[r | bit x, x] in the (2^(f-1), f - 1) DP table.
+    """
+    n = f - 1
+    rows = np.arange(1 << n, dtype=np.int64)
+    pc = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        pc += (rows >> i) & 1
+    by_layer = np.argsort(pc, kind="stable")
+    pos = np.empty(1 << n, dtype=np.int64)
+    pos[by_layer] = rows
+    starts = np.searchsorted(pc[by_layer], np.arange(n + 1))
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    dests, news = [], []
+    for k in range(n):
+        r = by_layer[starts[k]:starts[k + 1], None]
+        ext = r | bits
+        new = ext != r
+        dests.append((pos[ext] * n + np.arange(n))[new])
+        news.append(new)
+    return starts, tuple(dests), tuple(news)
 
 
 def simple_path_counts(g: Graph, source: int) -> np.ndarray:
@@ -277,34 +304,37 @@ def simple_path_counts(g: Graph, source: int) -> np.ndarray:
     simple paths from source to vertex t (1-based) with exactly L edges; row
     0 is zero.
 
-    dp[m, w] counts the simple paths from source that visit exactly the
-    vertex set m and end at w.  One step per popcount layer k extends every
-    path of layer k by one edge: dp[m] @ a sums over the last vertex w,
-    giving for each x the paths that can step to x, and one scatter adds that
-    count into dp[m | 1<<x, x] when x is not in m.  The scatter loses no
-    update: for a fixed x, distinct masks without x stay distinct after
-    setting bit x, and a mask that already holds x targets itself, on layer
-    k rather than k + 1, and receives 0.  Layer k + 1 starts empty, so its
-    column sums, the paths with k edges, are the column sums of the step.
+    The vertices are relabelled so that source is vertex 0.  Every path
+    holds the source, so dp[r, w] counts the simple paths from source whose
+    other vertices are exactly the set r and that end at w: 2^(f-1) rows,
+    one column per vertex but the source, laid out by _layer_table.  The
+    paths of one edge are the source's adjacency row.  One step per popcount
+    layer k then extends every path of layer k by one edge: dp[r] @ a, over
+    the adjacency a between the other vertices, sums over the last vertex w,
+    giving for each x the paths that can step to x, and one assignment
+    writes that count into dp[r | x, x] where x is not in r.  For a fixed x,
+    distinct sets without x stay distinct after adding x, so no two counts
+    share a target, and layer k + 1 starts empty, so nothing is lost.  The
+    column sums of layer L are the paths with L edges; they are mapped back
+    through the relabelling.
 
     The DP is held in float64, whose products run in BLAS: every count is at
     most (f - 1)! < 2^53 for f <= MAX_VERTICES, so they stay exact when
     stored into the int64 result.
     """
     g._check_vertex(source)
-    f, src = g.f, source - 1
-    bits = np.int64(1) << np.arange(f, dtype=np.int64)
-    a = ((np.array(g._adj, dtype=np.int64)[:, None] & bits) != 0).astype(np.float64)
-    dp = np.zeros((1 << f, f), dtype=np.float64)
-    dp[1 << src, src] = 1
+    f, n = g.f, g.f - 1
+    perm = np.array([source - 1] + [v for v in range(f) if v != source - 1])
+    a = ((np.array(g._adj, dtype=np.int64)[perm, None] >> perm) & 1).astype(np.float64)
+    starts, dests, news = _layer_table(f)
+    dp = np.zeros((1 << n, n), dtype=np.float64)
+    flat = dp.reshape(-1)
+    flat[dests[0]] = a[0, 1:]
+    inner = a[1:, 1:]
+    for k in range(1, n):
+        flat[dests[k]] = (dp[starts[k]:starts[k + 1]] @ inner)[news[k]]
     out = np.zeros((f + 1, f), dtype=np.int64)
-    for k, masks in enumerate(_popcount_layers(f)[1:f], 1):
-        masks = masks[(masks & bits[src]) != 0]
-        m = masks[:, None]
-        ext = m | bits
-        step = np.where(ext != m, dp[masks] @ a, 0)
-        dp[ext, np.arange(f)] += step
-        out[1:, k] = step.sum(axis=0)
+    out[1 + perm[1:], 1:] = np.add.reduceat(dp, starts[1:], axis=0).T
     return out
 
 
@@ -337,6 +367,27 @@ def chord_censuses(g: Graph, chords) -> dict:
         # a list, not a generator: see bound.capacity_outer_bound
         censuses[k, l] = tuple([int(counts[k][l, length]) for length in range(2, g.f)])
     return censuses
+
+
+def short_path_counts(g: Graph, chords) -> dict:
+    """The 2-edge and 3-edge path counts between the endpoints of each absent
+    chord (k, l), read off the adjacency rows: the first two entries of its
+    chord census (for f < 4 the census is shorter, and the counts past its
+    end are 0).
+
+    The 2-edge paths are the common neighbours of k and l.  The 3-edge paths
+    are the walks k-a-b-l, one per neighbour a of k and common neighbour b of
+    a and l; each is a simple path, since k is not a neighbour of l.
+    """
+    adj = g._adj
+    counts = {}
+    for k, l in chords:
+        row_k, row_l = adj[k - 1], adj[l - 1]
+        if row_k >> (l - 1) & 1:
+            raise EdgePresent(f"candidate edge {(k, l)!r} already in graph")
+        counts[k, l] = ((row_k & row_l).bit_count(),
+                        sum((adj[a] & row_l).bit_count() for a in _bits(row_k)))
+    return counts
 
 
 def complete_cycle_census(f: int) -> tuple[int, ...]:

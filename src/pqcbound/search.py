@@ -67,6 +67,7 @@ from .graphs import (
     edge_count,
     edge_index,
     periphery,
+    short_path_counts,
 )
 
 # how close to the best bound an ebg candidate or an exhaustive argmin ties it
@@ -338,6 +339,14 @@ def order_inner_edges(g: Graph, partial) -> tuple[Edge, ...]:
     containing the chord); the base census of g is a common additive offset,
     so the argmin matches full-graph scoring.  Ties go to the smallest chord,
     and the last two edges are appended in lexicographic order.
+
+    A census starts with the chord's 2-edge and 3-edge path counts, which
+    graphs.short_path_counts reads exactly off the adjacency rows.  Censuses
+    compare lexicographically, so every chord above the minimum of that pair
+    loses, and only the chords tied at it are given full censuses; a unique
+    minimum is the argmin with no path-count DP.  The tied chords share the
+    pair, so their full censuses, then the smallest chord, pick the same
+    chord as a census of every chord would.
     """
     partial = [check_edge(e, g.f) for e in partial]
     if set(partial) != g.edge_set or len(partial) != len(g.edge_set):
@@ -348,8 +357,14 @@ def order_inner_edges(g: Graph, partial) -> tuple[Edge, ...]:
     work = g.copy()
     order = list(partial)
     while len(missing) > 2:
-        census = chord_censuses(work, missing)
-        best = min(missing, key=lambda e: (census[e], e))
+        short = short_path_counts(work, missing)
+        low = min(short.values())
+        tied = [e for e in missing if short[e] == low]
+        if len(tied) == 1:
+            best = tied[0]
+        else:
+            census = chord_censuses(work, tied)
+            best = min(tied, key=lambda e: (census[e], e))
         work.add_edge(best)
         order.append(best)
         missing.remove(best)

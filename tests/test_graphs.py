@@ -28,9 +28,18 @@ from pqcbound import (
     simple_path_counts,
 )
 from pqcbound.errors import DisconnectedGraph, EdgePresent, InvalidEdge, InvalidVertex
-from pqcbound.graphs import _bits, _popcount_layers, complete_cycle_census, mask_to_edges
+from pqcbound.graphs import _bits, complete_cycle_census, mask_to_edges, short_path_counts
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
+
+
+def _popcount_layers(f: int) -> tuple:
+    """Vertex-subset masks grouped by popcount, as int64 arrays."""
+    masks = np.arange(1 << f, dtype=np.int64)
+    pc = np.zeros(1 << f, dtype=np.int64)
+    for i in range(f):
+        pc += (masks >> i) & 1
+    return tuple(masks[pc == k] for k in range(f + 1))
 
 
 def _path_counts_oracle(adj: list[int], f: int, src0: int) -> np.ndarray:
@@ -392,6 +401,58 @@ class TestChordCensuses:
             graphs.chord_censuses(Graph(6, HEXAGON), [(1, 3), (1, 2)])
 
 
+class TestShortPathPrefilter:
+    """order_inner_edges ranks chords on their exact 2- and 3-edge path
+    counts first, and builds full censuses only for the chords tied there."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=graphs_on(high=10))
+    def test_counts_are_the_census_prefix(self, g):
+        f = g.f
+        absent = [e for e in all_edges(f) if not g.has_edge(e)]
+        got = short_path_counts(g, absent)
+        for k, l in absent:
+            counts = simple_path_counts(g, k)
+            assert got[k, l] == (counts[l, 2] if f > 2 else 0, counts[l, 3] if f > 3 else 0)
+
+    def test_rejects_present_chord(self):
+        with pytest.raises(EdgePresent):
+            short_path_counts(Graph(6, HEXAGON), [(1, 3), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "f", [*range(5, 13), *(pytest.param(f, marks=pytest.mark.slow) for f in (13, 14))])
+    def test_ldf_cycle_matches_full_census_oracle(self, f):
+        cycle = ldf_order(f)[:f]
+        g = Graph(f, cycle)
+        assert order_inner_edges(g, cycle) == _order_inner_edges_oracle(g, cycle)
+
+    def test_unique_short_minimum_needs_no_path_counts(self, monkeypatch):
+        f = 10
+        order = ldf_order(f)
+        calls_at = []  # the edge count of the graph each path count is taken on
+
+        def counted(g, source):
+            calls_at.append(len(g))
+            return simple_path_counts(g, source)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(graphs, "simple_path_counts", counted)
+            assert order_inner_edges(Graph(f, order[:f]), order[:f]) == order
+        work = Graph(f, order[:f])
+        tied, settled_by_3_paths = set(), 0
+        for i in range(f, len(order) - 2):
+            short = short_path_counts(work, order[i:])
+            low = min(short.values())
+            if sum(v == low for v in short.values()) > 1:
+                tied.add(len(work))
+            elif sum(v[0] == low[0] for v in short.values()) > 1:
+                settled_by_3_paths += 1
+            work.add_edge(order[i])
+        assert set(calls_at) == tied
+        # some steps are settled by the 3-edge paths alone
+        assert settled_by_3_paths > 0
+
+
 class TestSimplePathCounts:
     def test_path_graph(self):
         g = Graph(4, [(1, 2), (2, 3), (3, 4)])
@@ -433,3 +494,16 @@ class TestPathCountKernel:
         got = ldf_order(f)
         monkeypatch.setattr(graphs, "simple_path_counts", _simple_path_counts_oracle)
         assert got == ldf_order(f)
+
+    @pytest.mark.parametrize("f", range(2, graphs.MAX_VERTICES + 1))
+    def test_complete_graph_closed_form(self, f):
+        # (f-2)!/(f-1-L)! ordered choices of the L-1 inner vertices; at f = 16
+        # the counts reach 14!, so the float64 DP must hold them exactly
+        want = np.zeros((f + 1, f), dtype=np.int64)
+        for length in range(1, f):
+            want[1:, length] = math.factorial(f - 2) // math.factorial(f - 1 - length)
+        g = Graph.complete(f)
+        for s in range(1, f + 1):
+            want_s = want.copy()
+            want_s[s] = 0
+            assert np.array_equal(simple_path_counts(g, s), want_s)
