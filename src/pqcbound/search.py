@@ -15,9 +15,12 @@ exhaustive search up to f = 5.
 Every score is a sum of bound.weighted_terms; each winner is re-evaluated
 with capacity_outer_bound.  Both brute-force and random search are branch
 and bound: an order stops being scored once its denominator so far plus
-bound.remaining_cap cannot reach the best one found so far.  The cap is
-widened, so pruning skips only orders strictly worse than that best and
-never changes a result; evaluations still counts every order covered.
+bound.remaining_cap cannot reach the best one found so far.  The brute-force
+kernel starts from a greedy incumbent and builds the entropy rows of its
+step table only for the sets of placed blocks that can still reach it.  The
+cap is widened, so pruning skips only orders strictly worse than an
+incumbent and never changes a result; evaluations still counts every order
+covered.
 
 run is the one option gate: METHOD_OPTIONS names the options each method
 reads and the value each takes when not given, and run refuses any other
@@ -154,15 +157,17 @@ def _block_branch(task):
     the head and the blocks in the set `done`, and cap[done] the
     remaining_cap from there, so a DFS over the blocks carries only the set
     placed so far and the running denominator.  The DFS enters a set, a
-    whole order included, only if its denominator plus cap can reach this
-    task's best bound (plus tie_tol): no order below a set it skips could
-    win or tie here.  It scores an order when it enters the full set.
+    whole order included, only if its denominator plus cap reaches the floor:
+    the greedy incumbent's floor that the task is seeded with, raised to
+    hmin / (best bound + tie_tol) by each better order it finds.  No order
+    below a set it skips could win or tie, and every set it enters has its
+    table row.  It scores an order when it enters the full set; a task whose
+    orders all fall below the floor returns (inf, ()).
     """
-    terms, cap, free, hmin, head, head_terms, blocks, firsts, tie_tol = task
+    terms, cap, free, hmin, head, head_terms, blocks, firsts, tie_tol, floor = task
     full = len(terms) - 1
     slack = 0.0 if tie_tol is None else tie_tol
     best = (math.inf, ())
-    floor = 0.0  # hmin / (best bound + slack): the denominator to reach
     ties = []
     scored = 0
     perm = []
@@ -176,7 +181,7 @@ def _block_branch(task):
                 order = head + tuple(e for i in perm for e in blocks[i])
                 if (b, order) < best:
                     best = (b, order)
-                    floor = hmin / (b + slack)
+                    floor = max(floor, hmin / (b + slack))
                 if tie_tol is not None:
                     ties.append((b, order))
             return
@@ -191,49 +196,96 @@ def _block_branch(task):
                 visit(nxt, a, free[nxt])
                 perm.pop()
 
-    acc = 0.0
-    for t in head_terms:
-        acc += t
-    visit(0, acc, firsts)
+    visit(0, _fold(0.0, head_terms), firsts)
     del visit  # visit refers to itself; dropping it frees the task without a collection
     return best, scored, ties
+
+
+def _fold(acc, terms):
+    """acc plus the terms, added left to right as the DFS adds them."""
+    for t in terms:
+        acc += t
+    return acc
 
 
 def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchResult:
     """Best bound over the orders head + (the blocks in every order).
 
-    The entropies come from a table built once through the cache: for every
-    set of blocks already placed, the remaining_cap from there and, for
-    every block j outside it, the weighted_terms of j's edges from there, so
-    every order scores the bits of a left-to-right fold of its terms; each
-    set's state is where a walk of one of its blocks ends.  There is one DFS
-    task per first block after the head, run in at most that many worker
-    processes when workers > 1; with no blocks, one task scores the head
-    alone.  Each task prunes against its own best only, so every task
-    returns its true local winner and the worker count never changes the
-    result.  Ties in the bound go to the lexicographically smallest edge
-    order.  With tie_tol, every order within tie_tol of the minimum is
-    returned as argmin_orders, sorted.  evaluations counts the orders
-    covered, k! for k blocks, and scored those scored in full.  Callers
-    apply _permutation_guard.
+    Every order scores the bits of a left-to-right fold of its weighted
+    terms, which come from a table built through the cache: a set of placed
+    blocks has a row, the weighted_terms of each block j outside it from the
+    set's state, and each set's state and remaining_cap come from the walk
+    that first reaches it.  Rows are built only for the sets that can still
+    reach the optimum, in three passes:
+
+    1. A greedy incumbent: from the head, append the block with the largest
+       fold, the smallest j on a tie.  Its floor is hmin / (its bound +
+       tie_tol), the denominator an order must reach to win or tie.
+    2. A forward pass over the sets in increasing order, so that every set
+       comes after the sets one block smaller.  D[S] is the largest fold
+       into S from the sets admitted so far, and S is admitted, and its row
+       built, only if D[S] plus its cap reaches the floor.  IEEE addition is
+       monotone, so every set that the DFS enters is admitted.
+    3. One DFS task per first block after the head, seeded with the floor,
+       run in at most that many worker processes when workers > 1; with no
+       blocks, one task scores the head alone.  Each task prunes against
+       the shared floor and its own best, so the worker count never changes
+       the result.
+
+    The widened cap skips only orders strictly worse than an incumbent, so
+    ties in the bound still go to the lexicographically smallest edge order.
+    With tie_tol, every order within tie_tol of the minimum is returned as
+    argmin_orders, sorted.  evaluations counts the orders covered, k! for k
+    blocks, and scored those scored in full.  Callers apply
+    _permutation_guard.
     """
     cache = make_cache(params, cache)
     k, n = len(blocks), params.n
+    hmin = cache.marginal_entropy()
+    slack = 0.0 if tie_tol is None else tie_tol
+    full = (1 << k) - 1
     head_terms, _, start = weighted_terms(cache, n, head)
-    # states[done]: where the head and the blocks in the set done end, in any order
-    states = [start] + [None] * ((1 << k) - 1)
-    terms, cap, free = [], [], []
-    for done, state in enumerate(states):
-        cache.hold(state[0])
-        free.append(tuple(j for j in range(k) if not done >> j & 1))
-        row = [None] * k
-        for j in free[-1]:
-            row[j], _, states[done | 1 << j] = weighted_terms(cache, n, blocks[j], state)
-        terms.append(row)
-        cap.append(remaining_cap(cache, n, state))
+    # per set of placed blocks: its state (where the head and those blocks
+    # end, in any order), its cap, its row and its free blocks
+    states = [start] + [None] * full
+    cap = [remaining_cap(cache, n, start)] + [None] * full
+    terms = [None] * (full + 1)
+    free = [tuple(j for j in range(k) if not done >> j & 1) for done in range(full + 1)]
+
+    def row(done):
+        if terms[done] is None:
+            state = states[done]
+            cache.hold(state[0])
+            terms[done] = [None] * k
+            for j in free[done]:
+                nxt = done | 1 << j
+                terms[done][j], _, end = weighted_terms(cache, n, blocks[j], state)
+                if states[nxt] is None:
+                    states[nxt], cap[nxt] = end, remaining_cap(cache, n, end)
+        return terms[done]
+
+    head_acc = acc = _fold(0.0, head_terms)
+    done = 0
+    while done != full:
+        greedy = row(done)
+        j = max(free[done], key=lambda j: _fold(acc, greedy[j]))
+        acc = _fold(acc, greedy[j])
+        done |= 1 << j
+    floor = hmin / (hmin / acc + slack)
+
+    # reach[S] is D[S]; a set no admitted set reaches has no cap yet
+    reach = [-math.inf] * (full + 1)
+    reach[0] = head_acc
+    for done in range(full):
+        if cap[done] is None or reach[done] + cap[done] < floor:
+            continue
+        placed = row(done)
+        for j in free[done]:
+            nxt = done | 1 << j
+            reach[nxt] = max(reach[nxt], _fold(reach[done], placed[j]))
 
     tasks = [
-        (terms, cap, free, cache.marginal_entropy(), head, head_terms, blocks, firsts, tie_tol)
+        (terms, cap, free, hmin, head, head_terms, blocks, firsts, tie_tol, floor)
         for firsts in [(j,) for j in range(k)] or [()]
     ]
     if workers > 1 and k > 1:

@@ -29,7 +29,7 @@ from pqcbound import (
 )
 from pqcbound.errors import GraphComplete, SearchSpaceTooLarge, ValidationError
 from pqcbound import search
-from pqcbound.bound import make_cache
+from pqcbound.bound import make_cache, remaining_cap, weighted_terms
 from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
 from pqcbound.search import SearchResult, run
 
@@ -209,7 +209,7 @@ def _assert_same_search(got, want):
 def _path_terms(task, order):
     """Hex of the weighted terms a _block_branch task adds along `order`:
     the head's, then each block's from the table row of the blocks before it."""
-    terms, _, _, _, head, head_terms, blocks, _, _ = task
+    terms, _, _, _, head, head_terms, blocks, _, _, _ = task
     first = {block[0]: j for j, block in enumerate(blocks)}
     out = list(head_terms)
     done, pos = 0, len(head)
@@ -219,6 +219,173 @@ def _path_terms(task, order):
         done |= 1 << j
         pos += len(blocks[j])
     return [t.hex() for t in out]
+
+
+# The brute-force kernel as it was before its table was pruned, copied
+# unchanged: it builds a step-table row for every set of placed blocks, and
+# each DFS task prunes against its own best only.
+
+def _eager_block_branch(task):
+    """Best (bound, order), the number of orders scored in full and the
+    near-ties among the orders whose first block is one of `firsts`.
+
+    terms[done][j] holds the weighted terms of block j's edges when it follows
+    the head and the blocks in the set `done`, and cap[done] the
+    remaining_cap from there, so a DFS over the blocks carries only the set
+    placed so far and the running denominator.  The DFS enters a set, a
+    whole order included, only if its denominator plus cap can reach this
+    task's best bound (plus tie_tol): no order below a set it skips could
+    win or tie here.  It scores an order when it enters the full set.
+    """
+    terms, cap, free, hmin, head, head_terms, blocks, firsts, tie_tol = task
+    full = len(terms) - 1
+    slack = 0.0 if tie_tol is None else tie_tol
+    best = (math.inf, ())
+    floor = 0.0  # hmin / (best bound + slack): the denominator to reach
+    ties = []
+    scored = 0
+    perm = []
+
+    def visit(done, acc, choices):
+        nonlocal best, floor, scored
+        if done == full:
+            scored += 1
+            b = hmin / acc
+            if b <= best[0] + slack:
+                order = head + tuple(e for i in perm for e in blocks[i])
+                if (b, order) < best:
+                    best = (b, order)
+                    floor = hmin / (b + slack)
+                if tie_tol is not None:
+                    ties.append((b, order))
+            return
+        row = terms[done]
+        for j in choices:
+            a = acc
+            for t in row[j]:
+                a += t
+            nxt = done | 1 << j
+            if a + cap[nxt] >= floor:
+                perm.append(j)
+                visit(nxt, a, free[nxt])
+                perm.pop()
+
+    acc = 0.0
+    for t in head_terms:
+        acc += t
+    visit(0, acc, firsts)
+    del visit  # visit refers to itself; dropping it frees the task without a collection
+    return best, scored, ties
+
+
+def _eager_block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchResult:
+    """Best bound over the orders head + (the blocks in every order).
+
+    The entropies come from a table built once through the cache: for every
+    set of blocks already placed, the remaining_cap from there and, for
+    every block j outside it, the weighted_terms of j's edges from there, so
+    every order scores the bits of a left-to-right fold of its terms; each
+    set's state is where a walk of one of its blocks ends.  There is one DFS
+    task per first block after the head, run in at most that many worker
+    processes when workers > 1; with no blocks, one task scores the head
+    alone.  Each task prunes against its own best only, so every task
+    returns its true local winner and the worker count never changes the
+    result.  Ties in the bound go to the lexicographically smallest edge
+    order.  With tie_tol, every order within tie_tol of the minimum is
+    returned as argmin_orders, sorted.  evaluations counts the orders
+    covered, k! for k blocks, and scored those scored in full.  Callers
+    apply _permutation_guard.
+    """
+    cache = make_cache(params, cache)
+    k, n = len(blocks), params.n
+    head_terms, _, start = weighted_terms(cache, n, head)
+    # states[done]: where the head and the blocks in the set done end, in any order
+    states = [start] + [None] * ((1 << k) - 1)
+    terms, cap, free = [], [], []
+    for done, state in enumerate(states):
+        cache.hold(state[0])
+        free.append(tuple(j for j in range(k) if not done >> j & 1))
+        row = [None] * k
+        for j in free[-1]:
+            row[j], _, states[done | 1 << j] = weighted_terms(cache, n, blocks[j], state)
+        terms.append(row)
+        cap.append(remaining_cap(cache, n, state))
+
+    tasks = [
+        (terms, cap, free, cache.marginal_entropy(), head, head_terms, blocks, firsts, tie_tol)
+        for firsts in [(j,) for j in range(k)] or [()]
+    ]
+    if workers > 1 and k > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_eager_block_branch, tasks))
+    else:
+        results = [_eager_block_branch(t) for t in tasks]
+    best = min(local_best for local_best, _, _ in results)
+    argmin_orders = None
+    if tie_tol is not None:
+        near = {o for _, _, ties in results for b, o in ties if b <= best[0] + tie_tol}
+        argmin_orders = tuple(sorted(near))
+    return SearchResult(
+        best=capacity_outer_bound(best[1], params, cache),
+        evaluations=math.factorial(k),
+        scored=sum(scored for _, scored, _ in results),
+        argmin_orders=argmin_orders,
+    )
+
+
+def _block_case(data, shared_cache):
+    """A drawn brute-force case: e-ec with drawn leading classes, or
+    exhaustive search with its argmin set.  Returns the kernel's arguments
+    after the worker count."""
+    if data.draw(st.booleans(), label="exhaustive"):
+        f = data.draw(st.integers(3, 5), label="f")
+        # at n = 1 every order ties, so f = 5 would collect all 9! of them
+        n = data.draw(st.sampled_from((1, 2, 3, 5) if f < 5 else (2, 3, 5)), label="n")
+        # a wide tolerance checks that the greedy floor keeps every near-tie
+        wide = (0.01,) if f < 5 else ()
+        tie_tol = data.draw(st.sampled_from((search.TIE_TOLERANCE, *wide)), label="tie_tol")
+        first, *rest = all_edges(f)
+        return params(f, n=n), shared_cache(f), (first,), [(e,) for e in rest], tie_tol
+    f = data.draw(st.integers(3, 8), label="f")
+    q = data.draw(st.sampled_from((2, 3) if f <= 6 else (2,)), label="q")
+    n = data.draw(st.sampled_from((1, 2, 3, 5)), label="n")
+    part = color_sets(f)
+    chi = len(part.sets)
+    leading = data.draw(
+        st.lists(st.integers(0, chi - 1), min_size=1, max_size=chi - 1, unique=True),
+        label="leading",
+    )
+    blocks = [tuple(part.sets[c]) for c in range(chi) if c not in leading]
+    return params(f, n=n, q=q), shared_cache(f, q), part.concatenated(leading), blocks, None
+
+
+class TestPrunedTable:
+    # shared_cache only hands out memoized caches, which every example may share
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_eager_table(self, data, shared_cache):
+        p, cache, head, blocks, tie_tol = _block_case(data, shared_cache)
+        got = search._block_search(p, cache, head, blocks, 1, tie_tol)
+        want = _eager_block_search(p, cache, head, blocks, 1, tie_tol)
+        assert got.best.order == want.best.order
+        assert got.best.bound.hex() == want.best.bound.hex()
+        assert got.evaluations == want.evaluations
+        assert got.argmin_orders == want.argmin_orders
+        assert got.scored <= want.scored
+
+    # the eager table left 3,333 cache entries and its DFS scored 3,280 orders
+    def test_table_skips_the_sets_no_winner_reaches(self):
+        cache = EntropyCache(9, 2)
+        result = e_ec_search(params(9), cache=cache)
+        assert len(cache) < 1000
+        assert result.scored < 100
+
+    def test_worker_count_does_not_change_the_work(self, inline_pool, shared_cache):
+        one = e_ec_search(params(7), cache=shared_cache(7), workers=1)
+        two = e_ec_search(params(7), cache=shared_cache(7), workers=2)
+        assert inline_pool == [2]
+        assert (two.best, two.evaluations, two.scored) == (one.best, one.evaluations, one.scored)
 
 
 class TestEEcOracle:
@@ -251,8 +418,12 @@ class TestEEcOracle:
         # the table's terms use the running-product weights 1, 1/n, 1/n^2, ...
         # of a from-scratch evaluation (float(n) ** -v differs from them in
         # the last bit for n = 3, 5, 6, 7), and each branch winner scores the
-        # bits of _eval_order
-        for task, ((b, order), _, _) in calls:
+        # bits of _eval_order.  A task is seeded with the greedy incumbent's
+        # floor, so one whose orders all fall below it has no winner.
+        winners = [(task, b, order) for task, ((b, order), _, _) in calls if order]
+        assert winners
+        assert all(b == math.inf for _, ((b, order), _, _) in calls if not order)
+        for task, b, order in winners:
             want = [t.hex() for t in _weighted_terms(order, p, cache)[1]]
             assert _path_terms(task, order) == want
             assert b.hex() == _eval_order(order, f, n, cache).hex()
