@@ -16,11 +16,12 @@ Every score is a sum of bound.weighted_terms; each winner is re-evaluated
 with capacity_outer_bound.  Both brute-force and random search are branch
 and bound: an order stops being scored once its denominator so far plus
 bound.remaining_cap cannot reach the best one found so far.  The brute-force
-kernel starts from a greedy incumbent and builds the entropy rows of its
-step table only for the sets of placed blocks that can still reach it.  The
-cap is widened, so pruning skips only orders strictly worse than an
-incumbent and never changes a result; evaluations still counts every order
-covered.
+kernel first expands the sets of placed blocks best-first, by their largest
+denominator so far plus that cap (A* search), which finds the optimum's
+floor; it builds the entropy rows of its step table only for the sets that
+can reach that floor.  The cap is widened, so pruning skips only orders
+strictly worse than an incumbent and never changes a result; evaluations
+still counts every order covered.
 
 run is the one option gate: METHOD_OPTIONS names the options each method
 reads and the value each takes when not given, and run refuses any other
@@ -42,6 +43,7 @@ smallest edge index or lexicographically smallest order):
 """
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -158,11 +160,11 @@ def _block_branch(task):
     remaining_cap from there, so a DFS over the blocks carries only the set
     placed so far and the running denominator.  The DFS enters a set, a
     whole order included, only if its denominator plus cap reaches the floor:
-    the greedy incumbent's floor that the task is seeded with, raised to
-    hmin / (best bound + tie_tol) by each better order it finds.  No order
-    below a set it skips could win or tie, and every set it enters has its
-    table row.  It scores an order when it enters the full set; a task whose
-    orders all fall below the floor returns (inf, ()).
+    the optimum's floor from the best-first pass that the task is seeded
+    with, raised to hmin / (best bound + tie_tol) by each better order it
+    finds.  No order below a set it skips could win or tie, and every set it
+    enters has its table row.  It scores an order when it enters the full
+    set; a task whose orders all fall below the floor returns (inf, ()).
     """
     terms, cap, free, hmin, head, head_terms, blocks, firsts, tie_tol, floor = task
     full = len(terms) - 1
@@ -216,17 +218,23 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
     blocks has a row, the weighted_terms of each block j outside it from the
     set's state, and each set's state and remaining_cap come from the walk
     that first reaches it.  Rows are built only for the sets that can still
-    reach the optimum, in three passes:
+    reach the optimum, in two passes:
 
-    1. A greedy incumbent: from the head, append the block with the largest
-       fold, the smallest j on a tie.  Its floor is hmin / (its bound +
-       tie_tol), the denominator an order must reach to win or tie.
-    2. A forward pass over the sets in increasing order, so that every set
-       comes after the sets one block smaller.  D[S] is the largest fold
-       into S from the sets admitted so far, and S is admitted, and its row
-       built, only if D[S] plus its cap reaches the floor.  IEEE addition is
-       monotone, so every set that the DFS enters is admitted.
-    3. One DFS task per first block after the head, seeded with the floor,
+    1. A best-first pass (A* search, with the cap as its heuristic).  D[S] is
+       the largest fold into S found so far.  It pops the set with the
+       largest D[S] plus cap, builds its row and folds each free block into
+       D of the set one block larger, pushing that set only when its fold
+       improves and, plus its cap, reaches the floor.  Each fold into the
+       full set raises the floor to hmin / (its bound + tie_tol), the
+       denominator an order must reach to win or tie; with no blocks, the
+       floor is the head's own.  The pass stops when the largest D[S] plus
+       cap falls below the floor.  The cap falls by at least each step's
+       terms, so fold plus cap never rises along an order: in exact
+       arithmetic D[S] is final when S is popped, and the floor is the
+       optimum's.  A set whose D rose by a rounding after it was popped is
+       pushed and expanded again from its cached row.  IEEE addition is
+       monotone, so every set that the DFS enters was expanded.
+    2. One DFS task per first block after the head, seeded with the floor,
        run in at most that many worker processes when workers > 1; with no
        blocks, one task scores the head alone.  Each task prunes against
        the shared floor and its own best, so the worker count never changes
@@ -264,25 +272,26 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
                     states[nxt], cap[nxt] = end, remaining_cap(cache, n, end)
         return terms[done]
 
-    head_acc = acc = _fold(0.0, head_terms)
-    done = 0
-    while done != full:
-        greedy = row(done)
-        j = max(free[done], key=lambda j: _fold(acc, greedy[j]))
-        acc = _fold(acc, greedy[j])
-        done |= 1 << j
-    floor = hmin / (hmin / acc + slack)
-
-    # reach[S] is D[S]; a set no admitted set reaches has no cap yet
+    # reach[S] is D[S]; the heap holds (-(reach[S] + cap[S]), S)
+    head_acc = _fold(0.0, head_terms)
     reach = [-math.inf] * (full + 1)
     reach[0] = head_acc
-    for done in range(full):
-        if cap[done] is None or reach[done] + cap[done] < floor:
-            continue
+    floor = 0.0 if k else hmin / (hmin / head_acc + slack)
+    heap = [(-(head_acc + cap[0]), 0)] if k else []
+    while heap and -heap[0][0] >= floor:
+        value, done = heapq.heappop(heap)
+        if -value != reach[done] + cap[done]:
+            continue  # stale: the set was pushed again when its reach rose
         placed = row(done)
         for j in free[done]:
             nxt = done | 1 << j
-            reach[nxt] = max(reach[nxt], _fold(reach[done], placed[j]))
+            a = _fold(reach[done], placed[j])
+            if a > reach[nxt]:
+                reach[nxt] = a
+                if nxt == full:
+                    floor = max(floor, hmin / (hmin / a + slack))
+                elif a + cap[nxt] >= floor:
+                    heapq.heappush(heap, (-(a + cap[nxt]), nxt))
 
     tasks = [
         (terms, cap, free, hmin, head, head_terms, blocks, firsts, tie_tol, floor)

@@ -341,7 +341,7 @@ def _block_case(data, shared_cache):
         f = data.draw(st.integers(3, 5), label="f")
         # at n = 1 every order ties, so f = 5 would collect all 9! of them
         n = data.draw(st.sampled_from((1, 2, 3, 5) if f < 5 else (2, 3, 5)), label="n")
-        # a wide tolerance checks that the greedy floor keeps every near-tie
+        # a wide tolerance checks that the best-first floor keeps every near-tie
         wide = (0.01,) if f < 5 else ()
         tie_tol = data.draw(st.sampled_from((search.TIE_TOLERANCE, *wide)), label="tie_tol")
         first, *rest = all_edges(f)
@@ -374,18 +374,35 @@ class TestPrunedTable:
         assert got.argmin_orders == want.argmin_orders
         assert got.scored <= want.scored
 
-    # the eager table left 3,333 cache entries and its DFS scored 3,280 orders
+    # at f = 9 the eager table left 3,333 cache entries and its DFS scored
+    # 3,280 orders.  At f = 10 a greedy incumbent is not optimal, and the
+    # table pruned by its floor left 2,787 entries and scored 696 orders.
     def test_table_skips_the_sets_no_winner_reaches(self):
-        cache = EntropyCache(9, 2)
-        result = e_ec_search(params(9), cache=cache)
-        assert len(cache) < 1000
-        assert result.scored < 100
+        for f, entries, scored in ((9, 1000, 100), (10, 1300, 200)):
+            cache = EntropyCache(f, 2)
+            result = e_ec_search(params(f), cache=cache)
+            assert len(cache) < entries
+            assert result.scored < scored
+
+    # the cases where a greedy floor fell short of the optimum's
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_eager_table_at_f10(self, n, shared_cache):
+        p, cache = params(10, n=n), shared_cache(10)
+        part = color_sets(10)
+        head = part.concatenated([0])
+        blocks = [tuple(c) for c in part.sets[1:]]
+        got = search._block_search(p, cache, head, blocks, 1)
+        want = _eager_block_search(p, cache, head, blocks, 1)
+        _assert_same_search(got, want)
+        assert got.argmin_orders == want.argmin_orders
+        assert got.scored < want.scored
 
     def test_worker_count_does_not_change_the_work(self, inline_pool, shared_cache):
-        one = e_ec_search(params(7), cache=shared_cache(7), workers=1)
-        two = e_ec_search(params(7), cache=shared_cache(7), workers=2)
-        assert inline_pool == [2]
-        assert (two.best, two.evaluations, two.scored) == (one.best, one.evaluations, one.scored)
+        for f in (7, 10):
+            one = e_ec_search(params(f), cache=shared_cache(f), workers=1)
+            two = e_ec_search(params(f), cache=shared_cache(f), workers=2)
+            assert (two.best, two.evaluations, two.scored) == (one.best, one.evaluations, one.scored)
+        assert inline_pool == [2, 2]
 
 
 class TestEEcOracle:
@@ -418,7 +435,7 @@ class TestEEcOracle:
         # the table's terms use the running-product weights 1, 1/n, 1/n^2, ...
         # of a from-scratch evaluation (float(n) ** -v differs from them in
         # the last bit for n = 3, 5, 6, 7), and each branch winner scores the
-        # bits of _eval_order.  A task is seeded with the greedy incumbent's
+        # bits of _eval_order.  A task is seeded with the best-first pass's
         # floor, so one whose orders all fall below it has no winner.
         winners = [(task, b, order) for task, ((b, order), _, _) in calls if order]
         assert winners
