@@ -25,7 +25,7 @@ import time
 from .bound import BoundParams
 from .entropy import EntropyCache
 from .errors import GuardViolation, PqcboundError, ValidationError
-from .search import (METHOD_OPTIONS, OPTION_NAMES, TIE_POLICIES, SearchResult,
+from .search import (METHOD_OPTIONS, OPTION_NAMES, TIE_POLICIES, SearchResult, check_run,
                      feasible_fixed_colors, option_readers, reads_option, run)
 from .verify import DEFAULT_F, SUITES
 
@@ -136,22 +136,23 @@ def cmd_table(args) -> int:
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ValidationError(f"cannot write --out: no directory {os.path.dirname(args.out)!r}")
     workers = _threads(args)
-    # every row's guards before the first row; each row's cache is built
-    # again when the row runs, since caches grow as they are used
     rows = [BoundParams(n=args.n, f=f, q=args.q) for f in _parse_range(args.f_range)]
+    # each cell gets only the values its column reads, and every cell is
+    # refused or admitted before the first row runs
+    cells = {}
     for params in rows:
-        EntropyCache(params.f, params.q)
-    lines = ["f," + ",".join(methods)]
-    for params in rows:
-        f = params.f
-        cache = EntropyCache(f, params.q)
-        row = [str(f)]
         for m in methods:
-            # each column gets only the values it reads
             options = {name: v for name, v in given.items() if reads_option(m, name)}
             if m == "e-ec" and options["fixed_colors"] is None:
-                options["fixed_colors"] = feasible_fixed_colors(f)
-            result = run(m, params, cache=cache, workers=workers, **options)
+                options["fixed_colors"] = feasible_fixed_colors(params.f)
+            check_run(m, params, **options)
+            cells[params.f, m] = options
+    lines = ["f," + ",".join(methods)]
+    for params in rows:
+        cache = EntropyCache(params.f, params.q)
+        row = [str(params.f)]
+        for m in methods:
+            result = run(m, params, cache=cache, workers=workers, **cells[params.f, m])
             row.append(f"{result.best.bound:.13f}")
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"

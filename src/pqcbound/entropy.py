@@ -75,6 +75,17 @@ def check_field_size(q: int) -> None:
         raise InvalidFieldSize(f"field size must be prime, got {q!r}")
 
 
+def check_enumeration(f: int, q: int) -> int:
+    """q^f, the assignments an EntropyCache at (f, q) enumerates, once f, q
+    and q^f pass their guards."""
+    check_vertex_count(f)
+    check_field_size(q)
+    total = q ** f
+    if total > ENUMERATION_GUARD:
+        raise EnumerationTooLarge(f"q^f = {total} exceeds the enumeration guard {ENUMERATION_GUARD}")
+    return total
+
+
 def _xlogx_sum(counts: np.ndarray) -> float:
     """Exactly rounded sum of c*log(c) over the class counts c > 1.
 
@@ -112,15 +123,9 @@ class EntropyCache:
     """
 
     def __init__(self, f: int, q: int):
-        check_vertex_count(f)
-        check_field_size(q)
+        self.total = check_enumeration(f, q)
         self.f = f
         self.q = q
-        self.total = self.q ** f
-        if self.total > ENUMERATION_GUARD:
-            raise EnumerationTooLarge(
-                f"q^f = {self.total} exceeds the enumeration guard {ENUMERATION_GUARD}"
-            )
         self.mu = edge_count(f)
         self._entropies: dict[int, float] = {0: 0.0}
         self._ln_q = math.log(self.q)

@@ -15,13 +15,14 @@ exhaustive search up to f = 5.
 Every score is a sum of bound.weighted_terms; each winner is re-evaluated
 with capacity_outer_bound.  Both brute-force and random search are branch
 and bound: an order stops being scored once its denominator so far plus
-bound.remaining_cap cannot reach the best one found so far.  The brute-force
-kernel first expands the sets of placed blocks best-first, by their largest
-denominator so far plus that cap (A* search), which finds the optimum's
-floor; it builds the entropy rows of its step table only for the sets that
-can reach that floor.  The cap is widened, so pruning skips only orders
-strictly worse than an incumbent and never changes a result; evaluations
-still counts every order covered.
+bound.remaining_cap cannot reach a floor.  Random search's floor is the
+best draw's denominator.  The brute-force kernel first expands the sets of
+placed blocks best-first, by their largest denominator so far plus that cap
+(A* search), which finds the optimum's floor; it builds the entropy rows of
+its step table only for the sets that can reach that floor, and its DFS
+prunes against the best-first pass's floor.  The cap is widened, so pruning
+skips only orders strictly worse than an incumbent and never changes a
+result; evaluations still counts every order covered.
 
 run is the one option gate: METHOD_OPTIONS names the options each method
 reads and the value each takes when not given, and run refuses any other
@@ -60,13 +61,14 @@ from .bound import (
     weighted_terms,
 )
 from .coloring import color_sets, ec_order
-from .entropy import EntropyCache
+from .entropy import EntropyCache, check_enumeration
 from .errors import GraphComplete, SearchSpaceTooLarge, ValidationError
 from .graphs import (
     Edge,
     Graph,
     all_edges,
     check_edge,
+    check_vertex_count,
     chord_censuses,
     connected_components,
     edge_count,
@@ -153,29 +155,30 @@ def _permutation_guard(k: int, advice: str) -> None:
 
 def _block_branch(task):
     """Best (bound, order), the number of orders scored in full and the
-    near-ties among the orders whose first block is one of `firsts`.
+    near-ties among the orders whose first step is one of `firsts`, steps
+    of rows[0].
 
-    terms[done][j] holds the weighted terms of block j's edges when it follows
-    the head and the blocks in the set `done`, and cap[done] the
-    remaining_cap from there, so a DFS over the blocks carries only the set
-    placed so far and the running denominator.  The DFS enters a set, a
-    whole order included, only if its denominator plus cap reaches the floor:
-    the optimum's floor from the best-first pass that the task is seeded
-    with, raised to hmin / (best bound + tie_tol) by each better order it
-    finds.  No order below a set it skips could win or tie, and every set it
-    enters has its table row.  It scores an order when it enters the full
-    set; a task whose orders all fall below the floor returns (inf, ()).
+    rows[done] lists, for each block j outside the set `done` of blocks
+    placed after the head, (j, the set with j added, the weighted terms of
+    j's edges from there), and cap[done] holds the remaining_cap from done,
+    so a DFS over the blocks carries only the set placed so far and the
+    running denominator, from head_acc, the head's fold.  The DFS enters a
+    set, a whole order included, only if its denominator plus cap reaches
+    the floor, the optimum's from the best-first pass, which it never
+    raises: no order below a set it skips could win or tie, and every set
+    it enters has its row.  It scores an order when it enters the full set;
+    a task whose orders all fall below the floor returns (inf, ()).
     """
-    terms, cap, free, hmin, head, head_terms, blocks, firsts, tie_tol, floor = task
-    full = len(terms) - 1
+    rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, floor = task
+    full = len(rows) - 1
     slack = 0.0 if tie_tol is None else tie_tol
     best = (math.inf, ())
     ties = []
     scored = 0
     perm = []
 
-    def visit(done, acc, choices):
-        nonlocal best, floor, scored
+    def visit(done, acc, steps):
+        nonlocal best, scored
         if done == full:
             scored += 1
             b = hmin / acc
@@ -183,22 +186,19 @@ def _block_branch(task):
                 order = head + tuple(e for i in perm for e in blocks[i])
                 if (b, order) < best:
                     best = (b, order)
-                    floor = max(floor, hmin / (b + slack))
                 if tie_tol is not None:
                     ties.append((b, order))
             return
-        row = terms[done]
-        for j in choices:
+        for j, nxt, terms in steps:
             a = acc
-            for t in row[j]:
+            for t in terms:
                 a += t
-            nxt = done | 1 << j
             if a + cap[nxt] >= floor:
                 perm.append(j)
-                visit(nxt, a, free[nxt])
+                visit(nxt, a, rows[nxt])
                 perm.pop()
 
-    visit(0, _fold(0.0, head_terms), firsts)
+    visit(0, head_acc, firsts)
     del visit  # visit refers to itself; dropping it frees the task without a collection
     return best, scored, ties
 
@@ -215,10 +215,10 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
 
     Every order scores the bits of a left-to-right fold of its weighted
     terms, which come from a table built through the cache: a set of placed
-    blocks has a row, the weighted_terms of each block j outside it from the
-    set's state, and each set's state and remaining_cap come from the walk
-    that first reaches it.  Rows are built only for the sets that can still
-    reach the optimum, in two passes:
+    blocks has a row, which lists each block j outside it with the
+    weighted_terms of j's edges from the set's state, and each set's state
+    and remaining_cap come from the walk that first reaches it.  Rows are
+    built only for the sets that can still reach the optimum, in two passes:
 
     1. A best-first pass (A* search, with the cap as its heuristic).  D[S] is
        the largest fold into S found so far.  It pops the set with the
@@ -226,19 +226,19 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
        D of the set one block larger, pushing that set only when its fold
        improves and, plus its cap, reaches the floor.  Each fold into the
        full set raises the floor to hmin / (its bound + tie_tol), the
-       denominator an order must reach to win or tie; with no blocks, the
-       floor is the head's own.  The pass stops when the largest D[S] plus
-       cap falls below the floor.  The cap falls by at least each step's
-       terms, so fold plus cap never rises along an order: in exact
-       arithmetic D[S] is final when S is popped, and the floor is the
-       optimum's.  A set whose D rose by a rounding after it was popped is
-       pushed and expanded again from its cached row.  IEEE addition is
+       denominator an order must reach to win or tie.  The pass stops when
+       the largest D[S] plus cap falls below the floor.  The cap falls by at
+       least each step's terms, so fold plus cap never rises along an order:
+       in exact arithmetic D[S] is final when S is popped, and the floor is
+       the optimum's.  A set whose D rose by a rounding after it was popped
+       is pushed and expanded again from its cached row.  IEEE addition is
        monotone, so every set that the DFS enters was expanded.
-    2. One DFS task per first block after the head, seeded with the floor,
-       run in at most that many worker processes when workers > 1; with no
-       blocks, one task scores the head alone.  Each task prunes against
-       the shared floor and its own best, so the worker count never changes
-       the result.
+    2. One DFS task per first block after the head, run in at most that many
+       worker processes when workers > 1; with no blocks, one task scores
+       the head alone.  Each task prunes against the best-first pass's
+       floor, so the worker count never changes the result; an order it
+       completes folds to at most D[full], so a floor of its own would never
+       rise above the pass's.
 
     The widened cap skips only orders strictly worse than an incumbent, so
     ties in the bound still go to the lexicographically smallest edge order.
@@ -253,39 +253,38 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
     slack = 0.0 if tie_tol is None else tie_tol
     full = (1 << k) - 1
     head_terms, _, start = weighted_terms(cache, n, head)
+    head_acc = _fold(0.0, head_terms)
     # per set of placed blocks: its state (where the head and those blocks
-    # end, in any order), its cap, its row and its free blocks
+    # end, in any order), its cap and its row
     states = [start] + [None] * full
     cap = [remaining_cap(cache, n, start)] + [None] * full
-    terms = [None] * (full + 1)
-    free = [tuple(j for j in range(k) if not done >> j & 1) for done in range(full + 1)]
+    rows = [None] * (full + 1)
 
     def row(done):
-        if terms[done] is None:
+        if rows[done] is None:
             state = states[done]
             cache.hold(state[0])
-            terms[done] = [None] * k
-            for j in free[done]:
+            rows[done] = []
+            for j in range(k):
                 nxt = done | 1 << j
-                terms[done][j], _, end = weighted_terms(cache, n, blocks[j], state)
-                if states[nxt] is None:
-                    states[nxt], cap[nxt] = end, remaining_cap(cache, n, end)
-        return terms[done]
+                if nxt != done:
+                    terms, _, end = weighted_terms(cache, n, blocks[j], state)
+                    if states[nxt] is None:
+                        states[nxt], cap[nxt] = end, remaining_cap(cache, n, end)
+                    rows[done].append((j, nxt, terms))
+        return rows[done]
 
     # reach[S] is D[S]; the heap holds (-(reach[S] + cap[S]), S)
-    head_acc = _fold(0.0, head_terms)
     reach = [-math.inf] * (full + 1)
     reach[0] = head_acc
-    floor = 0.0 if k else hmin / (hmin / head_acc + slack)
-    heap = [(-(head_acc + cap[0]), 0)] if k else []
+    floor = 0.0
+    heap = [(-(head_acc + cap[0]), 0)]
     while heap and -heap[0][0] >= floor:
         value, done = heapq.heappop(heap)
         if -value != reach[done] + cap[done]:
             continue  # stale: the set was pushed again when its reach rose
-        placed = row(done)
-        for j in free[done]:
-            nxt = done | 1 << j
-            a = _fold(reach[done], placed[j])
+        for _, nxt, terms in row(done):
+            a = _fold(reach[done], terms)
             if a > reach[nxt]:
                 reach[nxt] = a
                 if nxt == full:
@@ -294,8 +293,8 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
                     heapq.heappush(heap, (-(a + cap[nxt]), nxt))
 
     tasks = [
-        (terms, cap, free, hmin, head, head_terms, blocks, firsts, tie_tol, floor)
-        for firsts in [(j,) for j in range(k)] or [()]
+        (rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, floor)
+        for firsts in [[step] for step in rows[0]] or [[]]
     ]
     if workers > 1 and k > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -336,7 +335,13 @@ def e_ec_search(
     fixed_colors (useful for reproducing runs that held a nonstandard pair
     of classes fixed).
     """
-    part = color_sets(params.f)
+    head, blocks = _e_ec_blocks(params.f, fixed_colors, leading_colors)
+    return _block_search(params, cache, head, blocks, workers)
+
+
+def _e_ec_blocks(f: int, fixed_colors: int, leading_colors=None):
+    """e-ec's head and blocks at f, once its classes and the cap admit them."""
+    part = color_sets(f)
     chi = len(part.sets)
     if leading_colors is None:
         if not 1 <= fixed_colors <= chi:
@@ -350,7 +355,7 @@ def e_ec_search(
             )
     blocks = [tuple(part.sets[c]) for c in range(chi) if c not in leading]
     _permutation_guard(len(blocks), "fix more leading classes")
-    return _block_search(params, cache, part.concatenated(leading), blocks, workers)
+    return part.concatenated(leading), blocks
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +371,7 @@ def ldf_order(f: int) -> tuple[Edge, ...]:
     first), close the cycle across the periphery pair, then hand the chords
     to order_inner_edges.
     """
-    if f < 3:
-        raise ValidationError(f"the distance-first construction needs f >= 3, got {f}")
+    _check_ldf_size(f)
     g = Graph(f, [(1, 2)])
     order = [(1, 2)]
     for _ in range(f - 2):
@@ -390,6 +394,11 @@ def ldf_order(f: int) -> tuple[Edge, ...]:
     if len(order) == edge_count(f):
         return tuple(order)
     return order_inner_edges(g, order)
+
+
+def _check_ldf_size(f: int) -> None:
+    if f < 3:
+        raise ValidationError(f"the distance-first construction needs f >= 3, got {f}")
 
 
 def order_inner_edges(g: Graph, partial) -> tuple[Edge, ...]:
@@ -502,10 +511,15 @@ def exhaustive_search(
     collect_argmin, all enumerated orders within TIE_TOLERANCE of the minimum
     are returned.
     """
-    first, *rest = all_edges(params.f)
+    head, blocks = _exhaustive_blocks(params.f)
+    return _block_search(params, cache, head, blocks, workers, TIE_TOLERANCE if collect_argmin else None)
+
+
+def _exhaustive_blocks(f: int):
+    """Exhaustive search's head and blocks at f, once the cap admits them."""
+    first, *rest = all_edges(f)
     _permutation_guard(len(rest), "exhaustive search supports f <= 5")
-    return _block_search(params, cache, (first,), [(e,) for e in rest], workers,
-                         TIE_TOLERANCE if collect_argmin else None)
+    return (first,), [(e,) for e in rest]
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +543,9 @@ def directed_random_search(
     given the seed; evaluations counts the draws and scored those scored in
     full.
     """
-    if fixed_colors < 2:
-        raise ValidationError(f"directed random search needs fixed_colors >= 2, got {fixed_colors}")
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
-    part = color_sets(params.f)
-    if fixed_colors > len(part.sets):
-        raise ValidationError(f"fixed_colors {fixed_colors} exceeds chi' = {len(part.sets)}")
+    prefix = _random_prefix(params.f, fixed_colors, budget)
     cache = make_cache(params, cache)
     n = params.n
-    prefix = part.concatenated(range(fixed_colors))
     rest_base = sorted(set(all_edges(params.f)) - set(prefix))
     # each draw folds its tail's terms onto the prefix's, from the prefix's state
     head_terms, _, start = weighted_terms(cache, n, prefix)
@@ -569,6 +576,18 @@ def directed_random_search(
                 floor = acc
     report = capacity_outer_bound(best[1], params, cache)
     return SearchResult(best=report, evaluations=budget, scored=scored)
+
+
+def _random_prefix(f: int, fixed_colors: int, budget: int):
+    """Random search's fixed prefix at f, once its options are admitted."""
+    if fixed_colors < 2:
+        raise ValidationError(f"directed random search needs fixed_colors >= 2, got {fixed_colors}")
+    if budget < 1:
+        raise ValidationError(f"budget must be >= 1, got {budget}")
+    part = color_sets(f)
+    if fixed_colors > len(part.sets):
+        raise ValidationError(f"fixed_colors {fixed_colors} exceeds chi' = {len(part.sets)}")
+    return part.concatenated(range(fixed_colors))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +622,8 @@ def _class_walk(f: int) -> tuple[int, int]:
     of distinct class sequences from the empty graph that reach it; a state's
     successors are the distinct canonical forms of it plus one absent edge.
     Canonical forms take all f! relabelings, so 2 <= f <= PATH_COUNT_LIMIT."""
-    if f < 2 or f > PATH_COUNT_LIMIT:
+    check_vertex_count(f)
+    if f > PATH_COUNT_LIMIT:
         raise SearchSpaceTooLarge(
             f"path counting enumerates canonical forms over f! relabelings; supported for 2 <= f <= "
             f"{PATH_COUNT_LIMIT}, got {f}"
@@ -638,12 +658,11 @@ def count_graph_classes(f: int) -> int:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def run(method: str, params: BoundParams, cache: EntropyCache | None = None, workers: int = 1,
-        **options) -> SearchResult:
-    """Run one method (the CLI entry point).  options are the keywords of
-    OPTION_NAMES; one that is None is not given.  A given option that the
-    method does not read is refused; one that it reads and is not given takes
-    its METHOD_OPTIONS value."""
+def check_run(method: str, params: BoundParams, **options) -> dict:
+    """Refuse, with no entropy computed, what run(method, params, **options)
+    would refuse, and return the options the method reads, each one not
+    given at its METHOD_OPTIONS value.  A given option that the method does
+    not read is refused, then the method's own options and guards, then q^f."""
     unknown = sorted(set(options) - set(OPTION_NAMES))
     if unknown:
         raise TypeError(f"run() got unknown options {', '.join(unknown)}")
@@ -663,6 +682,25 @@ def run(method: str, params: BoundParams, cache: EntropyCache | None = None, wor
             where = f"{method!r} with tie policy {tie or 'lex'!r}" if has_tie else repr(method)
             raise ValidationError(f"{name} {value!r} applies to {readers} only, not {where} ({flag})")
         opts[option] = value
+    f = params.f
+    if method == "e-ec":
+        _e_ec_blocks(f, opts["fixed_colors"])
+    elif method == "ldf":
+        _check_ldf_size(f)
+    elif method == "exhaustive":
+        _exhaustive_blocks(f)
+    elif method == "random":
+        _random_prefix(f, opts["fixed_colors"], opts["budget"])
+    check_enumeration(f, params.q)
+    return opts
+
+
+def run(method: str, params: BoundParams, cache: EntropyCache | None = None, workers: int = 1,
+        **options) -> SearchResult:
+    """Run one method (the CLI entry point).  options are the keywords of
+    OPTION_NAMES; one that is None is not given.  check_run refuses what the
+    method would refuse and fills in the options not given."""
+    opts = check_run(method, params, **options)
     if method in ("ec", "ldf"):
         order = ec_order(params.f) if method == "ec" else ldf_order(params.f)
         return SearchResult(best=capacity_outer_bound(order, params, cache), evaluations=1)

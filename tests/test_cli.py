@@ -385,12 +385,21 @@ class TestTableCommand:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    # f = 17 is past the vertex range, and 3^14 assignments past the
-    # enumeration guard: both refused before the first row is computed
+    # f = 17 is past the vertex range, 3^14 assignments past the enumeration
+    # guard, e-ec at f = 13 with 2 fixed classes (11!), e-ec at f = 11 with
+    # 1 (10!) and exhaustive search at f = 6 (14!) past the permutation cap,
+    # and ldf needs f >= 3: each refused before the first row is computed
     @pytest.mark.parametrize("argv,exit_code,message", [
         (("--f-range", "9..17", "--methods", "ec,ldf"), EXIT_USAGE, "vertex count"),
         (("--q", "3", "--f-range", "12..14"), EXIT_GUARD, "enumeration guard"),
-    ], ids=["f-17", "q3-f14"])
+        (("--q", "3", "--f-range", "11..13", "--methods", "e-ec", "--fixed-colors", "2"),
+         EXIT_GUARD, "11! = 39916800 block orders exceed the permutation cap"),
+        (("--f-range", "9..11", "--methods", "e-ec", "--fixed-colors", "1"),
+         EXIT_GUARD, "10! = 3628800 block orders exceed the permutation cap"),
+        (("--f-range", "3..6", "--methods", "exhaustive"),
+         EXIT_GUARD, "14! = 87178291200 block orders exceed the permutation cap"),
+        (("--f-range", "2..4", "--methods", "ec,ldf"), EXIT_USAGE, "f >= 3"),
+    ], ids=["f-17", "q3-f14", "e-ec-q3-f13", "e-ec-f11", "exhaustive-f6", "ldf-f2"])
     def test_guards_checked_before_any_row(self, capsys, monkeypatch, argv, exit_code, message):
         def no_rows(*args, **kwargs):
             raise AssertionError("a row was computed for a range that a guard refuses")
@@ -533,6 +542,19 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "paths", "--f", "5")
         assert code == EXIT_OK
         assert "657 paths" in out
+
+    # a vertex count outside [2, 16] is a usage error here as in every other
+    # suite; the path count's own guard refuses f = 6..16
+    @pytest.mark.parametrize("f,exit_code,message", [
+        ("1", EXIT_USAGE, "vertex count must be an integer in [2, 16], got 1"),
+        ("17", EXIT_USAGE, "vertex count must be an integer in [2, 16], got 17"),
+        ("6", EXIT_GUARD, "supported for 2 <= f <= 5, got 6"),
+    ])
+    def test_paths_refusals(self, capsys, f, exit_code, message):
+        code, out, err = run_cli(capsys, "verify", "--suite", "paths", "--f", f)
+        assert code == exit_code
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
 
 class TestConsoleScript:

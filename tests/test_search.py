@@ -27,7 +27,8 @@ from pqcbound import (
     matching_size,
     order_inner_edges,
 )
-from pqcbound.errors import GraphComplete, SearchSpaceTooLarge, ValidationError
+from pqcbound.errors import (EnumerationTooLarge, GraphComplete, InvalidVertex, SearchSpaceTooLarge,
+                             ValidationError)
 from pqcbound import search
 from pqcbound.bound import make_cache, remaining_cap, weighted_terms
 from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
@@ -207,18 +208,29 @@ def _assert_same_search(got, want):
 
 
 def _path_terms(task, order):
-    """Hex of the weighted terms a _block_branch task adds along `order`:
-    the head's, then each block's from the table row of the blocks before it."""
-    terms, _, _, _, head, head_terms, blocks, _, _, _ = task
+    """The head's fold that a _block_branch task starts from, and the hex of
+    the weighted terms it adds along `order` after the head: each block's
+    from the row of the blocks before it."""
+    rows, _, _, head, head_acc, blocks, _, _, _ = task
     first = {block[0]: j for j, block in enumerate(blocks)}
-    out = list(head_terms)
+    out = []
     done, pos = 0, len(head)
     while pos < len(order):
         j = first[order[pos]]
-        out.extend(terms[done][j])
-        done |= 1 << j
+        ((nxt, terms),) = [(s, t) for i, s, t in rows[done] if i == j]
+        assert nxt == done | 1 << j
+        out.extend(terms)
+        done = nxt
         pos += len(blocks[j])
-    return [t.hex() for t in out]
+    return head_acc, [t.hex() for t in out]
+
+
+def _fold(terms):
+    """The terms added left to right from 0.0, as the brute-force DFS adds them."""
+    acc = 0.0
+    for t in terms:
+        acc += t
+    return acc
 
 
 # The brute-force kernel as it was before its table was pruned, copied
@@ -404,6 +416,19 @@ class TestPrunedTable:
             assert (two.best, two.evaluations, two.scored) == (one.best, one.evaluations, one.scored)
         assert inline_pool == [2, 2]
 
+    # the counts the DFS gave when each task also raised a floor of its own
+    # on each better order: the pass's floor leaves it nothing to raise
+    @pytest.mark.parametrize("f,fixed,scored", [
+        (7, 1, 1), (8, 1, 2), (9, 1, 6), (10, 1, 120), (11, 2, 720),
+    ])
+    def test_e_ec_scored(self, f, fixed, scored, shared_cache):
+        assert e_ec_search(params(f), fixed_colors=fixed, cache=shared_cache(f)).scored == scored
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exhaustive_scored(self, n, shared_cache):
+        result = exhaustive_search(params(5, n=n), cache=shared_cache(5), collect_argmin=True)
+        assert (result.scored, len(result.argmin_orders)) == (1920, 1920)
+
 
 class TestEEcOracle:
     # shared_cache only hands out memoized caches, which every example may share
@@ -441,9 +466,15 @@ class TestEEcOracle:
         assert winners
         assert all(b == math.inf for _, ((b, order), _, _) in calls if not order)
         for task, b, order in winners:
-            want = [t.hex() for t in _weighted_terms(order, p, cache)[1]]
-            assert _path_terms(task, order) == want
+            want = _weighted_terms(order, p, cache)[1]
+            head = len(task[3])
+            assert _path_terms(task, order) == (_fold(want[:head]), [t.hex() for t in want[head:]])
             assert b.hex() == _eval_order(order, f, n, cache).hex()
+        # every task prunes against the pass's floor, which is the winner's:
+        # hmin / (hmin / a + tie_tol) for its fold a, with no tie_tol in e-ec
+        a = _fold(_weighted_terms(got.best.order, p, cache)[1])
+        hmin = cache.marginal_entropy()
+        assert all(task[-1] == hmin / (hmin / a) for task, _ in calls)
 
     # n = 1 gives every order the same bound, so the tie rule picks the winner
     @pytest.mark.parametrize("f,n", [(7, 3), (8, 1)])
@@ -1061,9 +1092,13 @@ class TestPathCounting:
     def test_guard(self):
         with pytest.raises(SearchSpaceTooLarge):
             count_distinct_paths(6)
-        for f in (1, 6):
-            for count in (count_distinct_paths, count_graph_classes):
+        for count in (count_distinct_paths, count_graph_classes):
+            for f in (6, 16):
                 with pytest.raises(SearchSpaceTooLarge, match="2 <= f <= 5"):
+                    count(f)
+            # no graph has these vertex counts: a usage error, as in every other suite
+            for f in (1, 17):
+                with pytest.raises(InvalidVertex, match=r"vertex count must be an integer in \[2, 16\]"):
                     count(f)
 
     @pytest.mark.parametrize("f", [2, 3, 4, 5])
@@ -1178,3 +1213,28 @@ class TestDispatch:
     def test_unknown_option_name_refused(self, shared_cache):
         with pytest.raises(TypeError, match="fixed_colours"):
             run("e-ec", params(4), cache=shared_cache(4), fixed_colours=2)
+
+    # what each method refuses of its own, after the option gate
+    REFUSED = [
+        ("e-ec", 6, 2, {"fixed_colors": 0}, ValidationError, "fixed_colors must be in"),
+        ("e-ec", 11, 2, {"fixed_colors": 1}, SearchSpaceTooLarge, "permutation cap"),
+        ("ldf", 2, 2, {}, ValidationError, "f >= 3"),
+        ("exhaustive", 6, 2, {}, SearchSpaceTooLarge, "permutation cap"),
+        ("random", 6, 2, {"fixed_colors": 1}, ValidationError, "fixed_colors >= 2"),
+        ("random", 6, 2, {"budget": 0}, ValidationError, "budget must be"),
+        ("random", 4, 2, {"fixed_colors": 4}, ValidationError, "exceeds chi'"),
+        ("ec", 14, 3, {}, EnumerationTooLarge, "enumeration guard"),
+        ("ebg", 14, 3, {}, EnumerationTooLarge, "enumeration guard"),
+        # the method's own refusal comes before q^f's
+        ("e-ec", 14, 3, {"fixed_colors": 0}, ValidationError, "fixed_colors must be in"),
+    ]
+
+    @pytest.mark.parametrize("method,f,q,options,error,message", REFUSED)
+    def test_check_run_refuses_what_run_refuses(self, method, f, q, options, error, message,
+                                                 monkeypatch):
+        with pytest.raises(error, match=message):
+            run(method, params(f, q=q), **options)
+        # and without an entropy
+        monkeypatch.setattr(EntropyCache, "joint_entropy", None)
+        with pytest.raises(error, match=message):
+            search.check_run(method, params(f, q=q), **options)
