@@ -108,13 +108,13 @@ def cmd_run(args) -> int:
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise PqcboundError(f"--f-range must look like A..B, got {text!r}")
+        raise ValidationError(f"--f-range must look like A..B, got {text!r}")
     try:
         a, b = int(lo), int(hi)
     except ValueError:
-        raise PqcboundError(f"--f-range must look like A..B with integers, got {text!r}") from None
+        raise ValidationError(f"--f-range must look like A..B with integers, got {text!r}") from None
     if a > b:
-        raise PqcboundError(f"--f-range is empty: {text!r}")
+        raise ValidationError(f"--f-range is empty: {text!r}")
     return range(a, b + 1)
 
 

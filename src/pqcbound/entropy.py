@@ -247,15 +247,13 @@ class EntropyCache:
         return h
 
     def conditional_entropy(self, edge, given=()) -> float:
-        """H(X^edge | monomials in given); value in [0, 1]."""
+        """H(X^edge | monomials in given) = H(given + edge) - H(given); value in [0, 1]."""
         e = check_edge(edge, self.f)
         bit = 1 << edge_index(e, self.f)
         given_mask = self._mask_of(given)
         if given_mask & bit:
             raise EdgeAlreadyConditioned(f"edge {edge!r} is already in the conditioning set")
-        h = self.joint_entropy(given_mask | bit) - self.joint_entropy(given_mask)
-        # exact difference can dip a hair below zero in floating point
-        return 0.0 if -1e-12 < h < 0.0 else h
+        return self.joint_entropy(given_mask | bit) - self.joint_entropy(given_mask)
 
     @cached_property
     def full_entropy(self) -> float:

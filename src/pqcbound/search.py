@@ -12,7 +12,8 @@ is the edge (1, 2) and its blocks are the other edges, one each.  Both are
 refused when the blocks have more than PERMUTATION_CAP orders, which admits
 exhaustive search up to f = 5.
 
-Every score is a sum of bound.weighted_terms; each winner is re-evaluated
+Every score is a sum of bound.weighted_terms, ebg's exactly rounded and
+every other one the left-to-right fold _fold; each winner is re-evaluated
 with capacity_outer_bound.  Both brute-force and random search are branch
 and bound: an order stops being scored once its denominator so far plus
 bound.remaining_cap cannot reach a floor.  Random search's floor is the
@@ -190,9 +191,7 @@ def _block_branch(task):
                     ties.append((b, order))
             return
         for j, nxt, terms in steps:
-            a = acc
-            for t in terms:
-                a += t
+            a = _fold(acc, terms)
             if a + cap[nxt] >= floor:
                 perm.append(j)
                 visit(nxt, a, rows[nxt])
@@ -204,7 +203,9 @@ def _block_branch(task):
 
 
 def _fold(acc, terms):
-    """acc plus the terms, added left to right as the DFS adds them."""
+    """acc plus the terms, added left to right: every search score but ebg's
+    is this fold of weighted_terms, so the best-first pass and the DFS agree
+    to the bit."""
     for t in terms:
         acc += t
     return acc
@@ -224,8 +225,8 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
        the largest fold into S found so far.  It pops the set with the
        largest D[S] plus cap, builds its row and folds each free block into
        D of the set one block larger, pushing that set only when its fold
-       improves and, plus its cap, reaches the floor.  Each fold into the
-       full set raises the floor to hmin / (its bound + tie_tol), the
+       improves and, plus its cap, reaches the floor.  Each fold that
+       improves D[full] raises the floor to hmin / (its bound + tie_tol), the
        denominator an order must reach to win or tie.  The pass stops when
        the largest D[S] plus cap falls below the floor.  The cap falls by at
        least each step's terms, so fold plus cap never rises along an order:
@@ -288,7 +289,7 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
             if a > reach[nxt]:
                 reach[nxt] = a
                 if nxt == full:
-                    floor = max(floor, hmin / (hmin / a + slack))
+                    floor = hmin / (hmin / a + slack)
                 elif a + cap[nxt] >= floor:
                     heapq.heappush(heap, (-(a + cap[nxt]), nxt))
 
@@ -550,9 +551,7 @@ def directed_random_search(
     # each draw folds its tail's terms onto the prefix's, from the prefix's state
     head_terms, _, start = weighted_terms(cache, n, prefix)
     cache.hold(start[0])
-    head = 0.0
-    for t in head_terms:
-        head += t
+    head = _fold(0.0, head_terms)
     hmin = cache.marginal_entropy()
     rng = random.Random(seed)
     best = (math.inf, ())
@@ -608,10 +607,10 @@ def _edge_remaps(f: int) -> tuple:
     return tuple(remaps)
 
 
-def _canonical_form(mask: int, remaps) -> int:
-    """The smallest mask among the relabelings of mask."""
-    bits = [i for i in range(len(remaps[0])) if mask >> i & 1]
-    return min(sum(1 << r[i] for i in bits) for r in remaps)
+def _canonical_form(mask: int, f: int) -> int:
+    """The smallest mask among the f! relabelings of mask."""
+    bits = [i for i in range(edge_count(f)) if mask >> i & 1]
+    return min(sum(1 << r[i] for i in bits) for r in _edge_remaps(f))
 
 
 @lru_cache(maxsize=None)
@@ -628,14 +627,13 @@ def _class_walk(f: int) -> tuple[int, int]:
             f"path counting enumerates canonical forms over f! relabelings; supported for 2 <= f <= "
             f"{PATH_COUNT_LIMIT}, got {f}"
         )
-    remaps = _edge_remaps(f)
     mu = edge_count(f)
     layer = {0: 1}
     states = 1
     for _ in range(mu):
         nxt: dict[int, int] = {}
         for mask, paths in layer.items():
-            for s in {_canonical_form(mask | 1 << i, remaps) for i in range(mu) if not mask >> i & 1}:
+            for s in {_canonical_form(mask | 1 << i, f) for i in range(mu) if not mask >> i & 1}:
                 nxt[s] = nxt.get(s, 0) + paths
         layer = nxt
         states += len(layer)

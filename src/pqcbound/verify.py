@@ -197,16 +197,15 @@ def remarks_suite(f: int) -> list[Check]:
 
 def _labeled_path_oracle(f: int) -> int:
     """Distinct canonical-class sequences over all labeled addition orders."""
-    from .search import _canonical_form, _edge_remaps
+    from .search import _canonical_form
 
-    remaps = _edge_remaps(f)
     mu = edge_count(f)
     canon: dict[int, int] = {}
 
     def c(mask):
         v = canon.get(mask)
         if v is None:
-            v = _canonical_form(mask, remaps)
+            v = _canonical_form(mask, f)
             canon[mask] = v
         return v
 

@@ -7,6 +7,7 @@ import pytest
 
 from pqcbound import EntropyCache, cli, search
 from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _threads, build_parser, main
+from pqcbound.errors import ValidationError
 
 
 # Records of `order --method ebg --tie random --seed S --f F --q Q --n 2`,
@@ -380,6 +381,9 @@ class TestTableCommand:
         ("7..5", "--f-range is empty: '7..5'"),
     ], ids=["no-dots", "not-integers", "empty"])
     def test_range_refusals(self, capsys, text, message):
+        # a usage error of the one class every other usage error has
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            cli._parse_range(text)
         code, out, err = run_cli(capsys, "table", "--f-range", text, "--methods", "ec")
         assert code == EXIT_USAGE
         assert out == ""

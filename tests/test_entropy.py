@@ -7,10 +7,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pqcbound import EntropyCache, all_edges, edge_index
+from pqcbound import EntropyCache, all_edges, edge_count, edge_index
+from pqcbound.bound import weighted_terms
 from pqcbound.entropy import BINCOUNT_SPAN, _xlogx_sum, check_field_size
 from pqcbound.errors import (
     EdgeAlreadyConditioned,
@@ -18,6 +19,7 @@ from pqcbound.errors import (
     InvalidEdge,
     InvalidFieldSize,
 )
+from pqcbound.graphs import edge_from_index, mask_to_edges
 
 H_SINGLE_Q2 = 0.8112781244591  # -(3/4)log2(3/4) - (1/4)log2(1/4)
 
@@ -429,6 +431,27 @@ class TestConditionalEntropy:
                 cache.conditional_entropy(prefix[i], prefix[:i]) for i in range(k)
             )
             assert total == pytest.approx(cache.joint_entropy(prefix), abs=1e-12)
+
+    # S + e refines the outcome partition of S.  An equal partition has the
+    # same count multiset, so the same bits and a difference of exactly 0.0;
+    # a strict one splits some class of c outcomes, which raises
+    # sum c ln c / (q^f ln q) by at least 2 ln 2 / (q^f ln q), far above
+    # the entropies' rounding.  So the difference needs no clamp at zero.
+    # The 1e-9 allows the rounding of a gap met exactly (a pair split in two).
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_refinement_gap(self, data, shared_cache):
+        f, q = data.draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2),
+                                          (3, 3), (4, 3), (5, 3), (6, 3), (3, 5), (4, 5)]))
+        cache = shared_cache(f, q)
+        i = data.draw(st.integers(0, edge_count(f) - 1))
+        given_mask = data.draw(st.integers(0, (1 << edge_count(f)) - 1)) & ~(1 << i)
+        gap = cache.joint_entropy(given_mask | 1 << i) - cache.joint_entropy(given_mask)
+        assert gap == 0.0 or gap >= 2 * math.log(2) / (q**f * math.log(q)) * (1 - 1e-9)
+        e = edge_from_index(i, f)
+        _, cond, _ = weighted_terms(cache, 2, [*mask_to_edges(given_mask, f), e])
+        assert cache.conditional_entropy(e, given_mask).hex() == cond[-1].hex() == gap.hex()
 
 
 class TestMarginalEntropy:

@@ -30,7 +30,7 @@ from pqcbound import (
 from pqcbound.errors import (EnumerationTooLarge, GraphComplete, InvalidVertex, SearchSpaceTooLarge,
                              ValidationError)
 from pqcbound import search
-from pqcbound.bound import make_cache, remaining_cap, weighted_terms
+from pqcbound.bound import _weights, make_cache, remaining_cap, weighted_terms
 from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
 from pqcbound.search import SearchResult, run
 
@@ -954,6 +954,58 @@ class TestExhaustive:
         assert all(optimum <= b + 1e-12 for b in others)
 
 
+# Oracle: the smallest bound over every order that starts with (1, 2), by a
+# DP over the sets of placed edges instead of a search over orders.  D[S],
+# for a set S of the other edges, is the largest left-to-right fold of
+# weighted_terms over the orders of (1, 2) then S: the max over e in S of
+# D[S - e] plus e's term after S - e.  IEEE addition is monotone, so the
+# max of the folds is D of the full set, to the bit.
+
+def _optimal_bound_dp(p, cache):
+    mu = edge_count(p.f)
+    w = _weights(p.n, mu)
+    # h[S]: the joint entropy of (1, 2), mask bit 0, and the edges of S
+    h = [cache.joint_entropy(s << 1 | 1) for s in range(1 << (mu - 1))]
+    d = [h[0]]  # the head's term, of weight 1
+    for s in range(1, len(h)):
+        k, best, rest = s.bit_count(), -math.inf, s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            a = d[s ^ b] + w[k] * (h[s] - h[s ^ b])
+            if a > best:
+                best = a
+        d.append(best)
+    return cache.marginal_entropy() / d[-1]
+
+
+# The DP's smallest bound at q = 2, as hex and as the CLI prints it.  The
+# paper certifies LDF and EBG optimal for f < 6 only.
+OPTIMAL_BOUNDS = {
+    (6, 2): ("0x1.0a20ee8aca384p-1", "0.5197824997350"),
+    (6, 3): ("0x1.58a6295305692p-1", "0.6731427110523"),
+    (7, 2): ("0x1.06a25252bd51ep-1", "0.5129571653366"),
+}
+
+
+class TestOptimalOrders:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dp_matches_exhaustive_at_f5(self, n, shared_cache):
+        p, cache = params(5, n=n), shared_cache(5)
+        assert _optimal_bound_dp(p, cache).hex() == exhaustive_search(p, cache=cache).best.bound.hex()
+
+    # f = 7 looks up all 2^20 entropies in a cache of its own, which is
+    # dropped after the test
+    @pytest.mark.parametrize("f,n", [(6, 2), (6, 3), pytest.param(7, 2, marks=pytest.mark.slow)])
+    def test_ldf_and_ebg_are_optimal(self, f, n, shared_cache):
+        p = params(f, n=n)
+        cache = shared_cache(f) if f < 7 else EntropyCache(f, 2)
+        optimum = _optimal_bound_dp(p, cache)
+        assert (optimum.hex(), f"{optimum:.13f}") == OPTIMAL_BOUNDS[f, n]
+        assert capacity_outer_bound(ldf_order(f), p, cache).bound.hex() == optimum.hex()
+        assert ebg_order(p, cache=cache).best.bound.hex() == optimum.hex()
+
+
 class TestDirectedRandom:
     def test_budget_one_is_deterministic(self, shared_cache):
         a = directed_random_search(params(6), seed=3, budget=1, cache=shared_cache(6))
@@ -1053,14 +1105,13 @@ class TestPathCounting:
         assert count_distinct_paths(3) == 1
 
     def test_f4_against_labeled_oracle(self):
-        from pqcbound.search import _canonical_form, _edge_remaps
+        from pqcbound.search import _canonical_form
 
-        remaps = _edge_remaps(4)
         canon: dict[int, int] = {}
 
         def c(mask):
             if mask not in canon:
-                canon[mask] = _canonical_form(mask, remaps)
+                canon[mask] = _canonical_form(mask, 4)
             return canon[mask]
 
         seqs = set()
@@ -1110,15 +1161,15 @@ class TestPathCounting:
     def test_canonical_form_matches_loop(self, f):
         remaps = search._edge_remaps(f)
         for mask in range(1 << edge_count(f)):
-            assert search._canonical_form(mask, remaps) == _canonical_form_loop(mask, remaps)
+            assert search._canonical_form(mask, f) == _canonical_form_loop(mask, remaps)
 
     def test_both_counts_read_one_walk(self, monkeypatch):
         calls = []
         canonical_form = search._canonical_form
 
-        def counting(mask, remaps):
+        def counting(mask, f):
             calls.append(mask)
-            return canonical_form(mask, remaps)
+            return canonical_form(mask, f)
 
         monkeypatch.setattr(search, "_canonical_form", counting)
         search._class_walk.cache_clear()
