@@ -14,10 +14,10 @@ into classes, not on the code values, so a code can be refined by further
 columns in any order.  The cache carries two codes: that of its last miss,
 which serves chains of growing masks, and a base that the caller pins with
 hold(mask).  A miss for mask M starts from the carried code with the most
-columns among those whose mask is a subset of M and folds in only the
-columns it lacks, so H(S + e) after H(S) costs O(q^f), not O(|S| q^f).  A
-refine never changes the code it starts from.  The monomial columns are
-built on first use.
+columns among those whose mask is a subset of M, the held base on a tie,
+and folds in only the columns it lacks, so H(S + e) after H(S) costs
+O(q^f), not O(|S| q^f).  A refine never changes the code it starts from.
+The monomial columns are built on first use.
 
 A code is re-ranked, each value replaced by its rank among the values it
 takes, which keeps the order of the codes, in two places: when the next
@@ -194,9 +194,11 @@ class EntropyCache:
 
     def _carried(self, mask: int) -> tuple:
         """(mask, code, span) for mask, refined from the carried code with the
-        most columns among those whose masks are subsets of mask."""
+        most columns among those whose masks are subsets of mask, the held
+        base on a tie."""
         start = _NO_CODE
-        for held in (self._last, self._base):
+        # the base first: on a tie its rank-compacted code wins
+        for held in (self._base, self._last):
             if held[0] & ~mask == 0 and held[0].bit_count() > start[0].bit_count():
                 start = held
         rest = mask & ~start[0]

@@ -22,6 +22,19 @@ adjacency rows (short_path_counts).  A cycle of length L is, from each of its
 L vertices and in each direction, one path of L - 1 edges to a neighbour of
 the start, so cycle_census sums those paths over every start and neighbour
 and divides by 2L.
+
+The automorphisms of a graph come from one kernel, _automorphisms.  It
+first collapses twin classes: vertices u, v with N(u) - {v} = N(v) - {u},
+an equivalence whose classes are cliques or independent sets, and any
+permutation inside a class is an automorphism.  What is left is the
+quotient graph on the classes, colored by class size and kind, whose
+color-preserving automorphisms lift class by class.  Their generators come
+from color refinement and an individualisation-refinement search with
+orbit pruning, after B. D. McKay and A. Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60 (2014).  Every lifted generator is
+checked on the graph's edges before it is used, so a missed generator only
+leaves an orbit split, never merges two that differ.  edge_orbits gives
+each non-edge the smallest non-edge of its orbit.
 """
 from __future__ import annotations
 
@@ -416,3 +429,183 @@ def induced_cycle_vector(g: Graph, candidate, mode: str = "through-edge") -> tup
         work.add_edge((k, l))
         return cycle_census(work)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _twin_classes(adj) -> list[list[int]]:
+    """The twin classes of the 0-based vertices, each sorted, ordered by
+    their smallest member."""
+    classes = []
+    for v, row in enumerate(adj):
+        for c in classes:
+            if row & ~(1 << c[0]) == adj[c[0]] & ~(1 << v):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _refine(adj, color) -> tuple:
+    """The coarsest equitable refinement of a coloring by ranks 0..m-1, as
+    ranks, and the sorted keys of its last round.
+
+    Each vertex of a cell with more than one vertex is recolored by its old
+    color and its neighbour count in every cell, ranked in sorted order,
+    until no cell splits or every cell is a singleton.  Sorting keeps the
+    order of the old cells, so the refinement commutes with relabelling, and
+    the keys, which hold each cell's neighbour counts, are the same for
+    colorings that an automorphism maps onto each other.
+    """
+    m = max(color) + 1
+    while True:
+        cells = [0] * m
+        for v, c in enumerate(color):
+            cells[c] |= 1 << v
+        sig = [(c, *[(row & w).bit_count() for w in cells]) if cells[c] & cells[c] - 1 else (c,)
+               for c, row in zip(color, adj)]
+        keys = sorted(set(sig))
+        if len(keys) == m:
+            return color, keys
+        rank = {s: i for i, s in enumerate(keys)}
+        color = [rank[s] for s in sig]
+        if len(keys) == len(adj):
+            return color, keys
+        m = len(keys)
+
+
+def _target(color) -> list[int]:
+    """The vertices of the first cell with more than one vertex, or []."""
+    seen = {}
+    for v, c in enumerate(color):
+        seen.setdefault(c, []).append(v)
+    return next((seen[c] for c in sorted(seen) if len(seen[c]) > 1), [])
+
+
+def _color_generators(adj, color, lift) -> list[tuple]:
+    """Generators of the color-preserving automorphisms of a graph, found by
+    individualisation-refinement, each as (gamma, lift(gamma)): lift returns
+    None for a permutation gamma of the vertices that is not to be kept.
+
+    The first path individualises the first vertex of each node's target cell
+    until the coloring is discrete.  Then, deepest node first, each other
+    vertex w of a node's target cell that the generators found so far do not
+    already join to the path's vertex is individualised in its place, and its
+    subtree is searched for a leaf that maps the first leaf onto itself by a
+    permutation that lift keeps: the first one found is a generator.  Nodes
+    whose refinement keys differ from the first path's at the same depth hold
+    no such leaf.
+    """
+    k = len(adj)
+
+    def child(color, v):
+        """Individualise v: it takes its cell's rank, the rest of the cell and
+        every later cell move up by one."""
+        c = color[v]
+        return _refine(adj, [x + (x > c or x == c and u != v) for u, x in enumerate(color)])
+
+    path = []
+    node = _refine(adj, color)
+    while cell := _target(node[0]):
+        path.append((node, cell))
+        node = child(node[0], cell[0])
+    path.append((node, []))
+    first = node[0]
+
+    def leaf(node, depth):
+        color, keys = node
+        if keys != path[depth][0][1]:
+            return None
+        if depth + 1 < len(path):
+            return next(filter(None, (leaf(child(color, w), depth + 1) for w in _target(color))), None)
+        at = [0] * k
+        for v, c in enumerate(color):
+            at[c] = v
+        gamma = [at[first[v]] for v in range(k)]
+        perm = lift(gamma)
+        return None if perm is None else (gamma, perm)
+
+    gens = []
+    orbit = list(range(k))
+    for depth in reversed(range(len(path) - 1)):
+        (color, _), (v, *rest) = path[depth]
+        for w in rest:
+            if orbit[w] != orbit[v] and (found := leaf(child(color, w), depth + 1)):
+                gens.append(found)
+                for x, y in enumerate(found[0]):
+                    a, b = orbit[x], orbit[y]
+                    if a != b:
+                        orbit = [min(a, b) if o in (a, b) else o for o in orbit]
+    return gens
+
+
+def _automorphisms(g: Graph) -> tuple:
+    """(twin class of each 0-based vertex, the classes, checked generators).
+
+    Each generator is a pair (class permutation, vertex permutation): a
+    permutation of the quotient graph's vertices that keeps their colors,
+    lifted by mapping the sorted members of each class onto those of its
+    image, and kept only if the lifted permutation maps every edge of g onto
+    an edge.  Together with the permutations inside each class they generate
+    Aut(g).
+    """
+    adj = g._adj
+    classes = _twin_classes(adj)
+    cls = [0] * g.f
+    for i, c in enumerate(classes):
+        for v in c:
+            cls[v] = i
+    # a class is adjacent to all of another class or to none of it
+    reps = sum(1 << c[0] for c in classes)
+    quotient = [sum(1 << cls[u] for u in _bits(adj[c[0]] & reps)) for c in classes]
+    # size, and 1 for a clique of two or more, else 0
+    kinds = [(len(c), adj[c[0]] >> c[-1] & 1) for c in classes]
+    rank = {kind: i for i, kind in enumerate(sorted(set(kinds)))}
+    edges = []
+
+    def lift(gamma):
+        perm = [0] * g.f
+        for c, image in zip(classes, gamma):
+            for v, u in zip(c, classes[image]):
+                perm[v] = u
+        if not edges:
+            edges.extend((v, u) for v, row in enumerate(adj) for u in _bits(row) if u > v)
+        if len(set(perm)) == g.f and all(adj[perm[v]] >> perm[u] & 1 for v, u in edges):
+            return perm
+        return None
+
+    return cls, classes, _color_generators(quotient, [rank[kind] for kind in kinds], lift)
+
+
+def edge_orbits(g: Graph, candidates) -> dict:
+    """The smallest edge of the orbit of each candidate non-edge of g under
+    Aut(g), keyed by candidate.
+
+    Permutations inside twin classes move a non-edge to any other between
+    the same two classes (or inside the same independent class), so a
+    non-edge's orbit is the union, over the orbit of its class pair under
+    the quotient generators, of the non-edges between those classes.  The
+    smallest of those is the pair of the classes' smallest members (or the
+    two smallest members of one class).
+    """
+    cls, classes, gens = _automorphisms(g)
+
+    def smallest(ij):
+        i, j = ij
+        return (classes[i][0] + 1, classes[i][1] + 1) if i == j else (classes[i][0] + 1, classes[j][0] + 1)
+
+    rep, out = {}, {}
+    for e in candidates:
+        i, j = cls[e[0] - 1], cls[e[1] - 1]
+        key = (i, j) if i <= j else (j, i)
+        if key not in rep:
+            orbit, todo = {key}, [key]
+            while todo:
+                i, j = todo.pop()
+                for gamma, _ in gens:
+                    image = tuple(sorted((gamma[i], gamma[j])))
+                    if image not in orbit:
+                        orbit.add(image)
+                        todo.append(image)
+            rep.update(dict.fromkeys(orbit, min(map(smallest, orbit))))
+        out[e] = rep[key]
+    return out

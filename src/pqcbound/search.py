@@ -14,7 +14,10 @@ exhaustive search up to f = 5.
 
 Every score is a sum of bound.weighted_terms, ebg's exactly rounded and
 every other one the left-to-right fold _fold; each winner is re-evaluated
-with capacity_outer_bound.  Both brute-force and random search are branch
+with capacity_outer_bound.  ebg scores one candidate per orbit of its prefix
+graph's automorphisms (graphs.edge_orbits): the others give isomorphic edge
+sets, whose entropies, by the relabeling invariance of EntropyCache, and so
+scores, are equal to the bit.  Both brute-force and random search are branch
 and bound: an order stops being scored once its denominator so far plus
 bound.remaining_cap cannot reach a floor.  Random search's floor is the
 best draw's denominator.  The brute-force kernel first expands the sets of
@@ -74,6 +77,7 @@ from .graphs import (
     connected_components,
     edge_count,
     edge_index,
+    edge_orbits,
     periphery,
     short_path_counts,
 )
@@ -460,13 +464,23 @@ def ebg_order(
     so the same order comes out for every n >= 1.  Starts from (1, 2); ties
     within 1e-12 go to the smallest edge ("lex") or a seeded random pick
     ("random").  The order's weighted terms are carried from step to step,
-    so a candidate costs one entropy lookup and one fsum over the terms.
+    so a score costs one entropy lookup and one fsum over the terms.
+
+    Candidates in one orbit of the prefix graph's automorphisms
+    (graphs.edge_orbits) give isomorphic edge sets, whose entropies, and so
+    partial bounds, are equal to the bit; only the smallest of each orbit is
+    scored, and the others take its score.  evaluations still counts every
+    candidate.  The tied candidates are listed in edge order, so the lex pick
+    is always a scored one and the seeded pick is the same edge whatever is
+    scored.  The pick's own entropy is then looked up, from the held prefix,
+    so every prefix of the order is in the cache.
     """
     _check_tie_policy(tie_policy)
     cache = make_cache(params, cache)
     hmin = cache.marginal_entropy()
     rng = random.Random(seed)
     order = [(1, 2)]
+    graph = Graph(params.f, order)
     remaining = [e for e in all_edges(params.f) if e != (1, 2)]
     evaluations = 0
     log = []
@@ -474,18 +488,23 @@ def ebg_order(
     terms, _, state = weighted_terms(cache, params.n, order)
     while remaining:
         cache.hold(state[0])
+        reps = edge_orbits(graph, remaining)
         scored = {}
         for e in remaining:
-            t, _, end = weighted_terms(cache, params.n, (e,), state)
-            # the partial bound of order + [e], to the bit
-            scored[e] = (hmin / math.fsum(terms + t), t, end)
-            evaluations += 1
-        best = min(pb for pb, _, _ in scored.values())
-        tied = [e for e, (pb, _, _) in scored.items() if pb <= best + TIE_TOLERANCE]
+            r = reps[e]
+            if r not in scored:
+                t, _, _ = weighted_terms(cache, params.n, (r,), state)
+                # the partial bound of order + [r], to the bit
+                scored[r] = hmin / math.fsum(terms + t)
+            scored[e] = scored[r]
+        evaluations += len(remaining)
+        best = min(scored.values())
+        tied = [e for e in remaining if scored[e] <= best + TIE_TOLERANCE]
         pick = min(tied) if tie_policy == "lex" else rng.choice(tied)
         order.append(pick)
         remaining.remove(pick)
-        _, t, state = scored[pick]
+        graph.add_edge(pick)
+        t, _, state = weighted_terms(cache, params.n, (pick,), state)
         terms += t
         if trace:
             log.append((pick, best))

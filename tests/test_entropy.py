@@ -350,6 +350,26 @@ class TestCarriedCodes:
             want = counter_oracle(_edges_of(mask, f), f, q)[0]
             assert cache.joint_entropy(mask).hex() == want.hex()
 
+    def test_held_base_wins_a_tie_with_the_last_miss(self, monkeypatch):
+        # ebg holds its new prefix right after looking up its entropy, so the
+        # last miss and the base share a mask.  The next miss must refine the
+        # base's compacted code, whose span one column on np.bincount counts,
+        # not the last miss's 5^9 span, which np.unique would have to sort.
+        f, q = 7, 5
+        m, bit = (1 << 9) - 1, 1 << 9
+        cache = EntropyCache(f, q)
+        cache.joint_entropy(m)
+        cache.hold(m)
+        assert cache._last[0] == cache._base[0] == m
+        assert cache._last[2] * q > BINCOUNT_SPAN * q ** f >= cache._base[2] * q
+        want = EntropyCache(f, q).joint_entropy(m | bit)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert cache.joint_entropy(m | bit).hex() == want.hex()
+
     def test_hold_adds_no_entropy(self):
         cache = EntropyCache(6, 3)
         cache.hold([(1, 2), (3, 4)])

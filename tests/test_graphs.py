@@ -1,9 +1,10 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pqcbound import (
@@ -28,7 +29,7 @@ from pqcbound import (
     simple_path_counts,
 )
 from pqcbound.errors import DisconnectedGraph, EdgePresent, InvalidEdge, InvalidVertex
-from pqcbound.graphs import _bits, complete_cycle_census, mask_to_edges, short_path_counts
+from pqcbound.graphs import _bits, complete_cycle_census, edges_to_mask, mask_to_edges, short_path_counts
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
 
@@ -507,3 +508,139 @@ class TestPathCountKernel:
             want_s = want.copy()
             want_s[s] = 0
             assert np.array_equal(simple_path_counts(g, s), want_s)
+
+
+def _generators(g: Graph) -> list[tuple[int, ...]]:
+    """The generators behind edge_orbits, each a tuple p with p[v - 1] the
+    image of vertex v: a swap of each two members of a twin class, and the
+    checked lifts of _automorphisms."""
+    _, classes, gens = graphs._automorphisms(g)
+    swaps = []
+    for c in classes:
+        for a, b in combinations(c, 2):
+            p = list(range(1, g.f + 1))
+            p[a], p[b] = b + 1, a + 1
+            swaps.append(tuple(p))
+    return swaps + [tuple(u + 1 for u in perm) for _, perm in gens]
+
+
+def _is_automorphism(g: Graph, p) -> bool:
+    return sorted(p) == list(range(1, g.f + 1)) and \
+        {tuple(sorted((p[k - 1], p[l - 1]))) for k, l in g.edges} == g.edge_set
+
+
+def _orbits_oracle(g: Graph) -> dict:
+    """The smallest non-edge of each non-edge's orbit, over every one of the
+    f! relabelings (search._edge_remaps) that maps g onto itself."""
+    from pqcbound.search import _edge_remaps
+
+    f = g.f
+    mask = edges_to_mask(g.edges, f)
+    fixing = [r for r in _edge_remaps(f) if sum(1 << r[i] for i in _bits(mask)) == mask]
+    return {e: edge_from_index(min(r[edge_index(e, f)] for r in fixing), f)
+            for e in all_edges(f) if not g.has_edge(e)}
+
+
+def _orbits_networkx(g: Graph) -> dict:
+    """The same map through networkx: two non-edges share an orbit when g plus
+    one, with that edge marked, is isomorphic to g plus the other, marked."""
+    nx = pytest.importorskip("networkx")
+
+    def marked(e):
+        h = nx.Graph()
+        h.add_nodes_from(range(1, g.f + 1))
+        h.add_edges_from(g.edges, mark=0)
+        h.add_edge(*e, mark=1)
+        return h
+
+    same_mark = nx.algorithms.isomorphism.categorical_edge_match("mark", None)
+    reps, out = [], {}
+    for e in all_edges(g.f):
+        if not g.has_edge(e):
+            h = marked(e)
+            out[e] = next((r for r, hr in reps if nx.is_isomorphic(h, hr, edge_match=same_mark)), e)
+            if out[e] == e:
+                reps.append((e, h))
+    return out
+
+
+def _symmetric_graphs():
+    """Graphs on 7..9 vertices with large or tricky automorphism groups."""
+    def cycle(f):
+        return [(k, k + 1) for k in range(1, f)] + [(1, f)]
+
+    cube = [(a + 1, b + 1) for a in range(8) for b in range(a + 1, 8) if (a ^ b).bit_count() == 1]
+    rook = [(a + 1, b + 1) for a in range(9) for b in range(a + 1, 9)
+            if a // 3 == b // 3 or a % 3 == b % 3]  # K3 x K3, strongly regular
+    return [
+        Graph(7, cycle(7)),
+        Graph(8, cycle(8)),
+        Graph(9, [e for e in all_edges(9) if e not in cycle(9)]),
+        Graph(8, cube),
+        Graph(9, rook),
+        Graph(9, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9)]),
+        Graph(7, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]),
+        Graph(8, [(1, 2), (3, 4), (5, 6), (7, 8), (1, 3), (5, 7)]),
+        Graph(9, [(1, k) for k in range(2, 10)]),
+        Graph(8, []),
+    ]
+
+
+def _random_graphs(f, count, seed):
+    rng = random.Random(seed)
+    return [Graph(f, [e for e in all_edges(f) if rng.random() < p])
+            for p in (rng.uniform(0.1, 0.9) for _ in range(count))]
+
+
+class TestAutomorphisms:
+    """edge_orbits and the generators behind it against orbits found without
+    them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=graphs_on(2, 6), sparse=st.booleans())
+    def test_orbits_match_relabelings_that_fix_the_graph(self, g, sparse):
+        # half the draws keep only every other edge's chance, for more symmetry
+        if sparse:
+            g = Graph(g.f, g.edges[::2])
+        absent = [e for e in all_edges(g.f) if not g.has_edge(e)]
+        assert graphs.edge_orbits(g, absent) == _orbits_oracle(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=graphs_on(2, 6))
+    def test_leaves_that_are_not_automorphisms_are_dropped(self, g):
+        # with refinement a no-op the search prunes nothing, so it reaches
+        # leaves that are no automorphism; the check on the edges drops them
+        absent = [e for e in all_edges(g.f) if not g.has_edge(e)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_refine", lambda adj, color: (color, []))
+            got = graphs.edge_orbits(g, absent)
+            generators = _generators(g)
+        assert got == _orbits_oracle(g)
+        assert all(_is_automorphism(g, p) for p in generators)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=graphs_on(2, 12))
+    def test_generators_are_automorphisms(self, g):
+        assert all(_is_automorphism(g, p) for p in _generators(g))
+
+    @pytest.mark.parametrize("g", _symmetric_graphs() + _random_graphs(7, 4, 1) + _random_graphs(8, 4, 2)
+                             + _random_graphs(9, 4, 3), ids=lambda g: f"f{g.f}-{len(g)}edges")
+    def test_orbits_match_networkx(self, g):
+        absent = [e for e in all_edges(g.f) if not g.has_edge(e)]
+        want = _orbits_networkx(g)
+        assert graphs.edge_orbits(g, absent) == want
+        assert all(_is_automorphism(g, p) for p in _generators(g))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_orbit_members_have_bit_equal_entropies(self, data, shared_cache):
+        q = data.draw(st.sampled_from((2, 3, 5)), label="q")
+        g = data.draw(graphs_on(2, {2: 8, 3: 6, 5: 5}[q]), label="g")
+        cache = shared_cache(g.f, q)
+        base = edges_to_mask(g.edges, g.f)
+        absent = [e for e in all_edges(g.f) if not g.has_edge(e)]
+        for e, r in graphs.edge_orbits(g, absent).items():
+            assert r <= e and not g.has_edge(r)
+            h = cache.joint_entropy(base | 1 << edge_index(e, g.f))
+            assert h.hex() == cache.joint_entropy(base | 1 << edge_index(r, g.f)).hex()

@@ -493,7 +493,7 @@ class TestKernelOracles:
     @given(data=st.data())
     def test_ebg_matches_partial_bound_loop(self, data, shared_cache):
         f = data.draw(st.integers(3, 8), label="f")
-        q = data.draw(st.sampled_from((2, 3) if f <= 6 else (2,)), label="q")
+        q = data.draw(st.sampled_from((2, 3, 5) if f <= 5 else (2, 3) if f <= 6 else (2,)), label="q")
         n = data.draw(st.sampled_from((1, 2, 3, 5)), label="n")
         tie = data.draw(st.sampled_from(("lex", "random")), label="tie")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
@@ -501,6 +501,18 @@ class TestKernelOracles:
         cache = shared_cache(f, q)
         got = ebg_order(p, tie_policy=tie, seed=seed, cache=cache, trace=True)
         order, evaluations, trace = _ebg_oracle(p, tie, seed, cache)
+        assert got.best.order == order
+        assert got.evaluations == evaluations
+        assert [(e, b.hex()) for e, b in got.trace] == [(e, b.hex()) for e, b in trace]
+
+    # the sizes of the benchmark's cold ebg records, which it only
+    # re-evaluates, each run on a fresh cache as the CLI runs it
+    @pytest.mark.parametrize("f,q", [(12, 2), (9, 3), (7, 5)])
+    @pytest.mark.parametrize("tie,seed", [("lex", None), ("random", 7), ("random", 8)])
+    def test_ebg_matches_partial_bound_loop_at_benchmark_sizes(self, f, q, tie, seed, shared_cache):
+        p = params(f, q=q)
+        got = ebg_order(p, tie_policy=tie, seed=seed, cache=EntropyCache(f, q), trace=True)
+        order, evaluations, trace = _ebg_oracle(p, tie, seed, shared_cache(f, q))
         assert got.best.order == order
         assert got.evaluations == evaluations
         assert [(e, b.hex()) for e, b in got.trace] == [(e, b.hex()) for e, b in trace]
@@ -1105,24 +1117,9 @@ class TestPathCounting:
         assert count_distinct_paths(3) == 1
 
     def test_f4_against_labeled_oracle(self):
-        from pqcbound.search import _canonical_form
+        from pqcbound.verify import _labeled_path_oracle
 
-        canon: dict[int, int] = {}
-
-        def c(mask):
-            if mask not in canon:
-                canon[mask] = _canonical_form(mask, 4)
-            return canon[mask]
-
-        seqs = set()
-        for perm in permutations(range(edge_count(4))):
-            mask = 0
-            seq = []
-            for i in perm:
-                mask |= 1 << i
-                seq.append(c(mask))
-            seqs.add(tuple(seq))
-        assert count_distinct_paths(4) == len(seqs) == 6
+        assert count_distinct_paths(4) == _labeled_path_oracle(4) == 6
 
     def test_f5_regression(self):
         # distinct isomorphism-class sequences from the null to the complete graph
