@@ -14,10 +14,17 @@ An order's state is the tuple (mask, length, joint entropy) of its edges so
 far, EMPTY_ORDER for none.  One kernel, weighted_terms, gives the denominator
 terms of the edges that join an order from a state and the state where they
 stop; every bound and search score sums these terms, and no caller rebuilds
-a state.  remaining_cap bounds what the terms still to come can add: every
-weight is positive and nonincreasing and every conditional entropy is
-nonnegative, so from a state of length pos and joint entropy H(S) the rest
-adds at most n^-pos * (H(K_f) - H(S)).  The searches stop scoring an order
+a state.  remaining_cap bounds what the terms still to come can add.  From
+a state of length pos and joint entropy H(S), the conditional entropies of
+the rest sum to R = H(K_f) - H(S), and none exceeds H_min, the entropy of
+one monomial, since conditioning never raises entropy.  By submodularity of
+entropy (S. Fujishige, Information and Control, 1978) an edge's conditional
+entropy given a set is also at most its conditional entropy given any
+subset, so a caller that knows such a value for the edge at each later
+position passes it as that position's cap.  The weights are positive and
+nonincreasing, so the largest weighted sum of such entropies fills the
+earliest positions first, each up to its cap, until R is spent: the
+water-fill that remaining_cap returns.  The searches stop scoring an order
 once its denominator plus this cap cannot reach the best one found so far.
 """
 from __future__ import annotations
@@ -105,9 +112,22 @@ def weighted_terms(cache: EntropyCache, n: int, edges, state: tuple = EMPTY_ORDE
     return terms, cond, (mask, pos, prev)
 
 
-def remaining_cap(cache: EntropyCache, n: int, state: tuple) -> float:
+def remaining_cap(cache: EntropyCache, n: int, state: tuple, caps=()) -> float:
     """Widened largest value that the terms after an order's state, of length
     pos and joint entropy prev, can add to its denominator.
+
+    The rest of the order adds conditional entropies that sum to R =
+    H(K_f) - prev.  Position pos + i takes at most min(H_min, caps[i]), and
+    H_min once caps runs out; R is spent over positions pos, pos + 1, ...,
+    each filled to that limit before the next.  The weights never rise, so no
+    completion whose entropy at each position stays within its limit adds
+    more than this water-fill.  A cap is valid when it is at least the
+    conditional entropy of the edge at that position: an edge's conditional
+    entropy given any subset of the set it follows, by submodularity.  For
+    edges whose positions are not known, caps sorted in descending order
+    hold for every order of them: the i-th largest entropy never exceeds
+    the i-th largest cap, and moving the larger entropies to the heavier
+    weights only raises the sum.
 
     Every completion's left-to-right fold of weighted_terms stays below the
     denominator so far plus this cap by about CAP_MARGIN * H(K_f), so an
@@ -116,9 +136,32 @@ def remaining_cap(cache: EntropyCache, n: int, state: tuple) -> float:
     left (pos = mu) the cap is the widening alone.
     """
     _, pos, prev = state
-    top = cache.full_entropy
-    rest = _weights(n, cache.mu)[pos] * (top - prev) if pos < cache.mu else 0.0
-    return rest + CAP_MARGIN * top
+    top, hmin, mu = cache.full_entropy, cache.marginal_entropy(), cache.mu
+    if pos == mu:
+        return CAP_MARGIN * top
+    weights = _weights(n, mu)
+    rest = top - prev
+    # all of R at the next position's weight: in exact arithmetic the
+    # water-fill never exceeds it, and the min keeps that after rounding
+    whole = weights[pos] * rest
+    fill = 0.0
+    # fill whole positions while R outlasts them; the last one takes what is left
+    for u in caps:
+        if u > hmin:
+            u = hmin
+        if u >= rest:
+            break
+        fill += weights[pos] * u
+        rest -= u
+        pos += 1
+    else:
+        while pos < mu and hmin < rest:
+            fill += weights[pos] * hmin
+            rest -= hmin
+            pos += 1
+    if pos < mu:
+        fill += weights[pos] * rest
+    return min(fill, whole) + CAP_MARGIN * top
 
 
 def capacity_outer_bound(order, params: BoundParams, cache: EntropyCache | None = None) -> BoundReport:

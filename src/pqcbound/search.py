@@ -19,14 +19,20 @@ graph's automorphisms (graphs.edge_orbits): the others give isomorphic edge
 sets, whose entropies, by the relabeling invariance of EntropyCache, and so
 scores, are equal to the bit.  Both brute-force and random search are branch
 and bound: an order stops being scored once its denominator so far plus
-bound.remaining_cap cannot reach a floor.  Random search's floor is the
-best draw's denominator.  The brute-force kernel first expands the sets of
-placed blocks best-first, by their largest denominator so far plus that cap
-(A* search), which finds the optimum's floor; it builds the entropy rows of
-its step table only for the sets that can reach that floor, and its DFS
-prunes against the best-first pass's floor.  The cap is widened, so pruning
-skips only orders strictly worse than an incumbent and never changes a
-result; evaluations still counts every order covered.
+bound.remaining_cap cannot reach a floor.  That cap water-fills the entropy
+still to come into the next positions, each up to a per-edge cap: an edge's
+conditional entropy given a subset of the edges before it, which by
+submodularity bounds its conditional entropy there.  Random search caps
+each edge of a draw by its conditional entropy given the fixed prefix, and
+its floor is the best draw's denominator.  The brute-force kernel caps the
+free edges of a set of placed blocks once, from the walks of the row that
+first reaches the set.  It first expands those sets best-first, by their
+largest denominator so far plus that cap (A* search), which finds the
+optimum's floor; it builds the entropy rows of its step table only for the
+sets that can reach that floor, and its DFS prunes against the best-first
+pass's floor.  The cap is widened, so pruning skips only orders strictly
+worse than an incumbent and never changes a result; evaluations still
+counts every order covered.
 
 run is the one option gate: METHOD_OPTIONS names the options each method
 reads and the value each takes when not given, and run refuses any other
@@ -221,9 +227,14 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
     Every order scores the bits of a left-to-right fold of its weighted
     terms, which come from a table built through the cache: a set of placed
     blocks has a row, which lists each block j outside it with the
-    weighted_terms of j's edges from the set's state, and each set's state
-    and remaining_cap come from the walk that first reaches it.  Rows are
-    built only for the sets that can still reach the optimum, in two passes:
+    weighted_terms of j's edges from the set's state.  The row that first
+    reaches a set gives it its state, and its cap: the remaining_cap from
+    that state, with the conditional entropies of the walks of the other
+    free blocks in that row, sorted in descending order, as per-edge caps.
+    Each bounds its edge's conditional entropy from any set that follows
+    the row's, and sorted they hold whatever order the blocks come in.  A
+    set's cap never changes once assigned.  Rows are built only for the
+    sets that can still reach the optimum, in two passes:
 
     1. A best-first pass (A* search, with the cap as its heuristic).  D[S] is
        the largest fold into S found so far.  It pops the set with the
@@ -232,12 +243,15 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
        improves and, plus its cap, reaches the floor.  Each fold that
        improves D[full] raises the floor to hmin / (its bound + tie_tol), the
        denominator an order must reach to win or tie.  The pass stops when
-       the largest D[S] plus cap falls below the floor.  The cap falls by at
-       least each step's terms, so fold plus cap never rises along an order:
-       in exact arithmetic D[S] is final when S is popped, and the floor is
-       the optimum's.  A set whose D rose by a rounding after it was popped
-       is pushed and expanded again from its cached row.  IEEE addition is
-       monotone, so every set that the DFS enters was expanded.
+       the largest D[S] plus cap falls below the floor.  The cap never
+       falls below what a completion adds (it is admissible), but it can
+       fall by more than a step's terms (it is not consistent), so D[S] can
+       rise after S is popped.  Such a set is pushed and expanded again from
+       its cached row, so along the optimum's order every set is expanded
+       with at least its fold there, and the floor ends at the optimum's.
+       The same holds for every order the DFS enters: IEEE addition is
+       monotone and each set keeps the cap it was first given, so every set
+       that the DFS enters was expanded and has its row.
     2. One DFS task per first block after the head, run in at most that many
        worker processes when workers > 1; with no blocks, one task scores
        the head alone.  Each task prunes against the best-first pass's
@@ -269,14 +283,15 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
         if rows[done] is None:
             state = states[done]
             cache.hold(state[0])
-            rows[done] = []
-            for j in range(k):
-                nxt = done | 1 << j
-                if nxt != done:
-                    terms, _, end = weighted_terms(cache, n, blocks[j], state)
-                    if states[nxt] is None:
-                        states[nxt], cap[nxt] = end, remaining_cap(cache, n, end)
-                    rows[done].append((j, nxt, terms))
+            walks = [(j, done | 1 << j, *weighted_terms(cache, n, blocks[j], state))
+                     for j in range(k) if not done >> j & 1]
+            rows[done] = [(j, nxt, terms) for j, nxt, terms, _, _ in walks]
+            for j, nxt, _, _, end in walks:
+                if states[nxt] is None:
+                    # each edge of the blocks still free after nxt is capped
+                    # by its conditional entropy in its block's walk from done
+                    caps = sorted((c for i, _, _, cond, _ in walks if i != j for c in cond), reverse=True)
+                    states[nxt], cap[nxt] = end, remaining_cap(cache, n, end, caps)
         return rows[done]
 
     # reach[S] is D[S]; the heap holds (-(reach[S] + cap[S]), S)
@@ -559,7 +574,10 @@ def directed_random_search(
     (lexicographic inside); each draw shuffles the remaining edges with the
     seeded generator and scores the order one edge at a time.  A draw stops,
     with no further entropy lookups, once its denominator plus remaining_cap
-    falls below the best draw's: it can no longer win or tie.  Reproducible
+    falls below the best draw's: it can no longer win or tie.  The cap
+    limits each edge of the draw's tail, in the draw's order, to its
+    conditional entropy given the prefix, looked up once per run: by
+    submodularity the edge adds no more at any later position.  Reproducible
     given the seed; evaluations counts the draws and scored those scored in
     full.
     """
@@ -571,6 +589,9 @@ def directed_random_search(
     head_terms, _, start = weighted_terms(cache, n, prefix)
     cache.hold(start[0])
     head = _fold(0.0, head_terms)
+    # each edge's conditional entropy given the prefix caps its conditional
+    # entropy at any later position of a draw
+    ceiling = {e: weighted_terms(cache, n, (e,), start)[1][0] for e in rest_base}
     hmin = cache.marginal_entropy()
     rng = random.Random(seed)
     best = (math.inf, ())
@@ -580,8 +601,9 @@ def directed_random_search(
         rest = rest_base.copy()
         rng.shuffle(rest)
         acc, state = head, start
-        for e in rest:
-            if acc + remaining_cap(cache, n, state) < floor:
+        caps = [ceiling[e] for e in rest]
+        for i, e in enumerate(rest):
+            if acc + remaining_cap(cache, n, state, caps[i:]) < floor:
                 break
             (t,), _, state = weighted_terms(cache, n, (e,), state)
             acc += t

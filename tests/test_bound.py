@@ -14,7 +14,7 @@ from pqcbound import (
     edge_count,
     partial_bound,
 )
-from pqcbound.bound import EMPTY_ORDER, remaining_cap, weighted_terms
+from pqcbound.bound import CAP_MARGIN, EMPTY_ORDER, _weights, remaining_cap, weighted_terms
 from pqcbound.errors import DuplicateEdge, NotAPermutation, ValidationError
 from pqcbound.graphs import edges_to_mask
 from tests.test_coloring import S_EC_6, S_EEC_6
@@ -158,11 +158,24 @@ class TestWeightedTerms:
         assert state == whole[2] == (full, edge_count(f), cache.joint_entropy(full))
 
 
+def one_position_cap(cache, n, state, caps=()):
+    """remaining_cap before the water-fill, kept as an oracle: all of the
+    entropy still to come at the next position's weight, caps ignored."""
+    _, pos, prev = state
+    top = cache.full_entropy
+    rest = _weights(n, cache.mu)[pos] * (top - prev) if pos < cache.mu else 0.0
+    return rest + CAP_MARGIN * top
+
+
 class TestRemainingCap:
     # a search prunes an order once acc + cap falls below its incumbent's
     # denominator, so every completion must score strictly worse than
     # hmin / (acc + cap); a one-edge or empty tail fills the unwidened cap
-    # exactly, so only the margin makes that strict
+    # exactly, so only the margin makes that strict.  Each tail edge e is
+    # capped by H(e | S') for a drawn subset S' of the state's edges, which
+    # by submodularity bounds its conditional entropy wherever it comes;
+    # the caps hold in the tail's own order, from every point of it, and
+    # sorted in descending order for every order of the tail.
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -175,10 +188,18 @@ class TestRemainingCap:
         pos = data.draw(st.integers(0, len(order)), label="pos")
         head, tail = order[:pos], order[pos:]
         head_terms, _, state = weighted_terms(cache, n, head)
+        ceiling = {}
+        for e in tail:
+            subset = data.draw(st.lists(st.sampled_from(head), unique=True) if head else st.just([]),
+                               label=f"subset for {e}")
+            _, (ceiling[e],), _ = weighted_terms(cache, n, (e,), weighted_terms(cache, n, subset)[2])
         acc = 0.0
         for t in head_terms:
             acc += t
-        top = acc + remaining_cap(cache, n, state)
+        descending = sorted(ceiling.values(), reverse=True)
+        caps_here = [remaining_cap(cache, n, state, caps) for caps in ((), descending)]
+        assert all(cap <= one_position_cap(cache, n, state) for cap in caps_here)
+        tops = [acc + cap for cap in caps_here]
         hmin = cache.marginal_entropy()
         if len(tail) <= 6:
             completions = permutations(tail)
@@ -186,11 +207,18 @@ class TestRemainingCap:
             completions = data.draw(st.lists(st.permutations(tail), min_size=1, max_size=20),
                                     label="completions")
         for rest in completions:
-            a = acc
-            for t in weighted_terms(cache, n, rest, state)[0]:
+            terms = weighted_terms(cache, n, rest, state)[0]
+            own = [ceiling[e] for e in rest]
+            # the fold so far plus the cap from the tail's own caps, at each point of the tail
+            a, bounds, at = acc, [], state
+            for i, t in enumerate(terms):
+                cap = remaining_cap(cache, n, at, own[i:])
+                assert cap <= one_position_cap(cache, n, at)
+                bounds.append(a + cap)
                 a += t
-            assert a < top
-            assert hmin / a > hmin / top
+                at = weighted_terms(cache, n, rest[i:i + 1], at)[2]
+            assert all(a < b for b in bounds + tops)
+            assert all(hmin / a > hmin / top for top in tops)
 
 
 class TestInvariants:

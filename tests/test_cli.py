@@ -328,6 +328,16 @@ class TestSearchCommand:
         _, other, _ = run_cli(capsys, *args, "--budget", "1")
         assert float(other.split(",")[-1]) >= float(default.split(",")[-1])
 
+    # the benchmark's seeded random records, which it only re-evaluates: a
+    # pruning fault that drops the winning draw changes these bits
+    @pytest.mark.parametrize("seed,bound_hex", [("7", "0x1.047ba7f6b4896p-1"), ("8", "0x1.047c7b2065bc7p-1")])
+    def test_random_f8_records(self, capsys, seed, bound_hex):
+        code, out, _ = run_cli(
+            capsys, "search", "--method", "random", "--f", "8", "--budget", "2500", "--seed", seed, "--raw",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["bound_hex"] == bound_hex
+
     def test_random_reproducible(self, capsys):
         args = ["search", "--method", "random", "--f", "6", "--budget", "50", "--seed", "41"]
         _, out1, _ = run_cli(capsys, *args)

@@ -33,6 +33,7 @@ from pqcbound import search
 from pqcbound.bound import _weights, make_cache, remaining_cap, weighted_terms
 from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
 from pqcbound.search import SearchResult, run
+from tests.test_bound import one_position_cap
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
 
@@ -356,10 +357,11 @@ def _block_case(data, shared_cache):
         # a wide tolerance checks that the best-first floor keeps every near-tie
         wide = (0.01,) if f < 5 else ()
         tie_tol = data.draw(st.sampled_from((search.TIE_TOLERANCE, *wide)), label="tie_tol")
+        q = data.draw(st.sampled_from((2, 3, 5)), label="q")
         first, *rest = all_edges(f)
-        return params(f, n=n), shared_cache(f), (first,), [(e,) for e in rest], tie_tol
+        return params(f, n=n, q=q), shared_cache(f, q), (first,), [(e,) for e in rest], tie_tol
     f = data.draw(st.integers(3, 8), label="f")
-    q = data.draw(st.sampled_from((2, 3) if f <= 6 else (2,)), label="q")
+    q = data.draw(st.sampled_from((2, 3, 5) if f <= 5 else (2, 3) if f <= 6 else (2,)), label="q")
     n = data.draw(st.sampled_from((1, 2, 3, 5)), label="n")
     part = color_sets(f)
     chi = len(part.sets)
@@ -887,6 +889,50 @@ class TestPruning:
         result = exhaustive_search(params(5), cache=shared_cache(5))
         assert result.evaluations == math.factorial(9)
         assert result.scored < result.evaluations / 10
+
+    # the water-filled cap prunes more than the one-position cap, never
+    # differently: the same winner, the same draws and orders scored in
+    # full, the same near-ties
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_water_fill_matches_one_position_cap(self, data, shared_cache):
+        if data.draw(st.booleans(), label="random"):
+            f = data.draw(st.integers(4, 7), label="f")
+            q = data.draw(st.sampled_from((2, 3, 5) if f <= 5 else (2, 3) if f <= 6 else (2,)), label="q")
+            n = data.draw(st.integers(1, 3), label="n")
+            fixed = data.draw(st.integers(2, len(color_sets(f).sets)), label="fixed_colors")
+            budget = data.draw(st.integers(1, 40), label="budget")
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            p, cache = params(f, n=n, q=q), shared_cache(f, q)
+
+            def go():
+                return directed_random_search(p, seed=seed, budget=budget, fixed_colors=fixed, cache=cache)
+        else:
+            p, cache, head, blocks, tie_tol = _block_case(data, shared_cache)
+
+            def go():
+                return search._block_search(p, cache, head, blocks, 1, tie_tol)
+
+        got = go()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "remaining_cap", one_position_cap)
+            want = go()
+        _assert_same_search(got, want)
+        assert (got.scored, got.argmin_orders) == (want.scored, want.argmin_orders)
+
+    # the one-position cap left 4,343 cache entries for random search at
+    # f = 8 (seed 7), 1,075 for e-ec at f = 10 and 497 for exhaustive search
+    # at f = 5; the water-fill under per-edge caps leaves 1,037, 786 and 412
+    @pytest.mark.parametrize("method,f,options,entries", [
+        ("random", 8, {"seed": 7, "budget": 2500}, 1100),
+        ("e-ec", 10, {}, 850),
+        ("exhaustive", 5, {}, 450),
+    ])
+    def test_per_edge_caps_skip_lookups(self, method, f, options, entries):
+        cache = EntropyCache(f, 2)
+        run(method, params(f), cache=cache, **options)
+        assert len(cache) < entries
 
     # with n = 1 every order has the same denominator up to rounding, so no
     # subtree can be cut and the permutation cap still bounds the work
