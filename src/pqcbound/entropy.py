@@ -262,9 +262,14 @@ class EntropyCache:
         """H(K_f), the entropy of all mu monomials; looked up once per cache."""
         return self.joint_entropy((1 << self.mu) - 1)
 
-    def marginal_entropy(self) -> float:
-        """Entropy of any single monomial (all mu marginals are equal)."""
+    @cached_property
+    def _marginal(self) -> float:
         return self.joint_entropy(1)
+
+    def marginal_entropy(self) -> float:
+        """Entropy of any single monomial (all mu marginals are equal); looked
+        up once per cache."""
+        return self._marginal
 
     def __len__(self) -> int:
         return len(self._entropies)

@@ -2,8 +2,9 @@
 
 ValidationError covers malformed inputs (bad edges, non-permutations, parity
 mismatches).  GuardViolation covers feasibility guards (an enumeration past
-its q^f guard, a search past the permutation cap or the path-count limit, a
-composite field size); the CLI maps these to exit code 3.
+its q^f guard, a search past the permutation cap, an isomorphism-class walk
+past the largest vertex count measured to finish, a composite field size);
+the CLI maps these to exit code 3.
 """
 
 

@@ -23,18 +23,21 @@ L vertices and in each direction, one path of L - 1 edges to a neighbour of
 the start, so cycle_census sums those paths over every start and neighbour
 and divides by 2L.
 
-The automorphisms of a graph come from one kernel, _automorphisms.  It
-first collapses twin classes: vertices u, v with N(u) - {v} = N(v) - {u},
-an equivalence whose classes are cliques or independent sets, and any
-permutation inside a class is an automorphism.  What is left is the
-quotient graph on the classes, colored by class size and kind, whose
-color-preserving automorphisms lift class by class.  Their generators come
-from color refinement and an individualisation-refinement search with
-orbit pruning, after B. D. McKay and A. Piperno, "Practical graph
-isomorphism, II", J. Symbolic Comput. 60 (2014).  Every lifted generator is
-checked on the graph's edges before it is used, so a missed generator only
-leaves an orbit split, never merges two that differ.  edge_orbits gives
-each non-edge the smallest non-edge of its orbit.
+Graph symmetry comes from one refinement tree with two consumers.  It
+first collapses twin classes (_quotient): vertices u, v with
+N(u) - {v} = N(v) - {u}, an equivalence whose classes are cliques or
+independent sets, and any permutation inside a class is an automorphism.
+What is left is the quotient graph on the classes, colored by class size and
+kind.  Its tree is color refinement (_refine) and individualisation of each
+vertex of a target cell followed by refinement (_individualise), after B. D.
+McKay and A. Piperno, "Practical graph isomorphism, II", J. Symbolic
+Comput. 60 (2014).  _automorphisms searches the tree for generators with
+orbit pruning; their lifts are checked on the graph's edges before they are
+used, so a missed generator only leaves an orbit split, never merges two
+that differ, and edge_orbits gives each non-edge the smallest non-edge of
+its orbit.  _canonical_form visits every leaf, numbers the vertices class by
+class in the leaf's order, and keeps the smallest mask, which is the same
+for every edge set of one isomorphism class.
 """
 from __future__ import annotations
 
@@ -481,6 +484,13 @@ def _target(color) -> list[int]:
     return next((seen[c] for c in sorted(seen) if len(seen[c]) > 1), [])
 
 
+def _individualise(adj, color, v) -> tuple:
+    """_refine after individualising v: v takes its cell's rank, and the rest
+    of the cell and every later cell move up by one."""
+    c = color[v]
+    return _refine(adj, [x + (x > c or x == c and u != v) for u, x in enumerate(color)])
+
+
 def _color_generators(adj, color, lift) -> list[tuple]:
     """Generators of the color-preserving automorphisms of a graph, found by
     individualisation-refinement, each as (gamma, lift(gamma)): lift returns
@@ -496,18 +506,11 @@ def _color_generators(adj, color, lift) -> list[tuple]:
     no such leaf.
     """
     k = len(adj)
-
-    def child(color, v):
-        """Individualise v: it takes its cell's rank, the rest of the cell and
-        every later cell move up by one."""
-        c = color[v]
-        return _refine(adj, [x + (x > c or x == c and u != v) for u, x in enumerate(color)])
-
     path = []
     node = _refine(adj, color)
     while cell := _target(node[0]):
         path.append((node, cell))
-        node = child(node[0], cell[0])
+        node = _individualise(adj, node[0], cell[0])
     path.append((node, []))
     first = node[0]
 
@@ -516,7 +519,8 @@ def _color_generators(adj, color, lift) -> list[tuple]:
         if keys != path[depth][0][1]:
             return None
         if depth + 1 < len(path):
-            return next(filter(None, (leaf(child(color, w), depth + 1) for w in _target(color))), None)
+            found = (leaf(_individualise(adj, color, w), depth + 1) for w in _target(color))
+            return next(filter(None, found), None)
         at = [0] * k
         for v, c in enumerate(color):
             at[c] = v
@@ -529,13 +533,31 @@ def _color_generators(adj, color, lift) -> list[tuple]:
     for depth in reversed(range(len(path) - 1)):
         (color, _), (v, *rest) = path[depth]
         for w in rest:
-            if orbit[w] != orbit[v] and (found := leaf(child(color, w), depth + 1)):
+            if orbit[w] != orbit[v] and (found := leaf(_individualise(adj, color, w), depth + 1)):
                 gens.append(found)
                 for x, y in enumerate(found[0]):
                     a, b = orbit[x], orbit[y]
                     if a != b:
                         orbit = [min(a, b) if o in (a, b) else o for o in orbit]
     return gens
+
+
+def _quotient(adj) -> tuple:
+    """(twin classes, class of each 0-based vertex, adjacency rows of the
+    quotient graph on the classes, its coloring by class size and kind as
+    ranks)."""
+    classes = _twin_classes(adj)
+    cls = [0] * len(adj)
+    for i, c in enumerate(classes):
+        for v in c:
+            cls[v] = i
+    # a class is adjacent to all of another class or to none of it
+    reps = sum(1 << c[0] for c in classes)
+    quotient = [sum(1 << cls[u] for u in _bits(adj[c[0]] & reps)) for c in classes]
+    # size, and 1 for a clique of two or more, else 0
+    kinds = [(len(c), adj[c[0]] >> c[-1] & 1) for c in classes]
+    rank = {kind: i for i, kind in enumerate(sorted(set(kinds)))}
+    return classes, cls, quotient, [rank[kind] for kind in kinds]
 
 
 def _automorphisms(g: Graph) -> tuple:
@@ -549,17 +571,7 @@ def _automorphisms(g: Graph) -> tuple:
     Aut(g).
     """
     adj = g._adj
-    classes = _twin_classes(adj)
-    cls = [0] * g.f
-    for i, c in enumerate(classes):
-        for v in c:
-            cls[v] = i
-    # a class is adjacent to all of another class or to none of it
-    reps = sum(1 << c[0] for c in classes)
-    quotient = [sum(1 << cls[u] for u in _bits(adj[c[0]] & reps)) for c in classes]
-    # size, and 1 for a clique of two or more, else 0
-    kinds = [(len(c), adj[c[0]] >> c[-1] & 1) for c in classes]
-    rank = {kind: i for i, kind in enumerate(sorted(set(kinds)))}
+    classes, cls, quotient, color = _quotient(adj)
     edges = []
 
     def lift(gamma):
@@ -573,7 +585,38 @@ def _automorphisms(g: Graph) -> tuple:
             return perm
         return None
 
-    return cls, classes, _color_generators(quotient, [rank[kind] for kind in kinds], lift)
+    return cls, classes, _color_generators(quotient, color, lift)
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(f: int) -> list:
+    """The mask bit of the edge between each two 0-based vertices, 0 on the
+    diagonal."""
+    return [[a != b and edge_bits(f)[min(a, b) + 1, max(a, b) + 1] for b in range(f)] for a in range(f)]
+
+
+def _canonical_form(mask: int, f: int) -> int:
+    """One mask for the whole isomorphism class of the edge set mask: the
+    smallest over the leaves of its refinement tree.
+
+    The tree is that of the quotient on the twin classes (_quotient): refine,
+    then individualise each vertex of the target cell in turn, down to
+    discrete leaves.  A leaf numbers the vertices class by class in the order
+    of its colors; a class is a clique or an independent set, so the order
+    inside it does not matter.  Refinement and the choice of target cell
+    commute with relabeling, so isomorphic masks have the same leaf masks.
+    """
+    bits = _pair_bits(f)
+    adj = [sum(1 << u for u, bit in enumerate(row) if mask & bit) for row in bits]
+    classes, _, quotient, color = _quotient(adj)
+
+    def leaves(color):
+        if cell := _target(color):
+            return [m for w in cell for m in leaves(_individualise(quotient, color, w)[0])]
+        label = {v: new for new, v in enumerate(v for _, c in sorted(zip(color, classes)) for v in c)}
+        return [sum(bits[label[v]][label[u]] for v in range(f) for u in _bits(adj[v]) if u > v)]
+
+    return min(leaves(_refine(quotient, color)[0]))
 
 
 def edge_orbits(g: Graph, candidates) -> dict:

@@ -3,7 +3,10 @@
 Implements the edge-coloring order (EC) and its permutation search (E-EC),
 the longest-distance-first graph construction (LDF), the entropy-greedy
 construction (EBG), exhaustive enumeration, directed random search, and the
-isomorphism-class path count used to size the effective search space.
+isomorphism-class path count used to size the effective search space: one
+layered walk over the classes of graphs on f vertices, each named by
+graphs._canonical_form, admitted up to PATH_COUNT_LIMIT, the largest f
+measured to finish.
 
 E-EC and exhaustive search are one brute-force kernel, _block_search: every
 order of a set of blocks after a fixed head.  E-EC's head is the leading
@@ -60,7 +63,6 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 from .bound import (
     BoundParams,
@@ -76,13 +78,13 @@ from .errors import GraphComplete, SearchSpaceTooLarge, ValidationError
 from .graphs import (
     Edge,
     Graph,
+    _canonical_form,
     all_edges,
     check_edge,
     check_vertex_count,
     chord_censuses,
     connected_components,
     edge_count,
-    edge_index,
     edge_orbits,
     periphery,
     short_path_counts,
@@ -90,7 +92,7 @@ from .graphs import (
 
 # how close to the best bound an ebg candidate or an exhaustive argmin ties it
 TIE_TOLERANCE = 1e-12
-PATH_COUNT_LIMIT = 5
+PATH_COUNT_LIMIT = 8
 PERMUTATION_CAP = 1_000_000
 # how ebg breaks ties within TIE_TOLERANCE; every other method breaks them lex
 TIE_POLICIES = ("lex", "random")
@@ -635,38 +637,19 @@ def _random_prefix(f: int, fixed_colors: int, budget: int):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _edge_remaps(f: int) -> tuple:
-    """Edge-index permutation induced by each vertex permutation."""
-    edges = all_edges(f)
-    remaps = []
-    for perm in permutations(range(1, f + 1)):
-        r = [0] * len(edges)
-        for i, (k, l) in enumerate(edges):
-            a, b = perm[k - 1], perm[l - 1]
-            r[i] = edge_index((min(a, b), max(a, b)), f)
-        remaps.append(tuple(r))
-    return tuple(remaps)
-
-
-def _canonical_form(mask: int, f: int) -> int:
-    """The smallest mask among the f! relabelings of mask."""
-    bits = [i for i in range(edge_count(f)) if mask >> i & 1]
-    return min(sum(1 << r[i] for i in bits) for r in _edge_remaps(f))
-
-
-@lru_cache(maxsize=None)
 def _class_walk(f: int) -> tuple[int, int]:
     """(states, paths) of the layered graph of the unlabeled graphs on f vertices.
 
     Layer k maps the canonical mask of each class with k edges to the number
     of distinct class sequences from the empty graph that reach it; a state's
-    successors are the distinct canonical forms of it plus one absent edge.
-    Canonical forms take all f! relabelings, so 2 <= f <= PATH_COUNT_LIMIT."""
+    successors are the distinct canonical forms (graphs._canonical_form) of
+    it plus one absent edge.  The walk visits every class, so it is admitted
+    for 2 <= f <= PATH_COUNT_LIMIT, the largest f measured to finish."""
     check_vertex_count(f)
     if f > PATH_COUNT_LIMIT:
         raise SearchSpaceTooLarge(
-            f"path counting enumerates canonical forms over f! relabelings; supported for 2 <= f <= "
-            f"{PATH_COUNT_LIMIT}, got {f}"
+            f"path counting walks every isomorphism class of graphs on f vertices; supported for "
+            f"2 <= f <= {PATH_COUNT_LIMIT}, got {f}"
         )
     mu = edge_count(f)
     layer = {0: 1}

@@ -15,6 +15,7 @@ from .coloring import color_sets, ec_order, validate_coloring
 from .entropy import EntropyCache
 from .graphs import (
     Graph,
+    _canonical_form,
     all_edges,
     complete_cycle_census,
     cycle_census,
@@ -32,7 +33,8 @@ from .search import (
     ldf_order,
 )
 
-KNOWN_CLASS_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34}
+# unlabeled graphs on f vertices (OEIS A000088), for every f the class walk admits
+KNOWN_CLASS_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 # random draws per sampled check, and the seed of each suite's generator
 ENTROPY_SAMPLES, ENTROPY_SEED = 25, 2024
 GRAPH_SAMPLES, GRAPH_SEED = 15, 99
@@ -197,8 +199,6 @@ def remarks_suite(f: int) -> list[Check]:
 
 def _labeled_path_oracle(f: int) -> int:
     """Distinct canonical-class sequences over all labeled addition orders."""
-    from .search import _canonical_form
-
     mu = edge_count(f)
     canon: dict[int, int] = {}
 

@@ -8,6 +8,7 @@ import pytest
 from pqcbound import EntropyCache, cli, search
 from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _threads, build_parser, main
 from pqcbound.errors import ValidationError
+from pqcbound.verify import KNOWN_CLASS_COUNTS
 
 
 # Records of `order --method ebg --tie random --seed S --f F --q Q --n 2`,
@@ -552,17 +553,21 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "34 states" in out
 
+    def test_every_admitted_f_has_a_class_count(self):
+        # without one, the paths suite fails its class-count check at an f it admits
+        assert set(KNOWN_CLASS_COUNTS) == set(range(2, search.PATH_COUNT_LIMIT + 1))
+
     def test_paths_reports_count(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "paths", "--f", "5")
         assert code == EXIT_OK
         assert "657 paths" in out
 
     # a vertex count outside [2, 16] is a usage error here as in every other
-    # suite; the path count's own guard refuses f = 6..16
+    # suite; the path count's own guard refuses f = 9..16
     @pytest.mark.parametrize("f,exit_code,message", [
         ("1", EXIT_USAGE, "vertex count must be an integer in [2, 16], got 1"),
         ("17", EXIT_USAGE, "vertex count must be an integer in [2, 16], got 17"),
-        ("6", EXIT_GUARD, "supported for 2 <= f <= 5, got 6"),
+        ("9", EXIT_GUARD, "supported for 2 <= f <= 8, got 9"),
     ])
     def test_paths_refusals(self, capsys, f, exit_code, message):
         code, out, err = run_cli(capsys, "verify", "--suite", "paths", "--f", f)

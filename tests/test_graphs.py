@@ -30,6 +30,7 @@ from pqcbound import (
 )
 from pqcbound.errors import DisconnectedGraph, EdgePresent, InvalidEdge, InvalidVertex
 from pqcbound.graphs import _bits, complete_cycle_census, edges_to_mask, mask_to_edges, short_path_counts
+from tests.relabelings import edge_remaps
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
 
@@ -531,12 +532,10 @@ def _is_automorphism(g: Graph, p) -> bool:
 
 def _orbits_oracle(g: Graph) -> dict:
     """The smallest non-edge of each non-edge's orbit, over every one of the
-    f! relabelings (search._edge_remaps) that maps g onto itself."""
-    from pqcbound.search import _edge_remaps
-
+    f! relabelings (edge_remaps) that maps g onto itself."""
     f = g.f
     mask = edges_to_mask(g.edges, f)
-    fixing = [r for r in _edge_remaps(f) if sum(1 << r[i] for i in _bits(mask)) == mask]
+    fixing = [r for r in edge_remaps(f) if sum(1 << r[i] for i in _bits(mask)) == mask]
     return {e: edge_from_index(min(r[edge_index(e, f)] for r in fixing), f)
             for e in all_edges(f) if not g.has_edge(e)}
 
@@ -644,3 +643,92 @@ class TestAutomorphisms:
             assert r <= e and not g.has_edge(r)
             h = cache.joint_entropy(base | 1 << edge_index(e, g.f))
             assert h.hex() == cache.joint_entropy(base | 1 << edge_index(r, g.f)).hex()
+
+
+def _labeler_graphs():
+    """Graphs on 2..10 vertices rich in twins (empty, complete, matchings,
+    stars) or free of them (cycles, the cube, the Petersen graph), and
+    _symmetric_graphs."""
+    out = []
+    for f in range(2, 11):
+        out += [Graph(f), Graph.complete(f), Graph(f, [(k, k + 1) for k in range(1, f, 2)]),
+                Graph(f, [(1, k) for k in range(2, f + 1)])]
+        if f >= 5:
+            out.append(Graph(f, [(k, k + 1) for k in range(1, f)] + [(1, f)]))
+    petersen = [(k, k + 1) for k in range(1, 5)] + [(1, 5)] + [(k, k + 5) for k in range(1, 6)] \
+        + [(6, 8), (8, 10), (7, 10), (7, 9), (6, 9)]
+    return out + [Graph(10, petersen)] + _symmetric_graphs() + _regular_graphs()
+
+
+def _regular_graphs():
+    """Regular graphs whose vertices are not all alike, so color refinement
+    splits none of them although their automorphisms do not join every
+    vertex: unions of cycles, which collapse into twin classes, and a cubic
+    graph on 8 vertices and a quartic one on 9, which have no twins."""
+    def cycles(*lengths):
+        edges, start = [], 1
+        for n in lengths:
+            edges += [(start + i, start + i + 1) for i in range(n - 1)] + [(start, start + n - 1)]
+            start += n
+        return Graph(start - 1, edges)
+
+    cubic = [(1, 2), (1, 7), (1, 8), (2, 4), (2, 8), (3, 5), (3, 6), (3, 8), (4, 5), (4, 7), (5, 6), (6, 7)]
+    quartic = [(1, 3), (1, 6), (1, 8), (1, 9), (2, 4), (2, 7), (2, 8), (2, 9), (3, 5), (3, 7), (3, 8),
+               (4, 5), (4, 7), (4, 8), (5, 6), (5, 9), (6, 7), (6, 9)]
+    return [cycles(3, 4), cycles(3, 5), cycles(4, 5), cycles(3, 3, 4), cycles(3, 7), Graph(8, cubic),
+            Graph(9, quartic)]
+
+
+def _relabeled(edges, perm):
+    return [tuple(sorted((perm[k - 1], perm[l - 1]))) for k, l in edges]
+
+
+class TestCanonicalForm:
+    """graphs._canonical_form gives every edge set of one isomorphism class
+    the same mask, and edge sets of different classes different masks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_relabeling_keeps_the_mask(self, data):
+        g = data.draw(st.one_of(graphs_on(2, 10), st.sampled_from(_labeler_graphs())), label="g")
+        perm = data.draw(st.permutations(range(1, g.f + 1)), label="perm")
+        mask = edges_to_mask(g.edges, g.f)
+        canon = graphs._canonical_form(mask, g.f)
+        assert graphs._canonical_form(edges_to_mask(_relabeled(g.edges, perm), g.f), g.f) == canon
+        # the form is an edge set of the same class: as many edges, and its own form
+        assert canon.bit_count() == len(g) and graphs._canonical_form(canon, g.f) == canon
+
+    @pytest.mark.parametrize("g", _labeler_graphs(), ids=lambda g: f"f{g.f}-{len(g)}edges")
+    def test_relabelings_of_symmetric_graphs_keep_the_mask(self, g):
+        rng = random.Random(len(g))
+        want = graphs._canonical_form(edges_to_mask(g.edges, g.f), g.f)
+        for _ in range(20):
+            perm = rng.sample(range(1, g.f + 1), g.f)
+            assert graphs._canonical_form(edges_to_mask(_relabeled(g.edges, perm), g.f), g.f) == want
+
+    @pytest.mark.parametrize("f", [6, 7, 8])
+    def test_separates_what_networkx_separates(self, f):
+        # pairs with equal edge counts: a relabeled copy, with one edge moved
+        # in half of them
+        nx = pytest.importorskip("networkx")
+
+        def nx_graph(edges):
+            h = nx.Graph()
+            h.add_nodes_from(range(1, f + 1))
+            h.add_edges_from(edges)
+            return h
+
+        rng = random.Random(f)
+        verdicts = set()
+        for _ in range(300):
+            p = rng.uniform(0.1, 0.9)
+            a = [e for e in all_edges(f) if rng.random() < p]
+            b = _relabeled(a, rng.sample(range(1, f + 1), f))
+            absent = [e for e in all_edges(f) if e not in b]
+            if b and absent and rng.random() < 0.5:
+                b[rng.randrange(len(b))] = rng.choice(absent)
+            same = nx.is_isomorphic(nx_graph(a), nx_graph(b))
+            ca, cb = (graphs._canonical_form(edges_to_mask(es, f), f) for es in (a, b))
+            assert (ca == cb) == same, (a, b)
+            verdicts.add(same)
+        assert verdicts == {True, False}

@@ -29,10 +29,11 @@ from pqcbound import (
 )
 from pqcbound.errors import (EnumerationTooLarge, GraphComplete, InvalidVertex, SearchSpaceTooLarge,
                              ValidationError)
-from pqcbound import search
+from pqcbound import graphs, search
 from pqcbound.bound import _weights, make_cache, remaining_cap, weighted_terms
 from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
 from pqcbound.search import SearchResult, run
+from tests.relabelings import edge_remaps
 from tests.test_bound import one_position_cap
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
@@ -934,6 +935,22 @@ class TestPruning:
         run(method, params(f), cache=cache, **options)
         assert len(cache) < entries
 
+    # remaining_cap reads H_min at every placed edge; when each read was a
+    # joint_entropy hit this run made 9,876 calls, 6,156 of them for mask 1
+    def test_marginal_entropy_is_looked_up_once(self, monkeypatch):
+        masks = []
+        joint_entropy = EntropyCache.joint_entropy
+
+        def counting(cache, edges_or_mask):
+            masks.append(edges_or_mask)
+            return joint_entropy(cache, edges_or_mask)
+
+        monkeypatch.setattr(EntropyCache, "joint_entropy", counting)
+        cache = EntropyCache(8, 2)
+        directed_random_search(params(8), seed=7, budget=2500, cache=cache)
+        assert masks.count(1) == 1
+        assert (len(masks), len(cache)) == (3_721, 1_037)
+
     # with n = 1 every order has the same denominator up to rounding, so no
     # subtree can be cut and the permutation cap still bounds the work
     def test_n1_prunes_nothing(self, shared_cache):
@@ -1094,9 +1111,9 @@ class TestDirectedRandom:
             directed_random_search(params(6), seed=0, budget=5, fixed_colors=9, cache=shared_cache(6))
 
 
-# Oracles: the canonical form and the two walks that search._class_walk
-# replaced, copied unchanged apart from the f <= 5 guard, which now lives in
-# the walk.
+# Oracles: the f! relabeling canonical form and the two walks that
+# search._class_walk replaced, copied unchanged apart from the f <= 5 guard,
+# which now lives in the walk.
 
 def _canonical_form_loop(mask: int, remaps) -> int:
     best = None
@@ -1113,7 +1130,7 @@ def _canonical_form_loop(mask: int, remaps) -> int:
 
 
 def _count_distinct_paths_dfs(f: int) -> int:
-    remaps = search._edge_remaps(f)
+    remaps = edge_remaps(f)
     mu = edge_count(f)
     full = (1 << mu) - 1
     canon_cache: dict[int, int] = {}
@@ -1140,7 +1157,7 @@ def _count_distinct_paths_dfs(f: int) -> int:
 
 
 def _count_graph_classes_stack(f: int) -> int:
-    remaps = search._edge_remaps(f)
+    remaps = edge_remaps(f)
     mu = edge_count(f)
     seen: set[int] = set()
     stack = [0]
@@ -1183,12 +1200,29 @@ class TestPathCounting:
         assert count_graph_classes(4) == 11
         assert count_graph_classes(5) == 34
 
+    def test_class_counts_past_f5(self):
+        # unlabeled graphs on 6 and 7 vertices, OEIS A000088
+        assert count_graph_classes(6) == 156
+        assert count_graph_classes(7) == 1044
+
+    def test_f6_against_the_relabeling_walk(self):
+        assert count_distinct_paths(6) == _count_distinct_paths_dfs(6) == 4_836_277
+
+    @pytest.mark.slow
+    def test_f7_against_the_relabeling_walk(self):
+        assert count_distinct_paths(7) == _count_distinct_paths_dfs(7) == 6_437_064_646_754
+
+    @pytest.mark.slow
+    def test_f8(self):
+        assert count_graph_classes(8) == 12_346
+        assert count_distinct_paths(8) == 2_039_776_098_788_426_618_237
+
     def test_guard(self):
         with pytest.raises(SearchSpaceTooLarge):
-            count_distinct_paths(6)
+            count_distinct_paths(9)
         for count in (count_distinct_paths, count_graph_classes):
-            for f in (6, 16):
-                with pytest.raises(SearchSpaceTooLarge, match="2 <= f <= 5"):
+            for f in (9, 16):
+                with pytest.raises(SearchSpaceTooLarge, match="2 <= f <= 8"):
                     count(f)
             # no graph has these vertex counts: a usage error, as in every other suite
             for f in (1, 17):
@@ -1202,13 +1236,18 @@ class TestPathCounting:
 
     @pytest.mark.parametrize("f", [4, 5])
     def test_canonical_form_matches_loop(self, f):
-        remaps = search._edge_remaps(f)
+        # the labeler names a class by another mask than the loop's smallest
+        # relabeling, but two masks share one name exactly when they share the other
+        remaps = edge_remaps(f)
+        names = {}
         for mask in range(1 << edge_count(f)):
-            assert search._canonical_form(mask, f) == _canonical_form_loop(mask, remaps)
+            names.setdefault(graphs._canonical_form(mask, f), set()).add(_canonical_form_loop(mask, remaps))
+        assert all(len(loop) == 1 for loop in names.values())
+        assert len(set.union(*names.values())) == len(names)
 
     def test_both_counts_read_one_walk(self, monkeypatch):
         calls = []
-        canonical_form = search._canonical_form
+        canonical_form = graphs._canonical_form
 
         def counting(mask, f):
             calls.append(mask)
