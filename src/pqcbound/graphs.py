@@ -23,7 +23,7 @@ L vertices and in each direction, one path of L - 1 edges to a neighbour of
 the start, so cycle_census sums those paths over every start and neighbour
 and divides by 2L.
 
-Graph symmetry comes from one refinement tree with two consumers.  It
+Graph symmetry comes from one walk of one refinement tree, _symmetry.  It
 first collapses twin classes (_quotient): vertices u, v with
 N(u) - {v} = N(v) - {u}, an equivalence whose classes are cliques or
 independent sets, and any permutation inside a class is an automorphism.
@@ -31,13 +31,15 @@ What is left is the quotient graph on the classes, colored by class size and
 kind.  Its tree is color refinement (_refine) and individualisation of each
 vertex of a target cell followed by refinement (_individualise), after B. D.
 McKay and A. Piperno, "Practical graph isomorphism, II", J. Symbolic
-Comput. 60 (2014).  _automorphisms searches the tree for generators with
-orbit pruning; their lifts are checked on the graph's edges before they are
-used, so a missed generator only leaves an orbit split, never merges two
-that differ, and edge_orbits gives each non-edge the smallest non-edge of
-its orbit.  _canonical_form visits every leaf, numbers the vertices class by
-class in the leaf's order, and keeps the smallest mask, which is the same
-for every edge set of one isomorphism class.
+Comput. 60 (2014).  Each leaf numbers the vertices class by class in its
+order.  A leaf whose numbering gives the first leaf's edge mask yields a
+generator, which is then an automorphism, so a missed generator only leaves
+an orbit split, never merges two that differ; edge_orbits gives each
+non-edge the smallest non-edge of its orbit.  The leaf with the smallest trace of refinement keys and mask
+gives the canonical labelling, and _canonical_form its mask, which is the
+same for every edge set of one isomorphism class.  The walk prunes by the
+generators it finds and cuts subtrees that can hold neither a generator nor
+a smaller leaf.
 """
 from __future__ import annotations
 
@@ -491,57 +493,6 @@ def _individualise(adj, color, v) -> tuple:
     return _refine(adj, [x + (x > c or x == c and u != v) for u, x in enumerate(color)])
 
 
-def _color_generators(adj, color, lift) -> list[tuple]:
-    """Generators of the color-preserving automorphisms of a graph, found by
-    individualisation-refinement, each as (gamma, lift(gamma)): lift returns
-    None for a permutation gamma of the vertices that is not to be kept.
-
-    The first path individualises the first vertex of each node's target cell
-    until the coloring is discrete.  Then, deepest node first, each other
-    vertex w of a node's target cell that the generators found so far do not
-    already join to the path's vertex is individualised in its place, and its
-    subtree is searched for a leaf that maps the first leaf onto itself by a
-    permutation that lift keeps: the first one found is a generator.  Nodes
-    whose refinement keys differ from the first path's at the same depth hold
-    no such leaf.
-    """
-    k = len(adj)
-    path = []
-    node = _refine(adj, color)
-    while cell := _target(node[0]):
-        path.append((node, cell))
-        node = _individualise(adj, node[0], cell[0])
-    path.append((node, []))
-    first = node[0]
-
-    def leaf(node, depth):
-        color, keys = node
-        if keys != path[depth][0][1]:
-            return None
-        if depth + 1 < len(path):
-            found = (leaf(_individualise(adj, color, w), depth + 1) for w in _target(color))
-            return next(filter(None, found), None)
-        at = [0] * k
-        for v, c in enumerate(color):
-            at[c] = v
-        gamma = [at[first[v]] for v in range(k)]
-        perm = lift(gamma)
-        return None if perm is None else (gamma, perm)
-
-    gens = []
-    orbit = list(range(k))
-    for depth in reversed(range(len(path) - 1)):
-        (color, _), (v, *rest) = path[depth]
-        for w in rest:
-            if orbit[w] != orbit[v] and (found := leaf(_individualise(adj, color, w), depth + 1)):
-                gens.append(found)
-                for x, y in enumerate(found[0]):
-                    a, b = orbit[x], orbit[y]
-                    if a != b:
-                        orbit = [min(a, b) if o in (a, b) else o for o in orbit]
-    return gens
-
-
 def _quotient(adj) -> tuple:
     """(twin classes, class of each 0-based vertex, adjacency rows of the
     quotient graph on the classes, its coloring by class size and kind as
@@ -560,34 +511,6 @@ def _quotient(adj) -> tuple:
     return classes, cls, quotient, [rank[kind] for kind in kinds]
 
 
-def _automorphisms(g: Graph) -> tuple:
-    """(twin class of each 0-based vertex, the classes, checked generators).
-
-    Each generator is a pair (class permutation, vertex permutation): a
-    permutation of the quotient graph's vertices that keeps their colors,
-    lifted by mapping the sorted members of each class onto those of its
-    image, and kept only if the lifted permutation maps every edge of g onto
-    an edge.  Together with the permutations inside each class they generate
-    Aut(g).
-    """
-    adj = g._adj
-    classes, cls, quotient, color = _quotient(adj)
-    edges = []
-
-    def lift(gamma):
-        perm = [0] * g.f
-        for c, image in zip(classes, gamma):
-            for v, u in zip(c, classes[image]):
-                perm[v] = u
-        if not edges:
-            edges.extend((v, u) for v, row in enumerate(adj) for u in _bits(row) if u > v)
-        if len(set(perm)) == g.f and all(adj[perm[v]] >> perm[u] & 1 for v, u in edges):
-            return perm
-        return None
-
-    return cls, classes, _color_generators(quotient, color, lift)
-
-
 @lru_cache(maxsize=None)
 def _pair_bits(f: int) -> list:
     """The mask bit of the edge between each two 0-based vertices, 0 on the
@@ -595,28 +518,97 @@ def _pair_bits(f: int) -> list:
     return [[a != b and edge_bits(f)[min(a, b) + 1, max(a, b) + 1] for b in range(f)] for a in range(f)]
 
 
-def _canonical_form(mask: int, f: int) -> int:
-    """One mask for the whole isomorphism class of the edge set mask: the
-    smallest over the leaves of its refinement tree.
+def _labelled_mask(adj, label) -> int:
+    """The edge mask of the graph with adjacency rows adj once each 0-based
+    vertex v is numbered label[v]."""
+    bits = _pair_bits(len(adj))
+    # row & -2 << v keeps the neighbours u > v
+    return sum(bits[label[v]][label[u]] for v, row in enumerate(adj) for u in _bits(row & -2 << v))
 
-    The tree is that of the quotient on the twin classes (_quotient): refine,
-    then individualise each vertex of the target cell in turn, down to
-    discrete leaves.  A leaf numbers the vertices class by class in the order
-    of its colors; a class is a clique or an independent set, so the order
-    inside it does not matter.  Refinement and the choice of target cell
-    commute with relabeling, so isomorphic masks have the same leaf masks.
+
+def _symmetry(adj) -> tuple:
+    """(twin classes, class of each 0-based vertex, generators, canonical
+    labelling) of the graph with adjacency rows adj, from one walk of the
+    refinement tree of its quotient (_quotient).
+
+    A leaf, a discrete coloring of the classes, numbers the vertices class by
+    class in the order of its colors.  Two leaves whose labellings give the
+    same edge mask differ by an automorphism, the class permutation from one
+    to the other lifted by mapping the sorted members of each class onto
+    those of its image.  The generators are such class permutations; with
+    the permutations inside each class they generate the automorphism group.
+    The canonical labelling, a dict from each vertex to its number, is that
+    of the leaf with the smallest (trace, mask), where the trace lists the
+    refinement keys from the root down to the leaf.
+
+    The first path individualises the first vertex of each node's target
+    cell until the coloring is discrete.  Then, deepest node first, each
+    other vertex of a first-path node's target cell that the generators
+    found so far do not join to the path's vertex is individualised in its
+    place, and its subtree is searched depth first up to the first leaf with
+    the first leaf's mask: the permutation to it is a generator, and maps the
+    path's subtree onto the rest.  A node is cut when its trace leaves the
+    first path's, so that it holds no image of the first leaf, and compares
+    above the canonical leaf's.
     """
-    bits = _pair_bits(f)
-    adj = [sum(1 << u for u, bit in enumerate(row) if mask & bit) for row in bits]
-    classes, _, quotient, color = _quotient(adj)
+    classes, cls, quotient, color = _quotient(adj)
+    node, keys = _refine(quotient, color)
+    path, first_trace = [], [keys]
+    while cell := _target(node):
+        path.append((node, cell))
+        node, keys = _individualise(quotient, node, cell[0])
+        first_trace.append(keys)
+    first, first_mask = node, None
+    best = (first_trace, None, first)
 
-    def leaves(color):
-        if cell := _target(color):
-            return [m for w in cell for m in leaves(_individualise(quotient, color, w)[0])]
-        label = {v: new for new, v in enumerate(v for _, c in sorted(zip(color, classes)) for v in c)}
-        return [sum(bits[label[v]][label[u]] for v in range(f) for u in _bits(adj[v]) if u > v)]
+    def labelling(color):
+        return {v: new for new, v in enumerate(v for _, c in sorted(zip(color, classes)) for v in c)}
 
-    return min(leaves(_refine(quotient, color)[0]))
+    def visit(color, trace, same, w):
+        # the class permutation from the first leaf to the first leaf below w
+        # with its mask, or None; the first leaf's mask waits for a second leaf
+        nonlocal best, first_mask
+        color, keys = _individualise(quotient, color, w)
+        same = same and keys == first_trace[len(trace)]
+        trace = trace + [keys]
+        if not same and trace > best[0][:len(trace)]:
+            return None
+        # a coloring with a key per vertex is discrete
+        if len(keys) < len(color) and (cell := _target(color)):
+            return next(filter(None, (visit(color, trace, same, x) for x in cell)), None)
+        if first_mask is None:
+            first_mask = _labelled_mask(adj, labelling(first))
+            best = (first_trace, first_mask, first)
+        mask = _labelled_mask(adj, labelling(color))
+        if mask == first_mask:
+            at = sorted(range(len(color)), key=color.__getitem__)
+            return [at[c] for c in first]
+        if (trace, mask) < best[:2]:
+            best = (trace, mask, color)
+        return None
+
+    gens = []
+    orbit = list(range(len(classes)))
+    for depth in reversed(range(len(path))):
+        color, (v, *rest) = path[depth]
+        for w in rest:
+            if orbit[w] != orbit[v] and (gamma := visit(color, first_trace[:depth + 1], True, w)):
+                gens.append(gamma)
+                for x, y in enumerate(gamma):
+                    a, b = orbit[x], orbit[y]
+                    if a != b:
+                        orbit = [min(a, b) if o in (a, b) else o for o in orbit]
+    return classes, cls, gens, labelling(best[2])
+
+
+def _canonical_form(mask: int, f: int) -> int:
+    """One mask for the whole isomorphism class of the edge set mask: its
+    edges under the canonical labelling of _symmetry.  Refinement and the
+    choice of target cell commute with relabeling, so isomorphic masks have
+    the same (trace, mask) pairs at their leaves, and the walk reaches one
+    with the smallest pair."""
+    adj = [sum(1 << u for u, bit in enumerate(row) if mask & bit) for row in _pair_bits(f)]
+    return _labelled_mask(adj, _symmetry(adj)[3])
 
 
 def edge_orbits(g: Graph, candidates) -> dict:
@@ -630,7 +622,7 @@ def edge_orbits(g: Graph, candidates) -> dict:
     smallest of those is the pair of the classes' smallest members (or the
     two smallest members of one class).
     """
-    cls, classes, gens = _automorphisms(g)
+    classes, cls, gens, _ = _symmetry(g._adj)
 
     def smallest(ij):
         i, j = ij
@@ -644,7 +636,7 @@ def edge_orbits(g: Graph, candidates) -> dict:
             orbit, todo = {key}, [key]
             while todo:
                 i, j = todo.pop()
-                for gamma, _ in gens:
+                for gamma in gens:
                     image = tuple(sorted((gamma[i], gamma[j])))
                     if image not in orbit:
                         orbit.add(image)

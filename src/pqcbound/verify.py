@@ -35,6 +35,10 @@ from .search import (
 
 # unlabeled graphs on f vertices (OEIS A000088), for every f the class walk admits
 KNOWN_CLASS_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+# the class walk's own path counts, for every f it admits (the paper states 275
+# at f = 5; the tests keep that as a strict xfail)
+KNOWN_PATH_COUNTS = {2: 1, 3: 1, 4: 6, 5: 657, 6: 4_836_277, 7: 6_437_064_646_754,
+                     8: 2_039_776_098_788_426_618_237}
 # random draws per sampled check, and the seed of each suite's generator
 ENTROPY_SAMPLES, ENTROPY_SEED = 25, 2024
 GRAPH_SAMPLES, GRAPH_SEED = 15, 99
@@ -224,7 +228,7 @@ def paths_suite(f: int) -> list[Check]:
     checks: list[Check] = []
     n = count_distinct_paths(f)
     states = count_graph_classes(f)
-    checks.append(("distinct addition paths", n >= 1, f"{n} paths for f={f}"))
+    checks.append(("distinct addition paths", n == KNOWN_PATH_COUNTS.get(f), f"{n} paths for f={f}"))
     want = KNOWN_CLASS_COUNTS.get(f)
     checks.append(
         ("unlabeled graph classes", states == want, f"{states} states (expected {want})")

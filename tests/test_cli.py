@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from pqcbound import EntropyCache, cli, search
+from pqcbound import EntropyCache, cli, search, verify
 from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _threads, build_parser, main
 from pqcbound.errors import ValidationError
-from pqcbound.verify import KNOWN_CLASS_COUNTS
+from pqcbound.verify import KNOWN_CLASS_COUNTS, KNOWN_PATH_COUNTS
 
 
 # Records of `order --method ebg --tie random --seed S --f F --q Q --n 2`,
@@ -557,10 +557,20 @@ class TestVerifyCommand:
         # without one, the paths suite fails its class-count check at an f it admits
         assert set(KNOWN_CLASS_COUNTS) == set(range(2, search.PATH_COUNT_LIMIT + 1))
 
+    def test_every_admitted_f_has_a_path_count(self):
+        # without one, the paths suite fails its path-count check at an f it admits
+        assert set(KNOWN_PATH_COUNTS) == set(range(2, search.PATH_COUNT_LIMIT + 1))
+
     def test_paths_reports_count(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "paths", "--f", "5")
         assert code == EXIT_OK
-        assert "657 paths" in out
+        assert "PASS distinct addition paths: 657 paths for f=5\n" in out
+
+    def test_wrong_path_count_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.KNOWN_PATH_COUNTS, 5, 658)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "paths", "--f", "5")
+        assert code == EXIT_VERIFY
+        assert "FAIL distinct addition paths: 657 paths for f=5\n" in out
 
     # a vertex count outside [2, 16] is a usage error here as in every other
     # suite; the path count's own guard refuses f = 9..16

@@ -514,15 +514,23 @@ class TestPathCountKernel:
 def _generators(g: Graph) -> list[tuple[int, ...]]:
     """The generators behind edge_orbits, each a tuple p with p[v - 1] the
     image of vertex v: a swap of each two members of a twin class, and the
-    checked lifts of _automorphisms."""
-    _, classes, gens = graphs._automorphisms(g)
+    class permutations of _symmetry, lifted by mapping the sorted members of
+    each class onto those of its image."""
+    classes, _, gens, _ = graphs._symmetry(g._adj)
     swaps = []
     for c in classes:
         for a, b in combinations(c, 2):
             p = list(range(1, g.f + 1))
             p[a], p[b] = b + 1, a + 1
             swaps.append(tuple(p))
-    return swaps + [tuple(u + 1 for u in perm) for _, perm in gens]
+    lifts = []
+    for gamma in gens:
+        p = [0] * g.f
+        for c, image in zip(classes, gamma):
+            for v, u in zip(c, classes[image]):
+                p[v] = u + 1
+        lifts.append(tuple(p))
+    return swaps + lifts
 
 
 def _is_automorphism(g: Graph, p) -> bool:
@@ -563,19 +571,23 @@ def _orbits_networkx(g: Graph) -> dict:
     return out
 
 
+CUBE = [(a + 1, b + 1) for a in range(8) for b in range(a + 1, 8) if (a ^ b).bit_count() == 1]
+PETERSEN = [(k, k + 1) for k in range(1, 5)] + [(1, 5)] + [(k, k + 5) for k in range(1, 6)] \
+    + [(6, 8), (8, 10), (7, 10), (7, 9), (6, 9)]
+
+
 def _symmetric_graphs():
     """Graphs on 7..9 vertices with large or tricky automorphism groups."""
     def cycle(f):
         return [(k, k + 1) for k in range(1, f)] + [(1, f)]
 
-    cube = [(a + 1, b + 1) for a in range(8) for b in range(a + 1, 8) if (a ^ b).bit_count() == 1]
     rook = [(a + 1, b + 1) for a in range(9) for b in range(a + 1, 9)
             if a // 3 == b // 3 or a % 3 == b % 3]  # K3 x K3, strongly regular
     return [
         Graph(7, cycle(7)),
         Graph(8, cycle(8)),
         Graph(9, [e for e in all_edges(9) if e not in cycle(9)]),
-        Graph(8, cube),
+        Graph(8, CUBE),
         Graph(9, rook),
         Graph(9, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9)]),
         Graph(7, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]),
@@ -607,8 +619,9 @@ class TestAutomorphisms:
     @settings(max_examples=100, deadline=None)
     @given(g=graphs_on(2, 6))
     def test_leaves_that_are_not_automorphisms_are_dropped(self, g):
-        # with refinement a no-op the search prunes nothing, so it reaches
-        # leaves that are no automorphism; the check on the edges drops them
+        # with refinement a no-op every node keeps the first path's keys, so
+        # the walk reaches leaves that are no automorphism; comparing their
+        # masks with the first leaf's drops them
         absent = [e for e in all_edges(g.f) if not g.has_edge(e)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "_refine", lambda adj, color: (color, []))
@@ -655,9 +668,7 @@ def _labeler_graphs():
                 Graph(f, [(1, k) for k in range(2, f + 1)])]
         if f >= 5:
             out.append(Graph(f, [(k, k + 1) for k in range(1, f)] + [(1, f)]))
-    petersen = [(k, k + 1) for k in range(1, 5)] + [(1, 5)] + [(k, k + 5) for k in range(1, 6)] \
-        + [(6, 8), (8, 10), (7, 10), (7, 9), (6, 9)]
-    return out + [Graph(10, petersen)] + _symmetric_graphs() + _regular_graphs()
+    return out + [Graph(10, PETERSEN)] + _symmetric_graphs() + _regular_graphs()
 
 
 def _regular_graphs():
@@ -705,6 +716,31 @@ class TestCanonicalForm:
         for _ in range(20):
             perm = rng.sample(range(1, g.f + 1), g.f)
             assert graphs._canonical_form(edges_to_mask(_relabeled(g.edges, perm), g.f), g.f) == want
+
+    # the tree nodes that finding the generators alone takes: a walk that
+    # cuts every node whose keys leave the first path's
+    @pytest.mark.parametrize("g,nodes", [
+        (Graph(10, PETERSEN), 9),
+        (Graph(8, CUBE), 9),
+        (Graph(10, [(k, k + 1) for k in range(1, 10)] + [(1, 10)]), 5),
+        (_regular_graphs()[5], 7),
+    ], ids=["petersen", "cube", "c10", "cubic8"])
+    def test_labels_in_the_walk_that_finds_the_generators(self, g, nodes, monkeypatch):
+        # a labeler that walks a tree of its own, or a walk that cuts no node
+        # whose trace compares above the canonical leaf's, individualises more
+        calls = []
+        individualise = graphs._individualise
+
+        def counting(*args):
+            calls.append(args)
+            return individualise(*args)
+
+        monkeypatch.setattr(graphs, "_individualise", counting)
+        graphs._canonical_form(edges_to_mask(g.edges, g.f), g.f)
+        labeler = len(calls)
+        calls.clear()
+        graphs.edge_orbits(g, [])
+        assert labeler <= len(calls) <= nodes
 
     @pytest.mark.parametrize("f", [6, 7, 8])
     def test_separates_what_networkx_separates(self, f):

@@ -33,6 +33,7 @@ from pqcbound import graphs, search
 from pqcbound.bound import _weights, make_cache, remaining_cap, weighted_terms
 from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
 from pqcbound.search import SearchResult, run
+from pqcbound.verify import KNOWN_PATH_COUNTS
 from tests.relabelings import edge_remaps
 from tests.test_bound import one_position_cap
 
@@ -1206,11 +1207,12 @@ class TestPathCounting:
         assert count_graph_classes(7) == 1044
 
     def test_f6_against_the_relabeling_walk(self):
-        assert count_distinct_paths(6) == _count_distinct_paths_dfs(6) == 4_836_277
+        assert count_distinct_paths(6) == _count_distinct_paths_dfs(6) == KNOWN_PATH_COUNTS[6] == 4_836_277
 
     @pytest.mark.slow
     def test_f7_against_the_relabeling_walk(self):
-        assert count_distinct_paths(7) == _count_distinct_paths_dfs(7) == 6_437_064_646_754
+        assert count_distinct_paths(7) == _count_distinct_paths_dfs(7) == KNOWN_PATH_COUNTS[7] \
+            == 6_437_064_646_754
 
     @pytest.mark.slow
     def test_f8(self):
