@@ -1,13 +1,14 @@
 """Exact joint entropies of quadratic monomials of i.i.d. uniform field symbols.
 
 A monomial X^(k,l) is the product of two distinct symbols drawn uniformly
-from the prime field F_q.  The joint law of any monomial subset is obtained
-by enumerating all q^f symbol assignments and tallying outcome vectors, so
-probabilities are exact integer counts over q^f until the final logarithm.
-All entropies are in q-ary units (log base q): a uniform F_q symbol has
-entropy 1.
+from the prime field F_q.  The joint law of a monomial subset S is known
+once the integer count multiset of its outcome classes is: the number of
+the q^f symbol assignments behind each outcome.  H(S) depends only on that
+multiset, and two kernels compute it exactly.  All entropies are in q-ary
+units (log base q): a uniform F_q symbol has entropy 1.
 
-One kernel, EntropyCache._classes, gives every assignment an outcome class
+Enumeration, which serves every miss at q = 2, tallies all q^f
+assignments.  EntropyCache._classes gives every assignment an outcome class
 code, an int64 in [0, span), by folding in one monomial column at a time
 (code * q + column).  H depends only on the partition of the assignments
 into classes, not on the code values, so a code can be refined by further
@@ -28,12 +29,38 @@ np.bincount over the span when the span is at most BINCOUNT_SPAN * q^f,
 which after a held base it is for every q <= BINCOUNT_SPAN; a larger span
 falls back to np.unique's O(q^f log q^f) sort.
 
-The entropy sum groups equal class counts and takes one logarithm per
-distinct count, then hands math.fsum two exact products per distinct count
-whose exact sum is that of the per-class terms c*log(c).  fsum is exactly
-rounded, so identical count multisets produce bit-identical entropies
-regardless of tally or grouping order, and vertex relabelings leave every
-entropy unchanged to the last bit.
+The support sum, which serves every miss at q >= 3, reads the multiset off
+the supports of the assignments instead, at a cost of 2^f that does not
+grow with q.  Let m = q - 1 and let T be the support of an assignment x.
+Monomial x_k x_l is nonzero iff k and l are in T, and on (F_q^*)^T the map
+x -> (x_k x_l) is a group homomorphism, so every outcome in its image has
+|kernel| preimages.  Split T into N, the vertices of T with an S-edge inside
+T, and the rest, an independent set of S outside N's closed neighbourhood
+N[N].  The outcomes whose nonzero monomials are those of S[N] then number
+m^|N| / k(N), each with count k(N) * Ind(S - N[N])(m), where
+  - N ranges over the vertex sets, the empty set included, on which S[N]
+    has no isolated vertex;
+  - k(N) = m^b * gcd(2, m)^c for the b bipartite and c other components of
+    S[N]: the kernel of a -> (a_k + a_l) over Z_m;
+  - Ind(G)(m) is the independence polynomial of G at m, the number of ways
+    to give an independent set of G nonzero symbols.
+Vertices that S does not touch multiply every count by q, so the sum runs
+over the subsets of the k vertices that S covers, all 2^k of them at once
+(_SupportSum): the open neighbourhood of every subset in one highest-bit
+pass, Ind over every subset in one zeta pass per vertex, the component
+count and bipartiteness of S[N] by a parity BFS from N's highest vertex
+over those tables, and the components past the first by pointer jumping.
+At q >= 3 hold does nothing, and no miss builds monomial columns or
+carried codes.
+
+The entropy sum takes the tally, each distinct class count with the number
+of classes of that count, and takes one logarithm per distinct count, then
+hands math.fsum two exact products per distinct count whose exact sum is
+that of the per-class terms c*log(c).  A multiplicity is at most q^f / 2 <=
+2^21 inside ENUMERATION_GUARD, which keeps those products exact.  fsum is
+exactly rounded, so identical count multisets produce bit-identical
+entropies, whichever kernel tallied them and in whatever order, and vertex
+relabelings leave every entropy unchanged to the last bit.
 """
 from __future__ import annotations
 
@@ -43,8 +70,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EdgeAlreadyConditioned, EnumerationTooLarge, InvalidFieldSize
-from .graphs import (_bits, check_edge, check_vertex_count, edge_count, edge_from_index, edge_index,
-                     edges_to_mask)
+from .graphs import (_bits, all_edges, check_edge, check_vertex_count, edge_count, edge_from_index,
+                     edge_index, edges_to_mask)
 
 # ceiling on the q^f assignments, all of which are held in memory at once
 ENUMERATION_GUARD = 1 << 22
@@ -53,6 +80,9 @@ ENUMERATION_GUARD = 1 << 22
 BINCOUNT_SPAN = 8
 # Veltkamp's splitting factor 2^27 + 1 for doubles
 _SPLIT = float((1 << 27) + 1)
+# the support sum sorts each (count, multiplicity) pair as one int64 key,
+# count << _KEY_SHIFT | multiplicity; both are at most q^f <= ENUMERATION_GUARD
+_KEY_SHIFT = ENUMERATION_GUARD.bit_length()
 
 
 def is_prime(q: int) -> bool:
@@ -86,27 +116,120 @@ def check_enumeration(f: int, q: int) -> int:
     return total
 
 
-def _xlogx_sum(counts: np.ndarray) -> float:
-    """Exactly rounded sum of c*log(c) over the class counts c > 1.
+def _xlogx_sum(counts: np.ndarray, multiplicities: np.ndarray) -> float:
+    """Exactly rounded sum of c*log(c) over the outcome classes, from their
+    tally: distinct class counts c, each with the number m of classes of
+    count c.  A count of 1 adds 0.
 
-    Equal counts share one logarithm.  The m classes of count c add m * x,
-    x = c*log(c) rounded, but the product m * x would round once more.  So
-    x is split as hi + lo (Veltkamp, factor 2^27 + 1): hi has at most 26
-    significant bits and lo at most 27.  The count sum is q^f, so m <=
-    q^f / 2 <= 2^21 has at most 22 bits, m*hi and m*lo have at most 49 and
-    are exact doubles, and their sum is m * x exactly.  fsum thus gets terms
-    with the same exact sum as the per-class multiset [x] * m, and rounds it
-    to the same bits.
+    The m classes of count c add m * x, x = c*log(c) rounded, but the
+    product m * x would round once more.  So x is split as hi + lo
+    (Veltkamp, factor 2^27 + 1): hi has at most 26 significant bits and lo
+    at most 27.  The count sum is q^f, so for c >= 2, m <= q^f / 2 <= 2^21
+    has at most 22 bits, m*hi and m*lo have at most 49 and are exact
+    doubles, and their sum is m * x exactly.  fsum thus gets terms with the
+    same exact sum as the per-class multiset [x] * m, and rounds it to the
+    same bits.
     """
-    tally = np.bincount(counts)
-    sizes = np.flatnonzero(tally[2:]) + 2
     terms = []
-    for c, m in zip(sizes.tolist(), tally[sizes].tolist()):
+    for c, m in zip(counts.tolist(), multiplicities.tolist()):
         x = c * math.log(c)
         t = x * _SPLIT
         hi = t - (t - x)
         terms += (m * hi, m * (x - hi))
     return math.fsum(terms)
+
+
+class _SupportSum:
+    """The support sum (see the module docstring) over the subsets N of k
+    vertices at m = q - 1, with its index tables and work buffers, which
+    every call at this k reuses.  Subset N is the bitmask N, so a table is
+    an int64 array over [0, 2^k).
+    """
+
+    def __init__(self, k: int, m: int):
+        size = 1 << k
+        self.m = m
+        self.subsets = np.arange(size, dtype=np.int64)
+        # the highest vertex of N, and |N|
+        self.top = np.zeros(size, np.int64)
+        order = np.zeros(size, np.int64)
+        for j in range(k):
+            self.top[1 << j:2 << j] = 1 << j
+            order[1 << j:2 << j] = order[:1 << j] + 1
+        self.power = (m ** np.arange(k + 1, dtype=np.int64)).take(order)  # m^|N|
+        self.nbhd = np.zeros(size, np.int64)
+        self.blocks = [(self.nbhd[:1 << j], self.nbhd[1 << j:2 << j]) for j in range(k)]
+        self.ind = np.empty(size, np.int64)
+        self.halves = [(v[:, 0], v[:, 1]) for v in (self.ind.reshape(-1, 2, 1 << j) for j in range(k))]
+        # at m = 2, gcd(2, m) = m: k(N) = 2^(components), and plain reachability
+        # (one row) replaces the parity BFS (two rows)
+        self.walk = np.empty((1 if m == 2 else 2, size), np.int64)
+        self.step = np.empty_like(self.walk)
+        # a counted N has at most k // 2 components, each of two vertices or more
+        self.rounds = (max(k // 2, 1) - 1).bit_length()
+
+    def tally(self, adj: list, scale: int) -> tuple:
+        """(counts, multiplicities), the counts ascending, of the outcome
+        classes of the graph with adjacency rows adj on the k vertices,
+        every count times `scale` for the vertices it does not cover."""
+        size = len(self.subsets)
+        subsets, nbhd, ind = self.subsets, self.nbhd, self.ind
+        # the open neighbourhood of every N, one highest vertex at a time
+        for (low, high), row in zip(self.blocks, adj):
+            np.bitwise_or(low, row, out=high)
+        # Ind(S[U])(m) for every U: m^|I| on the independent sets I, summed
+        # over the subsets of U one vertex at a time
+        np.bitwise_and(subsets, nbhd, out=ind)
+        np.equal(ind, 0, out=ind)
+        ind *= self.power
+        for without, with_ in self.halves:
+            np.add(without, with_, out=with_)
+        closed = subsets | nbhd
+        # counted: no vertex of N isolated in S[N]
+        counted = closed == nbhd
+        # parity BFS from N's highest vertex inside N: the vertices that an
+        # even walk reaches, and those that an odd one does; they only grow
+        walk, step = self.walk, self.step
+        walk.fill(0)
+        walk[0] = self.top
+        walk[-1] |= nbhd.take(self.top) & subsets
+        reached = walk.sum()
+        while True:
+            nbhd.take(walk, out=step, mode="clip")
+            step &= subsets
+            walk |= step[::-1]
+            now = walk.sum()
+            if now == reached:
+                break
+            reached = now
+        even, odd = walk[0], walk[-1]
+        # k(N): m per bipartite component and gcd(2, m) = 2 (q is odd) per
+        # other one, the first component's times that of N minus it
+        kernel = np.where(even & odd, 2, self.m)
+        kernel[0] = 1
+        rest = subsets ^ (even | odd)
+        for _ in range(self.rounds):
+            kernel *= kernel.take(rest)
+            rest = rest.take(rest)
+        count = ind.take(closed ^ (size - 1))
+        count *= kernel
+        count *= counted  # 0 drops N from the tally
+        if scale > 1:
+            count *= scale
+        key = self.power // kernel  # m^|N| / k(N) outcomes of each count
+        count <<= _KEY_SHIFT
+        key |= count
+        key.sort()
+        count = key >> _KEY_SHIFT
+        first = np.empty(size, bool)
+        first[0] = True
+        np.not_equal(count[1:], count[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        key &= (1 << _KEY_SHIFT) - 1
+        counts, multiplicities = count.take(starts), np.add.reduceat(key, starts)
+        if counts[0] == 0:
+            return counts[1:], multiplicities[1:]
+        return counts, multiplicities
 
 
 # a carried outcome code: (mask, code, span); code None stands for all zeros
@@ -118,8 +241,9 @@ class EntropyCache:
 
     Subsets are keyed by their edge-index bitmask.  H(empty) = 0 is always
     present, and every cached value equals recomputation bit for bit.  Besides
-    the entropies the cache holds the monomial columns built so far and two
-    carried outcome codes (see the module docstring).
+    the entropies the cache holds, at q = 2, the monomial columns built so far
+    and two carried outcome codes, and at q >= 3 one _SupportSum per number
+    of covered vertices (see the module docstring).
     """
 
     def __init__(self, f: int, q: int):
@@ -132,6 +256,7 @@ class EntropyCache:
         self._rows: list[np.ndarray | None] = [None] * self.mu
         self._last = _NO_CODE
         self._base = _NO_CODE
+        self._sums: dict[int, _SupportSum] = {}
 
     def _row(self, i: int) -> np.ndarray:
         """Value of monomial i under every assignment, built on first use."""
@@ -215,15 +340,53 @@ class EntropyCache:
         in place only if no carried code holds its array, so the K classes
         of the base take the values [0, K) and a miss one column past it
         counts K * q bins, not q times the base's span.  Adds no entropy to
-        the cache.
+        the cache, and does nothing at q >= 3, where no miss enumerates.
         """
         mask = self._mask_of(edges_or_mask)
-        if mask != self._base[0]:
+        if self.q == 2 and mask != self._base[0]:
             mask, code, span = self._carried(mask)
             self._base = _NO_CODE  # the old base's array is not needed now
             if code is not None:
                 code, span = self._ranks(code, span, owned=code is not self._last[1])
             self._base = (mask, code, span)
+
+    def _enumeration_tally(self, mask: int) -> tuple:
+        """(counts, multiplicities) of the outcome classes of a nonempty mask
+        that hold two assignments or more (a class of one adds nothing to the
+        entropy sum), by enumeration from the carried codes, which it
+        updates."""
+        _, code, span = self._last = self._carried(mask)
+        if span > BINCOUNT_SPAN * self.total:
+            counts = np.unique(code, return_counts=True)[1]
+        else:
+            counts = np.bincount(code)  # zeros for unused values are harmless
+        tally = np.bincount(counts)
+        sizes = np.flatnonzero(tally[2:]) + 2
+        return sizes, tally[sizes]
+
+    def _support_tally(self, mask: int) -> tuple:
+        """(counts, multiplicities) of the outcome classes of a mask at q >= 3,
+        by the support sum over the vertices the mask covers."""
+        rows = [0] * self.f
+        ends = self._ends
+        for i in _bits(mask):
+            u, v = ends[i]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        covered = [v for v in range(self.f) if rows[v]]
+        k = len(covered)
+        if k < self.f:
+            label = {1 << v: 1 << i for i, v in enumerate(covered)}
+            rows = [sum(label[1 << u] for u in _bits(rows[v])) for v in covered]
+        support = self._sums.get(k)
+        if support is None:
+            support = self._sums[k] = _SupportSum(k, self.q - 1)
+        return support.tally(rows, self.q ** (self.f - k))
+
+    @cached_property
+    def _ends(self) -> list:
+        """The 0-based end vertices of every edge index."""
+        return [(k - 1, l - 1) for k, l in all_edges(self.f)]
 
     def _mask_of(self, edges_or_mask) -> int:
         if isinstance(edges_or_mask, int):
@@ -238,15 +401,15 @@ class EntropyCache:
         h = self._entropies.get(mask)
         if h is not None:
             return h
-        _, code, span = self._last = self._carried(mask)
-        if span > BINCOUNT_SPAN * self.total:
-            counts = np.unique(code, return_counts=True)[1]
-        else:
-            counts = np.bincount(code)  # zeros for unused values are harmless
-        # H = log_q(q^f) - sum c/q^f * log_q c, with the count sum exact
-        h = self.f - _xlogx_sum(counts) / (self.total * self._ln_q)
+        tally = self._enumeration_tally if self.q == 2 else self._support_tally
+        h = self._entropy(*tally(mask))
         self._entropies[mask] = h
         return h
+
+    def _entropy(self, counts, multiplicities) -> float:
+        """H in q-ary units from a tally of the q^f assignments' classes."""
+        # H = log_q(q^f) - sum c/q^f * log_q c, with the count sum exact
+        return self.f - _xlogx_sum(counts, multiplicities) / (self.total * self._ln_q)
 
     def conditional_entropy(self, edge, given=()) -> float:
         """H(X^edge | monomials in given) = H(given + edge) - H(given); value in [0, 1]."""

@@ -84,7 +84,9 @@ def entropy_suite(f: int, q: int = 2) -> list[Check]:
 
     # one cache walks a chain through every edge (past the 63-bit re-rank at
     # q = 2, f >= 12), then branches off a held base and off a base pinned on
-    # its last miss; fresh caches recompute the branches and a chain sample
+    # its last miss; fresh caches recompute the branches and a chain sample.
+    # At q >= 3 every miss is a support sum and hold does nothing, so the
+    # fresh caches recompute the same masks by enumeration instead.
     mu = len(edges)
     carried = EntropyCache(f, q)
     order = rng.sample(range(mu), mu)
@@ -100,9 +102,17 @@ def entropy_suite(f: int, q: int = 2) -> list[Check]:
                 last = base | 1 << i
                 got[last] = carried.joint_entropy(last)
         base = last
-    bad = sum(EntropyCache(f, q).joint_entropy(m).hex() != h.hex() for m, h in got.items())
-    checks.append(("carried codes vs fresh caches", bad == 0, f"{bad} of {len(got)} masks differ"))
+    name = "carried codes vs fresh caches" if q == 2 else "support sums vs enumeration"
+    bad = sum(_enumerated_entropy(f, q, m).hex() != h.hex() for m, h in got.items())
+    checks.append((name, bad == 0, f"{bad} of {len(got)} masks differ"))
     return checks
+
+
+def _enumerated_entropy(f: int, q: int, mask: int) -> float:
+    """H of a nonempty mask by enumeration of all q^f assignments in a fresh
+    cache, the kernel of every miss at q = 2 and the oracle at q >= 3."""
+    cache = EntropyCache(f, q)
+    return cache._entropy(*cache._enumeration_tally(mask))
 
 
 def graph_suite(f: int) -> list[Check]:

@@ -523,6 +523,24 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY
         assert "FAIL carried codes vs fresh caches" in out
 
+    def test_entropy_suite_checks_support_sums(self, capsys, monkeypatch):
+        # at q >= 3 every miss is a support sum, which enumeration recomputes
+        argv = ("verify", "--suite", "entropy", "--f", "5", "--q", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert "PASS support sums vs enumeration: 0 of" in out
+        assert "carried codes" not in out
+        tally = EntropyCache._support_tally
+
+        def shifted(self, mask):
+            counts, multiplicities = tally(self, mask)
+            return counts + 1, multiplicities
+
+        monkeypatch.setattr(EntropyCache, "_support_tally", shifted)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_VERIFY
+        assert "FAIL support sums vs enumeration" in out
+
     @pytest.mark.parametrize("suite,q", [
         ("graph", "5"), ("coloring", "3"), ("remarks", "7"), ("paths", "7"), ("graph", "2"),
     ])

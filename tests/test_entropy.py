@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from pqcbound import EntropyCache, all_edges, edge_count, edge_index
 from pqcbound.bound import weighted_terms
-from pqcbound.entropy import BINCOUNT_SPAN, _xlogx_sum, check_field_size
+from pqcbound.entropy import BINCOUNT_SPAN, ENUMERATION_GUARD, _xlogx_sum, check_field_size
 from pqcbound.errors import (
     EdgeAlreadyConditioned,
     EnumerationTooLarge,
     InvalidEdge,
     InvalidFieldSize,
 )
-from pqcbound.graphs import edge_from_index, mask_to_edges
+from pqcbound.graphs import MAX_VERTICES, _bits, edge_from_index, edges_to_mask, mask_to_edges
 
 H_SINGLE_Q2 = 0.8112781244591  # -(3/4)log2(3/4) - (1/4)log2(1/4)
 
@@ -59,6 +59,12 @@ def class_counts(edges, f, q):
     cache = EntropyCache(f, q)
     code, _ = cache._classes([edge_index(e, f) for e in edges])
     return np.unique(code, return_counts=True)[1].tolist()
+
+
+def tally_of(counts):
+    """The tally that _xlogx_sum reads: each distinct class count, and the
+    number of classes of that count."""
+    return np.unique(counts, return_counts=True)
 
 
 def per_class_sum(counts):
@@ -114,7 +120,9 @@ class TestJointDistribution:
             cache.joint_entropy([(1, 7)])
 
     def test_builds_only_the_named_monomials(self):
-        # the whole 78-monomial table at (13, 3) is 124 MB
+        # the whole 78-monomial table at (13, 3) is 124 MB.  A miss at q >= 3
+        # is a support sum, which builds no monomial rows at all; the
+        # enumeration kernel, driven directly, builds the two it names
         tracemalloc.start()
         try:
             cache = EntropyCache(13, 3)
@@ -123,8 +131,18 @@ class TestJointDistribution:
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20
+        assert sum(row is not None for row in cache._rows) == 0
+        assert cache._last == (0, None, 1)
+        tracemalloc.start()
+        try:
+            enumerated = cache._entropy(*cache._enumeration_tally(0b11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
         assert sum(row is not None for row in cache._rows) == 2
         assert np.count_nonzero(np.bincount(cache._last[1])) == 9
+        assert enumerated.hex() == h.hex()
         # the other eleven symbols leave the law of (1, 2) and (1, 3) unchanged
         assert h == pytest.approx(EntropyCache(3, 3).joint_entropy(0b11), abs=1e-12)
 
@@ -212,11 +230,15 @@ class TestJointEntropy:
             EntropyCache(16, 5)
 
     # (12, 2) and (10, 3) pack more columns than 63 bits hold; q=257 needs
-    # more than 8 bits per symbol
+    # more than 8 bits per symbol.  At q >= 3 a miss is a support sum, so the
+    # enumeration kernel is also driven directly.
     @pytest.mark.parametrize("f,q", [(12, 2), (10, 3), (2, 257)])
     def test_counter_oracle_all_edges(self, f, q):
         edges = all_edges(f)
-        assert EntropyCache(f, q).joint_entropy(edges) == counter_oracle(edges, f, q)[0]
+        want = counter_oracle(edges, f, q)[0]
+        cache = EntropyCache(f, q)
+        assert cache.joint_entropy(edges) == want
+        assert cache._entropy(*cache._enumeration_tally((1 << edge_count(f)) - 1)) == want
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -251,9 +273,9 @@ class TestCarriedCodes:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_chains_holds_and_branches_match_fresh_cache(self, data):
-        q = data.draw(st.sampled_from((2, 3, 5)), label="q")
-        # the pure-Python oracle takes seconds per mask at (7, 5)
-        f = data.draw(st.integers(2, 7 if q < 5 else 6), label="f")
+        # only q = 2 misses enumerate and carry codes
+        q = 2
+        f = data.draw(st.integers(2, 8), label="f")
         mu = f * (f - 1) // 2
         full = (1 << mu) - 1
         cache = EntropyCache(f, q)
@@ -307,10 +329,10 @@ class TestCarriedCodes:
         assert len(cache) == size + 2
 
     def test_sort_fallbacks_against_oracle(self):
-        # 14 and 15 columns at q = 5 span 5^14 and 5^15, far above
-        # BINCOUNT_SPAN * 5^6: a held K_6 minus one edge is ranked, and K_6 in
+        # 14 and 15 columns at q = 2 span 2^14 and 2^15, far above
+        # BINCOUNT_SPAN * 2^6: a held K_6 minus one edge is ranked, and K_6 in
         # a fresh cache counted, by np.unique's sort
-        f, q = 6, 5
+        f, q = 6, 2
         full = (1 << 15) - 1
         base = full & ~1
         assert q ** 14 > BINCOUNT_SPAN * q ** f
@@ -329,7 +351,7 @@ class TestCarriedCodes:
         assert fresh._last[2] == q ** 15 > BINCOUNT_SPAN * q ** f
 
     def test_hold_never_changes_a_code_it_starts_from(self):
-        f, q = 6, 3
+        f, q = 6, 2
         cache = EntropyCache(f, q)
         cache.hold(0b111)
         cache.joint_entropy(0b1111)
@@ -354,9 +376,9 @@ class TestCarriedCodes:
         # ebg holds its new prefix right after looking up its entropy, so the
         # last miss and the base share a mask.  The next miss must refine the
         # base's compacted code, whose span one column on np.bincount counts,
-        # not the last miss's 5^9 span, which np.unique would have to sort.
-        f, q = 7, 5
-        m, bit = (1 << 9) - 1, 1 << 9
+        # not the last miss's 2^10 span, which np.unique would have to sort.
+        f, q = 7, 2
+        m, bit = (1 << 10) - 1, 1 << 10
         cache = EntropyCache(f, q)
         cache.joint_entropy(m)
         cache.hold(m)
@@ -371,18 +393,21 @@ class TestCarriedCodes:
         assert cache.joint_entropy(m | bit).hex() == want.hex()
 
     def test_hold_adds_no_entropy(self):
-        cache = EntropyCache(6, 3)
-        cache.hold([(1, 2), (3, 4)])
-        cache.hold(0b101)
-        cache.hold(0)
-        assert len(cache) == 1
-        assert cache.joint_entropy(0b1101) == EntropyCache(6, 3).joint_entropy(0b1101)
+        # at q = 3 hold does nothing at all: it builds no monomial rows
+        for q in (2, 3):
+            cache = EntropyCache(6, q)
+            cache.hold([(1, 2), (3, 4)])
+            cache.hold(0b101)
+            cache.hold(0)
+            assert len(cache) == 1
+            assert cache.joint_entropy(0b1101) == EntropyCache(6, q).joint_entropy(0b1101)
+            assert any(row is not None for row in cache._rows) == (q == 2)
 
     def test_grouped_sum_bit_identical_to_per_class_sum(self):
         # one group per distinct count would round m * (c*log c) once more
         counts = np.array([2] * 3 + [12] * 5 + [14] * 7 + [1] * 4, dtype=np.int64)
-        assert _xlogx_sum(counts).hex() == per_class_sum(counts).hex()
-        assert _xlogx_sum(np.array([1, 1], dtype=np.int64)) == per_class_sum(np.array([1, 1])) == 0.0
+        assert _xlogx_sum(*tally_of(counts)).hex() == per_class_sum(counts).hex()
+        assert _xlogx_sum(*tally_of(np.array([1, 1]))) == per_class_sum(np.array([1, 1])) == 0.0
 
     def test_grouped_sum_at_the_extremes(self):
         # counts of q^f = 2^22 assignments: multiplicities up to 2^21 and
@@ -397,7 +422,7 @@ class TestCarriedCodes:
         ):
             counts = np.repeat(*np.array(groups, dtype=np.int64).T)
             assert counts.sum() == 1 << 22
-            assert _xlogx_sum(counts).hex() == per_class_sum(counts).hex()
+            assert _xlogx_sum(*tally_of(counts)).hex() == per_class_sum(counts).hex()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -414,7 +439,86 @@ class TestCarriedCodes:
     def test_grouped_sum_random_counts(self, groups, seed):
         counts = np.array([c for c, m in groups for _ in range(m)], dtype=np.int64)
         np.random.default_rng(seed).shuffle(counts)
-        assert _xlogx_sum(counts).hex() == per_class_sum(counts).hex()
+        assert _xlogx_sum(*tally_of(counts)).hex() == per_class_sum(counts).hex()
+
+
+def enumeration_tally(mask, f, q):
+    """The tally of the outcome classes that EntropyCache._classes
+    enumerates for the mask."""
+    code, _ = EntropyCache(f, q)._classes(list(_bits(mask)))
+    return tally_of(np.unique(code, return_counts=True)[1])
+
+
+def _largest_f(q):
+    return max(f for f in range(2, MAX_VERTICES + 1) if q ** f <= ENUMERATION_GUARD)
+
+
+# the largest f per q whose enumeration takes well under a second
+FAST_F = {3: 10, 5: 7, 7: 6}
+ORACLE_SIZES = [
+    pytest.param(q, f, marks=[pytest.mark.slow] if f > FAST_F[q] else [])
+    for q in (3, 5, 7) for f in range(2, _largest_f(q) + 1)
+]
+
+
+class TestSupportSum:
+    """At q >= 3 every miss is a support sum over the vertex subsets; the
+    enumeration kernel is its oracle, tally for tally and bit for bit."""
+
+    @staticmethod
+    def check(edges_or_mask, f, q):
+        mask = edges_or_mask if isinstance(edges_or_mask, int) else edges_to_mask(edges_or_mask, f)
+        cache = EntropyCache(f, q)
+        counts, multiplicities = cache._support_tally(mask)
+        want = enumeration_tally(mask, f, q)
+        assert counts.tolist() == want[0].tolist()
+        assert multiplicities.tolist() == want[1].tolist()
+        assert int(np.dot(counts, multiplicities)) == q ** f
+        if mask:
+            assert cache.joint_entropy(mask).hex() == cache._entropy(*want).hex()
+        assert sum(row is not None for row in cache._rows) == 0
+
+    @pytest.mark.parametrize("q,f", ORACLE_SIZES)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_random_masks(self, q, f, data):
+        full = (1 << edge_count(f)) - 1
+        mask = data.draw(st.integers(0, full), label="mask")
+        # hypothesis favours small integers, so sparse masks; their complements
+        # are dense
+        if data.draw(st.booleans(), label="complement"):
+            mask ^= full
+        self.check(mask, f, q)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    @pytest.mark.parametrize("f", [2, 5, 6])
+    def test_empty_single_edge_and_complete(self, q, f):
+        self.check(0, f, q)
+        self.check([(1, 2)], f, q)
+        self.check([(f - 1, f)], f, q)
+        self.check(all_edges(f), f, q)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_perfect_matching_and_star(self, q):
+        self.check([(1, 2), (3, 4), (5, 6)], 6, q)
+        self.check([(1, v) for v in range(2, 7)], 6, q)
+
+    # gcd(2, m) = 2 < m: the triangle and the 5-cycle are not bipartite, and
+    # their kernels differ from those of the bipartite paths
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_odd_cycles(self, q):
+        self.check([(1, 2), (2, 3), (1, 3)], 5, q)
+        self.check([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 5, q)
+        self.check([(1, 2), (2, 3), (3, 4), (4, 5)], 5, q)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_disconnected_with_isolated_vertices(self, q):
+        # a triangle, a 4-path and isolated vertices 4 and 9 at f = 9 (q = 3),
+        # a triangle and an edge with 4 and 7 isolated at f = 7 (q = 5, 7)
+        if q == 3:
+            self.check([(1, 2), (2, 3), (1, 3), (5, 6), (6, 7), (7, 8)], 9, q)
+        else:
+            self.check([(1, 2), (2, 3), (1, 3), (5, 6)], 7, q)
 
 
 class TestConditionalEntropy:
