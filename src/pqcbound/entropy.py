@@ -7,27 +7,22 @@ the q^f symbol assignments behind each outcome.  H(S) depends only on that
 multiset, and two kernels compute it exactly.  All entropies are in q-ary
 units (log base q): a uniform F_q symbol has entropy 1.
 
-Enumeration, which serves every miss at q = 2, tallies all q^f
-assignments.  EntropyCache._classes gives every assignment an outcome class
-code, an int64 in [0, span), by folding in one monomial column at a time
-(code * q + column).  H depends only on the partition of the assignments
-into classes, not on the code values, so a code can be refined by further
-columns in any order.  The cache carries two codes: that of its last miss,
-which serves chains of growing masks, and a base that the caller pins with
-hold(mask).  A miss for mask M starts from the carried code with the most
-columns among those whose mask is a subset of M, the held base on a tie,
-and folds in only the columns it lacks, so H(S + e) after H(S) costs
-O(q^f), not O(|S| q^f).  A refine never changes the code it starts from.
-The monomial columns are built on first use.
-
-A code is re-ranked, each value replaced by its rank among the values it
-takes, which keeps the order of the codes, in two places: when the next
-column could overflow 63 bits, and once when hold pins a base.  A held base
-with K classes then spans exactly [0, K), and a miss one column past it
-spans K * q.  A miss counts its classes, and a code is ranked, with
-np.bincount over the span when the span is at most BINCOUNT_SPAN * q^f,
-which after a held base it is for every q <= BINCOUNT_SPAN; a larger span
-falls back to np.unique's O(q^f log q^f) sort.
+The outcome code, which serves every miss at q = 2, reads the classes off
+the supports directly.  At q = 2 an assignment x is its support T, and
+x_k x_l = 1 iff k and l are in T.  So the outcome under S is the edge set
+of S[N(T)], where N(T) holds the vertices of T with an S-edge inside T, and
+N(T) can be read back from that outcome: the vertex mask N(T) in [0, 2^f)
+is an exact class code.  Each monomial's row is a uint16 array over the
+2^f supports that holds the bits of both its vertices where T holds both
+and 0 elsewhere, and the code of S is the OR of its rows, so a code can be
+refined by further rows in any order.  The cache carries two codes: that of
+its last miss, which serves chains of growing masks, and a base that the
+caller pins with hold(mask).  A miss for mask M starts from the carried
+code with the most rows among those whose mask is a subset of M and ORs in
+only the rows it lacks, the first OR into a new array, so a refine never
+changes the code it starts from; then it counts its classes with
+np.bincount over the 2^f code values.  H(S + e) after H(S) thus costs
+O(2^f), not O(|S| 2^f).  The rows are built on first use.
 
 The support sum, which serves every miss at q >= 3, reads the multiset off
 the supports of the assignments instead, at a cost of 2^f that does not
@@ -50,8 +45,11 @@ over the subsets of the k vertices that S covers, all 2^k of them at once
 pass, Ind over every subset in one zeta pass per vertex, the component
 count and bipartiteness of S[N] by a parity BFS from N's highest vertex
 over those tables, and the components past the first by pointer jumping.
-At q >= 3 hold does nothing, and no miss builds monomial columns or
-carried codes.
+At q >= 3 hold does nothing, and no miss builds rows or carried codes.
+
+enumerated_tally, the stateless reference that the tests and verify's
+q >= 3 check compare the kernels with, tallies the outcome vectors of all
+q^f assignments.
 
 The entropy sum takes the tally, each distinct class count with the number
 of classes of that count, and takes one logarithm per distinct count, then
@@ -75,9 +73,6 @@ from .graphs import (_bits, all_edges, check_edge, check_vertex_count, edge_coun
 
 # ceiling on the q^f assignments, all of which are held in memory at once
 ENUMERATION_GUARD = 1 << 22
-# codes whose span is at most this multiple of q^f are counted and ranked
-# with np.bincount over the span; larger spans are sorted with np.unique
-BINCOUNT_SPAN = 8
 # Veltkamp's splitting factor 2^27 + 1 for doubles
 _SPLIT = float((1 << 27) + 1)
 # the support sum sorts each (count, multiplicity) pair as one int64 key,
@@ -232,8 +227,35 @@ class _SupportSum:
         return counts, multiplicities
 
 
-# a carried outcome code: (mask, code, span); code None stands for all zeros
-_NO_CODE = (0, None, 1)
+def enumerated_tally(f: int, q: int, mask: int) -> tuple:
+    """(counts, multiplicities), the counts ascending, of the outcome classes
+    of the mask, by enumerating all q^f assignments: the stateless reference
+    for both kernels.  Builds only the named monomials' values.
+
+    Each monomial folds its values into a base-q code (code * q + value);
+    whenever the next one could overflow 63 bits, each code is replaced by
+    its rank among the values the codes take.
+    """
+    total = check_enumeration(f, q)
+    code = np.zeros(total, dtype=np.int64)
+    span = 1
+    # symbol j of assignment a is base-q digit j of a; products of two
+    # symbols must not overflow
+    digit = np.arange(q, dtype=np.min_scalar_type((q - 1) ** 2))
+    for i in _bits(mask):
+        if span * q > 1 << 63:
+            values, code = np.unique(code, return_inverse=True)
+            span = len(values)
+        k, l = edge_from_index(i, f)
+        a, b = (np.tile(np.repeat(digit, q ** j), q ** (f - 1 - j)) for j in (k - 1, l - 1))
+        code *= q
+        code += a * b % q
+        span *= q
+    return np.unique(np.unique(code, return_counts=True)[1], return_counts=True)
+
+
+# a carried outcome code: (mask, code); code None stands for all zeros
+_NO_CODE = (0, None)
 
 
 class EntropyCache:
@@ -241,9 +263,10 @@ class EntropyCache:
 
     Subsets are keyed by their edge-index bitmask.  H(empty) = 0 is always
     present, and every cached value equals recomputation bit for bit.  Besides
-    the entropies the cache holds, at q = 2, the monomial columns built so far
-    and two carried outcome codes, and at q >= 3 one _SupportSum per number
-    of covered vertices (see the module docstring).
+    the entropies the cache holds, at q = 2, the monomial rows built so far
+    and two carried outcome codes, each a (mask, code) pair, and at q >= 3
+    one _SupportSum per number of covered vertices (see the module
+    docstring).
     """
 
     def __init__(self, f: int, q: int):
@@ -254,113 +277,55 @@ class EntropyCache:
         self._entropies: dict[int, float] = {0: 0.0}
         self._ln_q = math.log(self.q)
         self._rows: list[np.ndarray | None] = [None] * self.mu
-        self._last = _NO_CODE
-        self._base = _NO_CODE
+        self._last = self._base = _NO_CODE
         self._sums: dict[int, _SupportSum] = {}
 
     def _row(self, i: int) -> np.ndarray:
-        """Value of monomial i under every assignment, built on first use."""
+        """Code of monomial i at q = 2 over every support, built on first use."""
         row = self._rows[i]
         if row is None:
-            q, f = self.q, self.f
-            k, l = edge_from_index(i, f)
-            # symbol j of assignment a is base-q digit j of a; products of two
-            # symbols must not overflow
-            digit = np.arange(q, dtype=np.min_scalar_type((q - 1) ** 2))
-            a, b = (np.tile(np.repeat(digit, q ** j), q ** (f - 1 - j)) for j in (k - 1, l - 1))
-            row = self._rows[i] = (a * b % q).astype(np.min_scalar_type(q - 1))
+            u, v = self._ends[i]
+            both = 1 << u | 1 << v
+            row = self._rows[i] = np.arange(self.total, dtype=np.uint16) & both
+            row[row != both] = 0
         return row
 
-    def _classes(self, indices, code=None, span=1):
-        """Outcome class of every assignment under the monomials at the given
-        edge indices, folded into `code`, the int64 classes under earlier
-        columns with values in [0, span) (one class when code is None).
-        Returns the new code and span.  From no code, the order of the codes
-        is the lexicographic order of the outcome vectors.
-
-        Each column makes the code the big-endian base-q number code * q +
-        column; whenever the next column could overflow 63 bits, the codes
-        are re-ranked (see _ranks), which keeps their order.  The given code
-        is never changed: the first column writes a new array.
-        """
-        owned = code is None
-        if owned:
-            code = np.zeros(self.total, dtype=np.int64)
-        for i in indices:
-            if span * self.q > 1 << 63:
-                code, span = self._ranks(code, span)
-                owned = True
-            code = np.multiply(code, self.q, out=code if owned else None)
-            owned = True
-            code += self._row(i)
-            span *= self.q
-        return code, span
-
-    def _ranks(self, code, span, owned=False):
-        """The code replaced by the rank of each value among the values it
-        takes, and the number of those values.  Keeps the order of the codes.
-
-        A span of at most BINCOUNT_SPAN * q^f is ranked by a prefix sum over
-        the values that np.bincount finds occupied, with every buffer
-        filled in place; the ranks overwrite the code only if `owned`, else
-        they go to a new array.  A larger span is ranked by np.unique's
-        sort, into a new array.
-        """
-        if span > BINCOUNT_SPAN * self.total:
-            values, code = np.unique(code, return_inverse=True)
-            return code, len(values)
-        rank = np.bincount(code)
-        np.minimum(rank, 1, out=rank)
-        np.cumsum(rank, out=rank)
-        classes = int(rank[-1])
-        rank -= 1
-        # every code is in range; mode "raise" would copy `out` first
-        return rank.take(code, out=code if owned else None, mode="clip"), classes
-
     def _carried(self, mask: int) -> tuple:
-        """(mask, code, span) for mask, refined from the carried code with the
-        most columns among those whose masks are subsets of mask, the held
-        base on a tie."""
+        """(mask, code) for mask, refined from the carried code with the most
+        rows among those whose masks are subsets of mask."""
         start = _NO_CODE
-        # the base first: on a tie its rank-compacted code wins
         for held in (self._base, self._last):
             if held[0] & ~mask == 0 and held[0].bit_count() > start[0].bit_count():
                 start = held
         rest = mask & ~start[0]
         if not rest:
             return start
-        code, span = self._classes(_bits(rest), start[1], start[2])
-        return mask, code, span
+        bits = _bits(rest)
+        row = self._row(next(bits))
+        # the first OR writes a new array, so the start code never changes
+        code = row.copy() if start[1] is None else row | start[1]
+        for i in bits:
+            code |= self._row(i)
+        return mask, code
 
     def hold(self, edges_or_mask) -> None:
         """Pin the code of this subset as the base that later misses refine.
 
         Callers pin a set that many of the coming masks extend, such as a
-        greedy prefix.  The pinned code is rank-compacted once (see _ranks),
-        in place only if no carried code holds its array, so the K classes
-        of the base take the values [0, K) and a miss one column past it
-        counts K * q bins, not q times the base's span.  Adds no entropy to
-        the cache, and does nothing at q >= 3, where no miss enumerates.
+        greedy prefix.  Adds no entropy to the cache, and does nothing at
+        q >= 3, where no miss carries a code.
         """
         mask = self._mask_of(edges_or_mask)
         if self.q == 2 and mask != self._base[0]:
-            mask, code, span = self._carried(mask)
-            self._base = _NO_CODE  # the old base's array is not needed now
-            if code is not None:
-                code, span = self._ranks(code, span, owned=code is not self._last[1])
-            self._base = (mask, code, span)
+            self._base = self._carried(mask)
 
-    def _enumeration_tally(self, mask: int) -> tuple:
+    def _code_tally(self, mask: int) -> tuple:
         """(counts, multiplicities) of the outcome classes of a nonempty mask
-        that hold two assignments or more (a class of one adds nothing to the
-        entropy sum), by enumeration from the carried codes, which it
+        at q = 2 that hold two assignments or more (a class of one adds
+        nothing to the entropy sum), from the carried codes, which it
         updates."""
-        _, code, span = self._last = self._carried(mask)
-        if span > BINCOUNT_SPAN * self.total:
-            counts = np.unique(code, return_counts=True)[1]
-        else:
-            counts = np.bincount(code)  # zeros for unused values are harmless
-        tally = np.bincount(counts)
+        _, code = self._last = self._carried(mask)
+        tally = np.bincount(np.bincount(code))  # zeros for unused codes are harmless
         sizes = np.flatnonzero(tally[2:]) + 2
         return sizes, tally[sizes]
 
@@ -401,7 +366,7 @@ class EntropyCache:
         h = self._entropies.get(mask)
         if h is not None:
             return h
-        tally = self._enumeration_tally if self.q == 2 else self._support_tally
+        tally = self._code_tally if self.q == 2 else self._support_tally
         h = self._entropy(*tally(mask))
         self._entropies[mask] = h
         return h

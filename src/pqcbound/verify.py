@@ -12,7 +12,7 @@ from itertools import accumulate, permutations
 
 from .bound import BoundParams
 from .coloring import color_sets, ec_order, validate_coloring
-from .entropy import EntropyCache
+from .entropy import EntropyCache, enumerated_tally
 from .graphs import (
     Graph,
     _canonical_form,
@@ -82,11 +82,11 @@ def entropy_suite(f: int, q: int = 2) -> list[Check]:
             ok = False
     checks.append(("monotonicity", ok, f"{ENTROPY_SAMPLES} subset pairs"))
 
-    # one cache walks a chain through every edge (past the 63-bit re-rank at
-    # q = 2, f >= 12), then branches off a held base and off a base pinned on
-    # its last miss; fresh caches recompute the branches and a chain sample.
-    # At q >= 3 every miss is a support sum and hold does nothing, so the
-    # fresh caches recompute the same masks by enumeration instead.
+    # one cache walks a chain through every edge, then branches off a held
+    # base and off a base pinned on its last miss; fresh caches, which carry
+    # no code yet, recompute the branches and a chain sample.  At q >= 3
+    # every miss is a support sum and hold does nothing, so enumeration
+    # recomputes the same masks instead.
     mu = len(edges)
     carried = EntropyCache(f, q)
     order = rng.sample(range(mu), mu)
@@ -103,16 +103,18 @@ def entropy_suite(f: int, q: int = 2) -> list[Check]:
                 got[last] = carried.joint_entropy(last)
         base = last
     name = "carried codes vs fresh caches" if q == 2 else "support sums vs enumeration"
-    bad = sum(_enumerated_entropy(f, q, m).hex() != h.hex() for m, h in got.items())
+    bad = sum(_reference_entropy(f, q, m).hex() != h.hex() for m, h in got.items())
     checks.append((name, bad == 0, f"{bad} of {len(got)} masks differ"))
     return checks
 
 
-def _enumerated_entropy(f: int, q: int, mask: int) -> float:
-    """H of a nonempty mask by enumeration of all q^f assignments in a fresh
-    cache, the kernel of every miss at q = 2 and the oracle at q >= 3."""
+def _reference_entropy(f: int, q: int, mask: int) -> float:
+    """H of a nonempty mask from a fresh cache at q = 2, and by enumeration
+    of all q^f assignments at q >= 3."""
     cache = EntropyCache(f, q)
-    return cache._entropy(*cache._enumeration_tally(mask))
+    if q == 2:
+        return cache.joint_entropy(mask)
+    return cache._entropy(*enumerated_tally(f, q, mask))
 
 
 def graph_suite(f: int) -> list[Check]:

@@ -497,7 +497,8 @@ class TestTableCommand:
 class TestVerifyCommand:
     @pytest.mark.parametrize(
         "suite,f",
-        [("entropy", "5"), ("graph", "6"), ("coloring", "8"), ("remarks", "4"), ("paths", "4")],
+        [("entropy", "5"), ("entropy", "16"), ("graph", "6"), ("coloring", "8"), ("remarks", "4"),
+         ("paths", "4")],
     )
     def test_suites_pass(self, capsys, suite, f):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--f", f)
@@ -510,15 +511,16 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert "PASS carried codes vs fresh caches: 0 of" in out
-        # a held base whose ranks merge classes gives wrong branch entropies;
-        # the fresh caches, which rank only past 63 columns, do not
-        ranks = EntropyCache._ranks
+        # a held base that lacks its lowest edge's row gives wrong branch
+        # entropies; the fresh caches, which hold nothing, do not
+        hold = EntropyCache.hold
 
-        def merged(self, *args, **kwargs):
-            code, classes = ranks(self, *args, **kwargs)
-            return code // 2, classes
+        def short(self, edges_or_mask):
+            mask = self._mask_of(edges_or_mask)
+            hold(self, mask & (mask - 1))
+            self._base = (mask, self._base[1])
 
-        monkeypatch.setattr(EntropyCache, "_ranks", merged)
+        monkeypatch.setattr(EntropyCache, "hold", short)
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_VERIFY
         assert "FAIL carried codes vs fresh caches" in out

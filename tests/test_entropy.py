@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from pqcbound import EntropyCache, all_edges, edge_count, edge_index
 from pqcbound.bound import weighted_terms
-from pqcbound.entropy import BINCOUNT_SPAN, ENUMERATION_GUARD, _xlogx_sum, check_field_size
+from pqcbound.entropy import ENUMERATION_GUARD, _xlogx_sum, check_field_size, enumerated_tally
 from pqcbound.errors import (
     EdgeAlreadyConditioned,
     EnumerationTooLarge,
     InvalidEdge,
     InvalidFieldSize,
 )
-from pqcbound.graphs import MAX_VERTICES, _bits, edge_from_index, edges_to_mask, mask_to_edges
+from pqcbound.graphs import MAX_VERTICES, edge_from_index, edges_to_mask, mask_to_edges
 
 H_SINGLE_Q2 = 0.8112781244591  # -(3/4)log2(3/4) - (1/4)log2(1/4)
 
@@ -53,12 +53,10 @@ def counter_oracle(edges, f, q):
 
 
 def class_counts(edges, f, q):
-    """Assignments per outcome class of EntropyCache._classes, in the order of
-    the class codes, which from no code is the lexicographic order of the
-    outcome vectors."""
-    cache = EntropyCache(f, q)
-    code, _ = cache._classes([edge_index(e, f) for e in edges])
-    return np.unique(code, return_counts=True)[1].tolist()
+    """Assignments per outcome class, ascending, as enumerated_tally counts
+    them."""
+    counts, multiplicities = enumerated_tally(f, q, edges_to_mask(edges, f))
+    return np.repeat(counts, multiplicities).tolist()
 
 
 def tally_of(counts):
@@ -89,18 +87,18 @@ class TestFieldSpec:
 
 class TestJointDistribution:
     """The joint law of the named monomials up to the labels of its outcomes:
-    the assignments in each outcome class that EntropyCache builds."""
+    the assignments in each outcome class, by enumeration."""
 
     def test_single_monomial_f2_q2(self):
-        # outcomes 0 and 1 with mass 3/4 and 1/4
-        assert class_counts([(1, 2)], 2, 2) == [3, 1]
+        # outcomes 1 and 0 with mass 1/4 and 3/4
+        assert class_counts([(1, 2)], 2, 2) == [1, 3]
 
     def test_empty_product(self):
         assert class_counts([], 4, 2) == [16]
 
     def test_two_monomials_f3_q2(self):
-        # outcomes (0, 0), (0, 1), (1, 0), (1, 1) with mass 5/8, 1/8, 1/8, 1/8
-        assert class_counts([(1, 2), (1, 3)], 3, 2) == [5, 1, 1, 1]
+        # outcomes (0, 1), (1, 0), (1, 1) with mass 1/8 each, and (0, 0) with 5/8
+        assert class_counts([(1, 2), (1, 3)], 3, 2) == [1, 1, 1, 5]
 
     def test_probabilities_sum_to_one_exactly(self):
         rng = random.Random(5)
@@ -110,7 +108,7 @@ class TestJointDistribution:
             edges = rng.sample(all_edges(f), rng.randint(0, f))
             counts = class_counts(edges, f, q)
             assert sum(counts) == q ** f
-            assert counts == counter_oracle(edges, f, q)[1]
+            assert counts == sorted(counter_oracle(edges, f, q)[1])
 
     def test_invalid_edge(self):
         cache = EntropyCache(4, 2)
@@ -121,28 +119,24 @@ class TestJointDistribution:
 
     def test_builds_only_the_named_monomials(self):
         # the whole 78-monomial table at (13, 3) is 124 MB.  A miss at q >= 3
-        # is a support sum, which builds no monomial rows at all; the
-        # enumeration kernel, driven directly, builds the two it names
+        # is a support sum, which builds no monomial values at all; the
+        # enumeration oracle builds the two it names
         tracemalloc.start()
         try:
-            cache = EntropyCache(13, 3)
-            h = cache.joint_entropy(0b11)  # (1, 2) and (1, 3)
+            h = EntropyCache(13, 3).joint_entropy(0b11)  # (1, 2) and (1, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20
-        assert sum(row is not None for row in cache._rows) == 0
-        assert cache._last == (0, None, 1)
         tracemalloc.start()
         try:
-            enumerated = cache._entropy(*cache._enumeration_tally(0b11))
+            counts, multiplicities = enumerated_tally(13, 3, 0b11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20
-        assert sum(row is not None for row in cache._rows) == 2
-        assert np.count_nonzero(np.bincount(cache._last[1])) == 9
-        assert enumerated.hex() == h.hex()
+        assert multiplicities.sum() == 9
+        assert EntropyCache(13, 3)._entropy(counts, multiplicities).hex() == h.hex()
         # the other eleven symbols leave the law of (1, 2) and (1, 3) unchanged
         assert h == pytest.approx(EntropyCache(3, 3).joint_entropy(0b11), abs=1e-12)
 
@@ -229,16 +223,15 @@ class TestJointEntropy:
         with pytest.raises(EnumerationTooLarge):
             EntropyCache(16, 5)
 
-    # (12, 2) and (10, 3) pack more columns than 63 bits hold; q=257 needs
-    # more than 8 bits per symbol.  At q >= 3 a miss is a support sum, so the
-    # enumeration kernel is also driven directly.
+    # the enumeration oracle packs more columns than 63 bits hold at (12, 2)
+    # and (10, 3), and needs more than 8 bits per symbol at q=257
     @pytest.mark.parametrize("f,q", [(12, 2), (10, 3), (2, 257)])
     def test_counter_oracle_all_edges(self, f, q):
         edges = all_edges(f)
         want = counter_oracle(edges, f, q)[0]
         cache = EntropyCache(f, q)
         assert cache.joint_entropy(edges) == want
-        assert cache._entropy(*cache._enumeration_tally((1 << edge_count(f)) - 1)) == want
+        assert cache._entropy(*enumerated_tally(f, q, (1 << edge_count(f)) - 1)) == want
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -255,37 +248,33 @@ def _edges_of(mask, f):
     return [e for i, e in enumerate(all_edges(f)) if mask >> i & 1]
 
 
-def _lexicographic_ranks(edges, f, q):
-    """Rank of each assignment's outcome vector among all outcome vectors,
-    in the cache's assignment order (symbol j is base-q digit j)."""
-    vectors = []
-    for a in range(q ** f):
-        w = [a // q ** j % q for j in range(f)]
-        vectors.append(tuple(w[k - 1] * w[l - 1] % q for k, l in edges))
-    rank = {v: r for r, v in enumerate(sorted(set(vectors)))}
-    return np.array([rank[v] for v in vectors])
+def _oracle_entropy(mask, f, q):
+    return EntropyCache(f, q)._entropy(*enumerated_tally(f, q, mask))
 
 
 class TestCarriedCodes:
-    """Misses refine a carried code (the last miss's, or the base pinned by
-    hold) by the columns it lacks; the values must not depend on that."""
+    """At q = 2 a miss ORs into a carried code (the last miss's, or the base
+    pinned by hold) the rows it lacks; the values must not depend on that."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_chains_holds_and_branches_match_fresh_cache(self, data):
-        # only q = 2 misses enumerate and carry codes
+        # only q = 2 misses carry codes; at f = 16 they use all 16 bits
         q = 2
-        f = data.draw(st.integers(2, 8), label="f")
-        mu = f * (f - 1) // 2
+        f = data.draw(st.integers(2, MAX_VERTICES), label="f")
+        mu = edge_count(f)
         full = (1 << mu) - 1
         cache = EntropyCache(f, q)
         got = []
         for _ in range(data.draw(st.integers(1, 4), label="steps")):
             kind = data.draw(st.sampled_from(("chain", "hold", "branch")), label="kind")
+            # no miss or hold changes a code that the cache carried before it
+            carried = [(code, code.copy()) for _, code in (cache._last, cache._base)
+                       if code is not None]
             if kind == "chain":
                 order = data.draw(st.permutations(range(mu)), label="order")
                 mask = 0
-                for i in order[: data.draw(st.integers(1, mu), label="length")]:
+                for i in order[: data.draw(st.integers(1, min(mu, 24)), label="length")]:
                     mask |= 1 << i
                     got.append((mask, cache.joint_entropy(mask)))
             elif kind == "hold":
@@ -295,19 +284,40 @@ class TestCarriedCodes:
             else:
                 base = data.draw(st.integers(0, full), label="base")
                 cache.hold(base)
-                for i in range(mu):
-                    if not base >> i & 1 and data.draw(st.booleans(), label=f"branch {i}"):
+                free = [i for i in range(mu) if not base >> i & 1]
+                if free:
+                    for i in data.draw(st.lists(st.sampled_from(free), max_size=4), label="branches"):
                         got.append((base | 1 << i, cache.joint_entropy(base | 1 << i)))
+            for code, before in carried:
+                assert np.array_equal(code, before)
         want = {}
         for mask, h in got:
             if mask not in want:
-                oracle = counter_oracle(_edges_of(mask, f), f, q)[0]
-                assert EntropyCache(f, q).joint_entropy(mask).hex() == oracle.hex()
-                want[mask] = oracle
+                want[mask] = _oracle_entropy(mask, f, q)
+                assert EntropyCache(f, q).joint_entropy(mask).hex() == want[mask].hex()
+                if f <= 8:
+                    assert counter_oracle(_edges_of(mask, f), f, q)[0].hex() == want[mask].hex()
             assert h.hex() == want[mask].hex()
 
-    def test_chain_across_rerank_and_held_base_f12(self):
-        # q=2 codes pass 2^63 at the 64th column, where they are re-ranked
+    def test_code_is_the_vertex_mask_of_the_covered_support(self):
+        # the code of S at support T is N(T): the vertices of T with an S-edge
+        # inside T
+        f, q = 6, 2
+        rng = random.Random(23)
+        cache = EntropyCache(f, q)
+        for _ in range(10):
+            mask = rng.getrandbits(edge_count(f)) | 1
+            _, code = cache._carried(mask)
+            want = []
+            for t in range(q ** f):
+                ends = [k for e in _edges_of(mask, f) if all(t >> k - 1 & 1 for k in e) for k in e]
+                want.append(sum(1 << k - 1 for k in set(ends)))
+            assert code.dtype == np.uint16
+            assert code.tolist() == want
+
+    def test_held_base_off_a_full_chain_f12(self):
+        # a 64-edge base one hold off the chain's last miss, K_12, and two
+        # branches from it
         f, q = 12, 2
         rng = random.Random(17)
         order = list(range(66))
@@ -316,81 +326,38 @@ class TestCarriedCodes:
         mask = 0
         for i in order:
             mask |= 1 << i
-            assert cache.joint_entropy(mask).hex() == EntropyCache(f, q).joint_entropy(mask).hex()
+            cache.joint_entropy(mask)
         size = len(cache)
-        # a 64-edge base off the chain, and two branches from it
         branches = [order[10], order[40]]
         base = mask & ~sum(1 << i for i in branches)
         cache.hold(base)
         assert len(cache) == size
         fresh = EntropyCache(f, q)
         for i in branches:
-            assert cache.joint_entropy(base | 1 << i).hex() == fresh.joint_entropy(base | 1 << i).hex()
+            h = cache.joint_entropy(base | 1 << i)
+            assert h.hex() == fresh.joint_entropy(base | 1 << i).hex()
+            assert h.hex() == _oracle_entropy(base | 1 << i, f, q).hex()
         assert len(cache) == size + 2
-
-    def test_sort_fallbacks_against_oracle(self):
-        # 14 and 15 columns at q = 2 span 2^14 and 2^15, far above
-        # BINCOUNT_SPAN * 2^6: a held K_6 minus one edge is ranked, and K_6 in
-        # a fresh cache counted, by np.unique's sort
-        f, q = 6, 2
-        full = (1 << 15) - 1
-        base = full & ~1
-        assert q ** 14 > BINCOUNT_SPAN * q ** f
-        cache = EntropyCache(f, q)
-        cache.hold(base)
-        _, code, span = cache._base
-        ranks = _lexicographic_ranks(_edges_of(base, f), f, q)
-        assert span == ranks.max() + 1 < q ** f
-        assert np.array_equal(code, ranks)
-        # the miss one column past the compacted base is counted by np.bincount
-        want = counter_oracle(all_edges(f), f, q)[0]
-        assert cache.joint_entropy(full).hex() == want.hex()
-        assert cache._last[2] == span * q <= BINCOUNT_SPAN * q ** f
-        fresh = EntropyCache(f, q)
-        assert fresh.joint_entropy(full).hex() == want.hex()
-        assert fresh._last[2] == q ** 15 > BINCOUNT_SPAN * q ** f
 
     def test_hold_never_changes_a_code_it_starts_from(self):
         f, q = 6, 2
         cache = EntropyCache(f, q)
         cache.hold(0b111)
         cache.joint_entropy(0b1111)
-        # the base pinned next is the last miss itself: both start from one array
+        # the base pinned next is the last miss itself: both share one array
         last = cache._last[1]
         before = last.copy()
         cache.hold(0b1111)
-        assert cache._last[1] is last and np.array_equal(last, before)
-        assert cache._base[1] is not last
-        assert np.array_equal(cache._base[1], np.unique(before, return_inverse=True)[1])
-        assert cache._base[2] == len(np.unique(before))
-        # a base that refines a carried code is ranked in the refine's array
-        refined = cache._carried(0b110111)[1]
+        assert cache._base[1] is last
+        # a base that refines a carried code gets a new array
         cache.hold(0b110111)
-        assert cache._last[1] is last and np.array_equal(last, before)
-        assert np.array_equal(cache._base[1], np.unique(refined, return_inverse=True)[1])
+        base = cache._base[1]
+        assert base is not last and np.array_equal(last, before)
+        held = base.copy()
         for mask in (0b111111, 0b1110111, 0b11111):
             want = counter_oracle(_edges_of(mask, f), f, q)[0]
             assert cache.joint_entropy(mask).hex() == want.hex()
-
-    def test_held_base_wins_a_tie_with_the_last_miss(self, monkeypatch):
-        # ebg holds its new prefix right after looking up its entropy, so the
-        # last miss and the base share a mask.  The next miss must refine the
-        # base's compacted code, whose span one column on np.bincount counts,
-        # not the last miss's 2^10 span, which np.unique would have to sort.
-        f, q = 7, 2
-        m, bit = (1 << 10) - 1, 1 << 10
-        cache = EntropyCache(f, q)
-        cache.joint_entropy(m)
-        cache.hold(m)
-        assert cache._last[0] == cache._base[0] == m
-        assert cache._last[2] * q > BINCOUNT_SPAN * q ** f >= cache._base[2] * q
-        want = EntropyCache(f, q).joint_entropy(m | bit)
-
-        def no_sort(*args, **kwargs):
-            raise AssertionError("np.unique called")
-
-        monkeypatch.setattr(np, "unique", no_sort)
-        assert cache.joint_entropy(m | bit).hex() == want.hex()
+            assert np.array_equal(base, held)
 
     def test_hold_adds_no_entropy(self):
         # at q = 3 hold does nothing at all: it builds no monomial rows
@@ -442,13 +409,6 @@ class TestCarriedCodes:
         assert _xlogx_sum(*tally_of(counts)).hex() == per_class_sum(counts).hex()
 
 
-def enumeration_tally(mask, f, q):
-    """The tally of the outcome classes that EntropyCache._classes
-    enumerates for the mask."""
-    code, _ = EntropyCache(f, q)._classes(list(_bits(mask)))
-    return tally_of(np.unique(code, return_counts=True)[1])
-
-
 def _largest_f(q):
     return max(f for f in range(2, MAX_VERTICES + 1) if q ** f <= ENUMERATION_GUARD)
 
@@ -470,7 +430,7 @@ class TestSupportSum:
         mask = edges_or_mask if isinstance(edges_or_mask, int) else edges_to_mask(edges_or_mask, f)
         cache = EntropyCache(f, q)
         counts, multiplicities = cache._support_tally(mask)
-        want = enumeration_tally(mask, f, q)
+        want = enumerated_tally(f, q, mask)
         assert counts.tolist() == want[0].tolist()
         assert multiplicities.tolist() == want[1].tolist()
         assert int(np.dot(counts, multiplicities)) == q ** f
