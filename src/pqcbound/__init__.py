@@ -17,7 +17,6 @@ from .graphs import (
     edge_count,
     edge_from_index,
     edge_index,
-    induced_cycle_vector,
     is_matching,
     is_near_perfect_matching,
     is_perfect_matching,
@@ -65,7 +64,6 @@ __all__ = [
     "edge_from_index",
     "edge_index",
     "exhaustive_search",
-    "induced_cycle_vector",
     "is_matching",
     "is_near_perfect_matching",
     "is_perfect_matching",

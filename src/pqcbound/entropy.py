@@ -48,7 +48,7 @@ over those tables, and the components past the first by pointer jumping.
 At q >= 3 hold does nothing, and no miss builds rows or carried codes.
 
 enumerated_tally, the stateless reference that the tests and verify's
-q >= 3 check compare the kernels with, tallies the outcome vectors of all
+entropy suite compare both kernels with, tallies the outcome vectors of all
 q^f assignments.
 
 The entropy sum takes the tally, each distinct class count with the number
@@ -71,7 +71,11 @@ from .errors import EdgeAlreadyConditioned, EnumerationTooLarge, InvalidFieldSiz
 from .graphs import (_bits, all_edges, check_edge, check_vertex_count, edge_count, edge_from_index,
                      edge_index, edges_to_mask)
 
-# ceiling on the q^f assignments, all of which are held in memory at once
+# ceiling on q^f, the assignments whose outcome classes a tally counts.  It
+# keeps _xlogx_sum exact (a multiplicity is at most q^f / 2 <= 2^21), the
+# support sum's packed (count, multiplicity) keys within int64, and the q^f
+# codes that enumerated_tally holds at once within memory; a q = 2 cache
+# holds at most 2^16 codes, far below it
 ENUMERATION_GUARD = 1 << 22
 # Veltkamp's splitting factor 2^27 + 1 for doubles
 _SPLIT = float((1 << 27) + 1)
@@ -101,8 +105,8 @@ def check_field_size(q: int) -> None:
 
 
 def check_enumeration(f: int, q: int) -> int:
-    """q^f, the assignments an EntropyCache at (f, q) enumerates, once f, q
-    and q^f pass their guards."""
+    """q^f, the assignments whose outcome classes an EntropyCache at (f, q)
+    and enumerated_tally count, once f, q and q^f pass their guards."""
     check_vertex_count(f)
     check_field_size(q)
     total = q ** f

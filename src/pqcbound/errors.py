@@ -1,10 +1,10 @@
 """Exception hierarchy.
 
 ValidationError covers malformed inputs (bad edges, non-permutations, parity
-mismatches).  GuardViolation covers feasibility guards (an enumeration past
-its q^f guard, a search past the permutation cap, an isomorphism-class walk
-past the largest vertex count measured to finish, a composite field size);
-the CLI maps these to exit code 3.
+mismatches).  GuardViolation covers feasibility guards (q^f assignments past
+the guard that keeps the entropy sum exact, a search past the permutation
+cap, an isomorphism-class walk past the largest vertex count measured to
+finish, a composite field size); the CLI maps these to exit code 3.
 """
 
 

@@ -415,27 +415,6 @@ def complete_cycle_census(f: int) -> tuple[int, ...]:
     )
 
 
-def induced_cycle_vector(g: Graph, candidate, mode: str = "through-edge") -> tuple[int, ...]:
-    """Per-length census of the cycles created by adding candidate to g.
-
-    through-edge mode counts only the cycles containing candidate (the simple
-    paths between its endpoints, shifted by one edge); full-graph mode counts
-    every simple cycle of g + candidate.  Both compare identically as
-    lexicographic keys against a fixed base graph since they differ by the
-    base census, a common additive constant.
-    """
-    k, l = check_edge(candidate, g.f)
-    if g.has_edge((k, l)):
-        raise EdgePresent(f"candidate edge {candidate!r} already in graph")
-    if mode == "through-edge":
-        return chord_censuses(g, [(k, l)])[k, l]
-    if mode == "full-graph":
-        work = g.copy()
-        work.add_edge((k, l))
-        return cycle_census(work)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _twin_classes(adj) -> list[list[int]]:
     """The twin classes of the 0-based vertices, each sorted, ordered by
     their smallest member."""

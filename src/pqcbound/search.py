@@ -147,7 +147,6 @@ def feasible_fixed_colors(f: int) -> int:
 class SearchResult:
     best: BoundReport
     evaluations: int
-    trace: tuple | None = None
     argmin_orders: tuple | None = None
     # orders scored in full, where a search prunes the others
     scored: int | None = None
@@ -343,7 +342,6 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
 def e_ec_search(
     params: BoundParams,
     fixed_colors: int = METHOD_OPTIONS["e-ec"]["fixed_colors"],
-    leading_colors=None,
     cache: EntropyCache | None = None,
     workers: int = 1,
 ) -> SearchResult:
@@ -352,32 +350,22 @@ def e_ec_search(
     The first fixed_colors classes of the coloring stay in place; every
     permutation of the remaining (free) classes is evaluated,
     (chi' - fixed_colors)! in total, by _block_search with the leading
-    classes as the head and one block per free class.  leading_colors pins
-    an explicit sequence of 1-based class numbers instead of the first
-    fixed_colors (useful for reproducing runs that held a nonstandard pair
-    of classes fixed).
+    classes as the head and one block per free class.  To hold another
+    sequence of classes fixed, pass its head and blocks to _block_search.
     """
-    head, blocks = _e_ec_blocks(params.f, fixed_colors, leading_colors)
+    head, blocks = _e_ec_blocks(params.f, fixed_colors)
     return _block_search(params, cache, head, blocks, workers)
 
 
-def _e_ec_blocks(f: int, fixed_colors: int, leading_colors=None):
+def _e_ec_blocks(f: int, fixed_colors: int):
     """e-ec's head and blocks at f, once its classes and the cap admit them."""
     part = color_sets(f)
     chi = len(part.sets)
-    if leading_colors is None:
-        if not 1 <= fixed_colors <= chi:
-            raise ValidationError(f"fixed_colors must be in [1, {chi}], got {fixed_colors}")
-        leading = list(range(fixed_colors))
-    else:
-        leading = [c - 1 for c in leading_colors]
-        if len(set(leading)) != len(leading) or not all(0 <= c < chi for c in leading) or not leading:
-            raise ValidationError(
-                f"leading_colors must be distinct class numbers in [1, {chi}], got {leading_colors!r}"
-            )
-    blocks = [tuple(part.sets[c]) for c in range(chi) if c not in leading]
+    if not 1 <= fixed_colors <= chi:
+        raise ValidationError(f"fixed_colors must be in [1, {chi}], got {fixed_colors}")
+    blocks = [tuple(c) for c in part.sets[fixed_colors:]]
     _permutation_guard(len(blocks), "fix more leading classes")
-    return part.concatenated(leading), blocks
+    return part.concatenated(range(fixed_colors)), blocks
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +461,6 @@ def ebg_order(
     tie_policy: str = "lex",
     seed=None,
     cache: EntropyCache | None = None,
-    trace: bool = False,
 ) -> SearchResult:
     """Greedy order: append the edge minimizing the partial bound each step.
 
@@ -500,7 +487,6 @@ def ebg_order(
     graph = Graph(params.f, order)
     remaining = [e for e in all_edges(params.f) if e != (1, 2)]
     evaluations = 0
-    log = []
     # the order so far: its weighted terms and its state
     terms, _, state = weighted_terms(cache, params.n, order)
     while remaining:
@@ -523,10 +509,8 @@ def ebg_order(
         graph.add_edge(pick)
         t, _, state = weighted_terms(cache, params.n, (pick,), state)
         terms += t
-        if trace:
-            log.append((pick, best))
     report = capacity_outer_bound(order, params, cache)
-    return SearchResult(best=report, evaluations=max(evaluations, 1), trace=tuple(log) if trace else None)
+    return SearchResult(best=report, evaluations=max(evaluations, 1))
 
 
 # ---------------------------------------------------------------------------

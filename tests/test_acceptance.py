@@ -1,7 +1,7 @@
 """Acceptance gate: golden values, worked-example conformance, and the
 structural property suites, each at its stated tolerance.
 
-Run with -s to see one status line per criterion.  The two expected-failure
+Run with -s to see one status line per criterion.  The expected-failure
 tests document reference-table entries that the specified algorithms provably
 cannot reproduce (see the repository notes); they are strict xfails so any
 drift is flagged.
@@ -29,15 +29,17 @@ from pqcbound import (
     ec_order,
     edge_count,
     exhaustive_search,
-    induced_cycle_vector,
     is_matching,
     is_near_perfect_matching,
     is_perfect_matching,
     ldf_order,
     matching_size,
     partial_bound,
+    search,
     validate_coloring,
 )
+from pqcbound.graphs import chord_censuses
+from tests.test_search import _pinned_blocks
 
 TOL_DETERMINISTIC = 1e-11
 TOL_TIE_SENSITIVE = 1e-7
@@ -135,7 +137,6 @@ class TestCriterion2:
         assert got == pytest.approx(LDF_TABLE_LARGE[f], abs=TOL_TIE_SENSITIVE)
         print(f"ACCEPTANCE ldf f={f}: {got:.13f}")
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("f", [10, 11, 12])
     def test_ebg_large(self, f, shared_cache):
         got = ebg_order(params(f), cache=shared_cache(f)).best.bound
@@ -148,7 +149,6 @@ class TestCriterion2:
         assert got == pytest.approx(EEC_TABLE_LARGE[f], abs=TOL_DETERMINISTIC)
         print(f"ACCEPTANCE e-ec f={f}: {got:.13f}")
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("f", [11, 12])
     @pytest.mark.xfail(
         strict=True,
@@ -161,13 +161,14 @@ class TestCriterion2:
         got = e_ec_search(params(f), fixed_colors=2, cache=shared_cache(f)).best.bound
         assert got == pytest.approx(EEC_TABLE_LARGE[f], abs=TOL_DETERMINISTIC)
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("f,pinned", [(11, (11, 1)), (12, (1, 10))])
     def test_e_ec_reference_with_pinned_pair(self, f, pinned, shared_cache):
         # the pair each reference run actually held fixed, found by scanning
         # all 110 ordered class pairs; at f=11 it is the unrotated formula's
-        # first two classes
-        got = e_ec_search(params(f), leading_colors=pinned, cache=shared_cache(f)).best.bound
+        # first two classes.  e-ec holds the leading classes fixed, so the
+        # block search runs with this pair as its head.
+        head, blocks = _pinned_blocks(f, [c - 1 for c in pinned])
+        got = search._block_search(params(f), shared_cache(f), head, blocks, 1).best.bound
         assert got == pytest.approx(EEC_TABLE_LARGE[f], abs=TOL_DETERMINISTIC)
         print(f"ACCEPTANCE e-ec f={f} (classes {pinned} pinned): {got:.13f}")
 
@@ -178,18 +179,17 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_hexagon_cycle_tables(self):
-        g = Graph(6, HEXAGON)
+        # the census of every cycle once the chord is added
         for e in [(1, 4), (2, 5), (3, 6)]:
-            assert induced_cycle_vector(g, e, "full-graph") == (0, 2, 0, 1)
+            assert cycle_census(Graph(6, HEXAGON + [e])) == (0, 2, 0, 1)
         for e in [(1, 3), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6)]:
-            assert induced_cycle_vector(g, e, "full-graph") == (1, 0, 1, 1)
-        g2 = Graph(6, HEXAGON + [(1, 4)])
+            assert cycle_census(Graph(6, HEXAGON + [e])) == (1, 0, 1, 1)
         for e in [(2, 5), (3, 6)]:
-            assert induced_cycle_vector(g2, e, "full-graph") == (0, 5, 0, 2)
+            assert cycle_census(Graph(6, HEXAGON + [(1, 4), e])) == (0, 5, 0, 2)
         for e in [(2, 6), (3, 5)]:
-            assert induced_cycle_vector(g2, e, "full-graph") == (1, 2, 3, 1)
+            assert cycle_census(Graph(6, HEXAGON + [(1, 4), e])) == (1, 2, 3, 1)
         for e in [(1, 3), (1, 5), (2, 4), (4, 6)]:
-            assert induced_cycle_vector(g2, e, "full-graph") == (2, 2, 1, 1)
+            assert cycle_census(Graph(6, HEXAGON + [(1, 4), e])) == (2, 2, 1, 1)
         print("ACCEPTANCE hexagon chord cycle censuses: exact")
 
     def test_partial_matching_distances(self):
@@ -247,9 +247,7 @@ class TestCriterion4:
         check = is_perfect_matching if f % 2 == 0 else is_near_perfect_matching
         assert check(order[:eta], f)
 
-    @pytest.mark.parametrize(
-        "f", [10, pytest.param(11, marks=pytest.mark.slow), pytest.param(12, marks=pytest.mark.slow)]
-    )
+    @pytest.mark.parametrize("f", [10, 11, 12])
     def test_leading_matchings_e_ec_large(self, f, shared_cache):
         eta = matching_size(f)
         fixed = 2 if f >= 11 else 1
@@ -308,8 +306,8 @@ class TestCriterion4:
             g = Graph(f, rng.sample(all_edges(f), rng.randint(0, edge_count(f) - 1)))
             e = rng.choice(sorted(set(all_edges(f)) - g.edge_set))
             base = cycle_census(g)
-            through = induced_cycle_vector(g, e, "through-edge")
-            full = induced_cycle_vector(g, e, "full-graph")
+            through = chord_censuses(g, [e])[e]
+            full = cycle_census(Graph(f, [*g.edges, e]))
             assert tuple(b + t for b, t in zip(base, through)) == full
 
     @pytest.mark.xfail(

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pqcbound import EntropyCache, cli, search, verify
@@ -506,13 +507,25 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "PASS" in out
 
+    # the five graph-suite lines at the default f = 6, byte for byte
+    def test_graph_suite_lines(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "graph")
+        assert code == EXIT_OK
+        assert out == (
+            "PASS complete-graph cycle census: (20, 45, 72, 60)\n"
+            "PASS through-edge vs full-graph: 15 random graph/candidate pairs\n"
+            "PASS distance symmetry: 15 random pairs\n"
+            "PASS hexagon chord censuses: antipodal (0,2,0,1), short (1,0,1,1)\n"
+            "PASS partial-matching distances: d(2,5)=3, d(2,6)=d(1,5)=2, d(2,3)=inf\n"
+        )
+
     def test_entropy_suite_checks_carried_codes(self, capsys, monkeypatch):
         argv = ("verify", "--suite", "entropy", "--f", "12", "--q", "2")
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
-        assert "PASS carried codes vs fresh caches: 0 of" in out
+        assert "PASS carried codes vs enumeration: 0 of" in out
         # a held base that lacks its lowest edge's row gives wrong branch
-        # entropies; the fresh caches, which hold nothing, do not
+        # entropies; enumeration, which holds nothing, does not
         hold = EntropyCache.hold
 
         def short(self, edges_or_mask):
@@ -523,7 +536,26 @@ class TestVerifyCommand:
         monkeypatch.setattr(EntropyCache, "hold", short)
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_VERIFY
-        assert "FAIL carried codes vs fresh caches" in out
+        assert "FAIL carried codes vs enumeration" in out
+
+    # a row that also marks the supports holding only the edge's lower
+    # vertex is wrong in every cache alike, so only a reference that builds
+    # no rows sees it
+    @pytest.mark.parametrize("f", ["5", "12", "16"])
+    def test_entropy_suite_checks_rows(self, capsys, monkeypatch, f):
+        def loose(self, i):
+            row = self._rows[i]
+            if row is None:
+                u, v = self._ends[i]
+                both = 1 << u | 1 << v
+                row = self._rows[i] = np.arange(self.total, dtype=np.uint16) & both
+                row[(row != both) & (row != 1 << u)] = 0
+            return row
+
+        monkeypatch.setattr(EntropyCache, "_row", loose)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "entropy", "--f", f, "--q", "2")
+        assert code == EXIT_VERIFY
+        assert "FAIL carried codes vs enumeration" in out
 
     def test_entropy_suite_checks_support_sums(self, capsys, monkeypatch):
         # at q >= 3 every miss is a support sum, which enumeration recomputes

@@ -18,7 +18,6 @@ from pqcbound import (
     edge_from_index,
     edge_index,
     graphs,
-    induced_cycle_vector,
     is_matching,
     is_near_perfect_matching,
     is_perfect_matching,
@@ -309,26 +308,27 @@ class TestChromaticIndex:
         assert matching_size(2) == 1
 
 
+def _closed_census(g, e):
+    """The cycle census of g with the absent edge e added."""
+    return cycle_census(Graph(g.f, [*g.edges, e]))
+
+
 class TestCycleVectors:
     def test_hexagon_chords_full_graph(self):
         g = Graph(6, HEXAGON)
         for e in [(1, 4), (2, 5), (3, 6)]:
-            assert induced_cycle_vector(g, e, "full-graph") == (0, 2, 0, 1)
+            assert _closed_census(g, e) == (0, 2, 0, 1)
         for e in [(1, 3), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6)]:
-            assert induced_cycle_vector(g, e, "full-graph") == (1, 0, 1, 1)
+            assert _closed_census(g, e) == (1, 0, 1, 1)
 
     def test_hexagon_plus_chord_full_graph(self):
         g = Graph(6, HEXAGON + [(1, 4)])
         for e in [(2, 5), (3, 6)]:
-            assert induced_cycle_vector(g, e, "full-graph") == (0, 5, 0, 2)
+            assert _closed_census(g, e) == (0, 5, 0, 2)
         for e in [(2, 6), (3, 5)]:
-            assert induced_cycle_vector(g, e, "full-graph") == (1, 2, 3, 1)
+            assert _closed_census(g, e) == (1, 2, 3, 1)
         for e in [(1, 3), (1, 5), (2, 4), (4, 6)]:
-            assert induced_cycle_vector(g, e, "full-graph") == (2, 2, 1, 1)
-
-    def test_rejects_present_edge(self):
-        with pytest.raises(EdgePresent):
-            induced_cycle_vector(Graph(6, HEXAGON), (1, 2))
+            assert _closed_census(g, e) == (2, 2, 1, 1)
 
     def test_modes_differ_by_base_census(self):
         rng = random.Random(17)
@@ -337,9 +337,8 @@ class TestCycleVectors:
                 g = Graph(f, rng.sample(all_edges(f), rng.randint(0, edge_count(f) - 1)))
                 candidate = rng.choice(sorted(set(all_edges(f)) - g.edge_set))
                 base = cycle_census(g)
-                through = induced_cycle_vector(g, candidate, "through-edge")
-                full = induced_cycle_vector(g, candidate, "full-graph")
-                assert tuple(b + t for b, t in zip(base, through)) == full
+                through = graphs.chord_censuses(g, [candidate])[candidate]
+                assert tuple(b + t for b, t in zip(base, through)) == _closed_census(g, candidate)
 
     def test_modes_share_argmin(self):
         rng = random.Random(23)
@@ -347,13 +346,10 @@ class TestCycleVectors:
             f = rng.choice([5, 6])
             g = Graph(f, rng.sample(all_edges(f), rng.randint(3, edge_count(f) - 2)))
             candidates = sorted(set(all_edges(f)) - g.edge_set)
-            by_through = min(candidates, key=lambda e: (induced_cycle_vector(g, e), e))
-            by_full = min(candidates, key=lambda e: (induced_cycle_vector(g, e, "full-graph"), e))
+            through = graphs.chord_censuses(g, candidates)
+            by_through = min(candidates, key=lambda e: (through[e], e))
+            by_full = min(candidates, key=lambda e: (_closed_census(g, e), e))
             assert by_through == by_full
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            induced_cycle_vector(Graph(4), (1, 2), "sideways")
 
 
 class TestCycleCensus:
@@ -485,11 +481,11 @@ class TestPathCountKernel:
             assert np.array_equal(got[1:], _path_counts_oracle(g._adj, f, s - 1))
         new_census = cycle_census(g)
         absent = [e for e in all_edges(f) if not g.has_edge(e)]
-        new_vectors = [induced_cycle_vector(g, e) for e in absent]
+        new_vectors = graphs.chord_censuses(g, absent)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "simple_path_counts", _simple_path_counts_oracle)
             assert new_census == cycle_census(g)
-            assert new_vectors == [induced_cycle_vector(g, e) for e in absent]
+            assert new_vectors == graphs.chord_censuses(g, absent)
 
     @pytest.mark.parametrize("f", range(5, 12))
     def test_ldf_order_matches_loop_oracle(self, f, monkeypatch):

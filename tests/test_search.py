@@ -110,13 +110,12 @@ def _eval_order(order, f: int, n: int, cache: EntropyCache) -> float:
 
 
 def _ebg_oracle(params, tie_policy, seed, cache):
-    """Order, evaluations and trace of ebg_order, scoring every candidate
-    with a from-scratch partial bound of the whole prefix."""
+    """Order and evaluations of ebg_order, scoring every candidate with a
+    from-scratch partial bound of the whole prefix."""
     rng = random.Random(seed)
     order = [(1, 2)]
     remaining = [e for e in all_edges(params.f) if e != (1, 2)]
     evaluations = 0
-    log = []
     while remaining:
         scored = []
         for e in remaining:
@@ -127,8 +126,7 @@ def _ebg_oracle(params, tie_policy, seed, cache):
         pick = min(tied) if tie_policy == "lex" else rng.choice(tied)
         order.append(pick)
         remaining.remove(pick)
-        log.append((pick, best))
-    return tuple(order), max(evaluations, 1), tuple(log)
+    return tuple(order), max(evaluations, 1)
 
 
 def _random_oracle(params, seed, budget, fixed_colors, cache):
@@ -202,6 +200,13 @@ def _e_ec_oracle(params, leading, cache, workers=1):
             if (b, order) < best:
                 best = (b, order)
     return SearchResult(best=capacity_outer_bound(best[1], params, cache), evaluations=total)
+
+
+def _pinned_blocks(f, leading):
+    """The head and blocks of e-ec with the classes `leading` (0-based, in
+    order) held fixed in front: one block per other class."""
+    part = color_sets(f)
+    return part.concatenated(leading), [c for i, c in enumerate(part.sets) if i not in leading]
 
 
 def _assert_same_search(got, want):
@@ -365,14 +370,12 @@ def _block_case(data, shared_cache):
     f = data.draw(st.integers(3, 8), label="f")
     q = data.draw(st.sampled_from((2, 3, 5) if f <= 5 else (2, 3) if f <= 6 else (2,)), label="q")
     n = data.draw(st.sampled_from((1, 2, 3, 5)), label="n")
-    part = color_sets(f)
-    chi = len(part.sets)
+    chi = len(color_sets(f).sets)
     leading = data.draw(
         st.lists(st.integers(0, chi - 1), min_size=1, max_size=chi - 1, unique=True),
         label="leading",
     )
-    blocks = [tuple(part.sets[c]) for c in range(chi) if c not in leading]
-    return params(f, n=n, q=q), shared_cache(f, q), part.concatenated(leading), blocks, None
+    return params(f, n=n, q=q), shared_cache(f, q), *_pinned_blocks(f, leading), None
 
 
 class TestPrunedTable:
@@ -459,7 +462,7 @@ class TestEEcOracle:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_block_branch", recording)
-            got = e_ec_search(p, leading_colors=[c + 1 for c in leading], cache=cache)
+            got = search._block_search(p, cache, *_pinned_blocks(f, leading), 1)
         _assert_same_search(got, _e_ec_oracle(p, leading, cache))
         # the table's terms use the running-product weights 1, 1/n, 1/n^2, ...
         # of a from-scratch evaluation (float(n) ** -v differs from them in
@@ -503,11 +506,8 @@ class TestKernelOracles:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         p = params(f, n=n, q=q)
         cache = shared_cache(f, q)
-        got = ebg_order(p, tie_policy=tie, seed=seed, cache=cache, trace=True)
-        order, evaluations, trace = _ebg_oracle(p, tie, seed, cache)
-        assert got.best.order == order
-        assert got.evaluations == evaluations
-        assert [(e, b.hex()) for e, b in got.trace] == [(e, b.hex()) for e, b in trace]
+        got = ebg_order(p, tie_policy=tie, seed=seed, cache=cache)
+        assert (got.best.order, got.evaluations) == _ebg_oracle(p, tie, seed, cache)
 
     # the sizes of the benchmark's cold ebg records, which it only
     # re-evaluates, each run on a fresh cache as the CLI runs it
@@ -515,11 +515,8 @@ class TestKernelOracles:
     @pytest.mark.parametrize("tie,seed", [("lex", None), ("random", 7), ("random", 8)])
     def test_ebg_matches_partial_bound_loop_at_benchmark_sizes(self, f, q, tie, seed, shared_cache):
         p = params(f, q=q)
-        got = ebg_order(p, tie_policy=tie, seed=seed, cache=EntropyCache(f, q), trace=True)
-        order, evaluations, trace = _ebg_oracle(p, tie, seed, shared_cache(f, q))
-        assert got.best.order == order
-        assert got.evaluations == evaluations
-        assert [(e, b.hex()) for e, b in got.trace] == [(e, b.hex()) for e, b in trace]
+        got = ebg_order(p, tie_policy=tie, seed=seed, cache=EntropyCache(f, q))
+        assert (got.best.order, got.evaluations) == _ebg_oracle(p, tie, seed, shared_cache(f, q))
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -608,21 +605,16 @@ class TestEEc:
         assert one.best.bound == two.best.bound
         assert one.evaluations == two.evaluations
 
-    def test_leading_colors_generalizes_fixed_count(self, shared_cache):
-        default = e_ec_search(params(6), fixed_colors=2, cache=shared_cache(6))
-        pinned = e_ec_search(params(6), leading_colors=(1, 2), cache=shared_cache(6))
+    # e-ec is the block search with its leading classes as the head, so
+    # another pinned head is a call to the kernel
+    def test_pinned_head_generalizes_fixed_count(self, shared_cache):
+        p, cache = params(6), shared_cache(6)
+        default = e_ec_search(p, fixed_colors=2, cache=cache)
+        pinned = search._block_search(p, cache, *_pinned_blocks(6, [0, 1]), 1)
         assert pinned.best.order == default.best.order
         assert pinned.evaluations == default.evaluations
-        other = e_ec_search(params(6), leading_colors=(2, 1), cache=shared_cache(6))
+        other = search._block_search(p, cache, *_pinned_blocks(6, [1, 0]), 1)
         assert other.best.order[:3] == ec_order(6)[3:6]
-
-    def test_leading_colors_validation(self, shared_cache):
-        with pytest.raises(ValidationError):
-            e_ec_search(params(6), leading_colors=(1, 1), cache=shared_cache(6))
-        with pytest.raises(ValidationError):
-            e_ec_search(params(6), leading_colors=(0, 2), cache=shared_cache(6))
-        with pytest.raises(ValidationError):
-            e_ec_search(params(6), leading_colors=(), cache=shared_cache(6))
 
 
 class TestLdf:
@@ -716,13 +708,6 @@ class TestEbg:
         b = ebg_order(params(5), tie_policy="random", seed=11, cache=shared_cache(5))
         assert a.best.order == b.best.order
         assert sorted(a.best.order) == all_edges(5)
-
-    def test_trace(self, shared_cache):
-        result = ebg_order(params(4), cache=shared_cache(4), trace=True)
-        assert result.trace is not None
-        assert len(result.trace) == edge_count(4) - 1
-        chosen = [(1, 2)] + [e for e, _ in result.trace]
-        assert tuple(chosen) == result.best.order
 
     def test_bad_tie_policy(self, shared_cache):
         with pytest.raises(ValidationError):
