@@ -25,8 +25,8 @@ import time
 from .bound import BoundParams
 from .entropy import EntropyCache
 from .errors import GuardViolation, PqcboundError, ValidationError
-from .search import (METHOD_OPTIONS, OPTION_NAMES, TIE_POLICIES, SearchResult, check_run,
-                     feasible_fixed_colors, option_readers, reads_option, run)
+from .search import (METHOD_OPTIONS, OPTION_NAMES, TIE_POLICIES, SearchResult, WorkerPool,
+                     check_run, feasible_fixed_colors, option_readers, reads_option, run)
 from .verify import DEFAULT_F, SUITES
 
 EXIT_OK = 0
@@ -148,13 +148,15 @@ def cmd_table(args) -> int:
             check_run(m, params, **options)
             cells[params.f, m] = options
     lines = ["f," + ",".join(methods)]
-    for params in rows:
-        cache = EntropyCache(params.f, params.q)
-        row = [str(params.f)]
-        for m in methods:
-            result = run(m, params, cache=cache, workers=workers, **cells[params.f, m])
-            row.append(f"{result.best.bound:.13f}")
-        lines.append(",".join(row))
+    # one pool for the whole table, started by the first cell that needs it
+    with WorkerPool(workers) as pool:
+        for params in rows:
+            cache = EntropyCache(params.f, params.q)
+            row = [str(params.f)]
+            for m in methods:
+                result = run(m, params, cache=cache, workers=pool, **cells[params.f, m])
+                row.append(f"{result.best.bound:.13f}")
+            lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

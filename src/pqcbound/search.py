@@ -53,7 +53,9 @@ smallest edge index or lexicographically smallest order):
 * The last two edges of the LDF construction are appended in lexicographic
   order.
 * Parallel workers merge results by (smallest bound, lexicographically
-  smallest order), so worker count never changes the outcome.
+  smallest order), so worker count never changes the outcome.  A command
+  starts at most one pool, a WorkerPool that its first brute-force search
+  with more than one task starts and its later ones reuse.
 """
 from __future__ import annotations
 
@@ -165,6 +167,40 @@ def _permutation_guard(k: int, advice: str) -> None:
         )
 
 
+class WorkerPool:
+    """The worker processes of one command, shared by its brute-force searches.
+
+    map(fn, tasks) maps inline when count is at most 1 or there is one task.
+    Otherwise the first such map starts one ProcessPoolExecutor of
+    min(count, len(tasks)) workers, which every later map reuses, and each
+    map sends every worker one chunk of its tasks, so a table shared by the
+    tasks is pickled once per worker.  Leaving the with block shuts the pool
+    down and joins its workers.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self._pool = None
+        self._size = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.__exit__(*exc)
+            self._pool = None
+        return False
+
+    def map(self, fn, tasks) -> list:
+        if self.count <= 1 or len(tasks) <= 1:
+            return [fn(t) for t in tasks]
+        if self._pool is None:
+            self._size = min(self.count, len(tasks))
+            self._pool = ProcessPoolExecutor(max_workers=self._size).__enter__()
+        return list(self._pool.map(fn, tasks, chunksize=math.ceil(len(tasks) / self._size)))
+
+
 def _block_branch(task):
     """Best (bound, order), the number of orders scored in full and the
     near-ties among the orders whose first step is one of `firsts`, steps
@@ -253,12 +289,14 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
        The same holds for every order the DFS enters: IEEE addition is
        monotone and each set keeps the cap it was first given, so every set
        that the DFS enters was expanded and has its row.
-    2. One DFS task per first block after the head, run in at most that many
-       worker processes when workers > 1; with no blocks, one task scores
-       the head alone.  Each task prunes against the best-first pass's
-       floor, so the worker count never changes the result; an order it
-       completes folds to at most D[full], so a floor of its own would never
-       rise above the pass's.
+    2. One DFS task per first block after the head; with no blocks, one
+       task scores the head alone.  workers is a count, for a WorkerPool of
+       this call alone, or the caller's WorkerPool, which maps the tasks in
+       one chunk per worker when it has more than one.  Each task prunes
+       against the best-first pass's floor, so neither the worker count nor
+       the chunking changes the result; an order a task completes folds to
+       at most D[full], so a floor of its own would never rise above the
+       pass's.
 
     The widened cap skips only orders strictly worse than an incumbent, so
     ties in the bound still go to the lexicographically smallest edge order.
@@ -317,11 +355,11 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
         (rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, floor)
         for firsts in [[step] for step in rows[0]] or [[]]
     ]
-    if workers > 1 and k > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_block_branch, tasks))
+    if isinstance(workers, WorkerPool):
+        results = workers.map(_block_branch, tasks)
     else:
-        results = [_block_branch(t) for t in tasks]
+        with WorkerPool(workers) as pool:
+            results = pool.map(_block_branch, tasks)
     best = min(local_best for local_best, _, _ in results)
     argmin_orders = None
     if tie_tol is not None:
@@ -343,7 +381,7 @@ def e_ec_search(
     params: BoundParams,
     fixed_colors: int = METHOD_OPTIONS["e-ec"]["fixed_colors"],
     cache: EntropyCache | None = None,
-    workers: int = 1,
+    workers: int | WorkerPool = 1,
 ) -> SearchResult:
     """Best bound over color-class permutations with the leading classes fixed.
 
@@ -520,7 +558,7 @@ def ebg_order(
 def exhaustive_search(
     params: BoundParams,
     cache: EntropyCache | None = None,
-    workers: int = 1,
+    workers: int | WorkerPool = 1,
     collect_argmin: bool = False,
 ) -> SearchResult:
     """Minimum bound over every monomial order.
@@ -701,8 +739,8 @@ def check_run(method: str, params: BoundParams, **options) -> dict:
     return opts
 
 
-def run(method: str, params: BoundParams, cache: EntropyCache | None = None, workers: int = 1,
-        **options) -> SearchResult:
+def run(method: str, params: BoundParams, cache: EntropyCache | None = None,
+        workers: int | WorkerPool = 1, **options) -> SearchResult:
     """Run one method (the CLI entry point).  options are the keywords of
     OPTION_NAMES; one that is None is not given.  check_run refuses what the
     method would refuse and fills in the options not given."""

@@ -30,13 +30,22 @@ def shared_cache():
     return get
 
 
+class PoolSizes(list):
+    """The pool sizes requested, in order; maps holds (tasks, chunksize) of
+    each map sent to a pool."""
+
+    def __init__(self):
+        super().__init__()
+        self.maps = []
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replace search's process pool with one that maps inline, so no process
-    starts; returns the list of pool sizes requested."""
+    starts; returns the PoolSizes it records."""
     from pqcbound import search
 
-    sizes = []
+    sizes = PoolSizes()
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -48,7 +57,9 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            sizes.maps.append((len(tasks), chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)

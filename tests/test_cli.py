@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -372,6 +373,56 @@ class TestTableCommand:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
         assert out1.startswith("f,e-ec\n5,0.5321513151313\n6,0.5198121367672\n")
+
+    def test_table_starts_at_most_one_pool(self, capsys, inline_pool):
+        args = ("table", "--f-range", "5..8", "--methods", "ec,e-ec,ebg", "--threads")
+        _, want, _ = run_cli(capsys, *args, "1")
+        assert inline_pool == []
+        code, out, _ = run_cli(capsys, *args, "2")
+        assert code == EXIT_OK
+        assert out == want
+        # the f = 5 e-ec cell starts the one pool and the other three reuse
+        # it, each sending every worker one chunk of its 4, 4, 6 and 6 tasks
+        assert inline_pool == [2]
+        assert inline_pool.maps == [(4, 2), (4, 2), (6, 3), (6, 3)]
+        code, _, _ = run_cli(capsys, "table", "--f-range", "5..8", "--methods", "ec,ldf,ebg",
+                             "--threads", "2")
+        assert code == EXIT_OK
+        assert inline_pool == [2]
+
+    @pytest.fixture
+    def started_pools(self, monkeypatch):
+        """Record every real pool that search starts."""
+        started = []
+
+        class RecordedPool(search.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordedPool)
+        return started
+
+    def test_table_joins_its_workers(self, capsys, started_pools):
+        code, _, _ = run_cli(capsys, "table", "--f-range", "5..6", "--methods", "e-ec,ebg",
+                             "--threads", "2")
+        assert code == EXIT_OK
+        assert len(started_pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_table_joins_its_workers_when_a_later_cell_raises(self, capsys, monkeypatch,
+                                                             started_pools):
+        def refuse(*args, **kwargs):
+            raise ValidationError("ebg refused after the pool started")
+
+        monkeypatch.setattr(search, "ebg_order", refuse)
+        code, out, err = run_cli(capsys, "table", "--f-range", "5..6", "--methods", "e-ec,ebg",
+                                 "--threads", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: ebg refused after the pool started\n"
+        assert len(started_pools) == 1
+        assert multiprocessing.active_children() == []
 
     def test_empty_methods_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "table", "--f-range", "5..5", "--methods", "")

@@ -993,6 +993,14 @@ class TestExhaustive:
         assert inline_pool and max(inline_pool) <= edge_count(4) - 1
         assert (got.best, got.evaluations, got.scored) == (want.best, want.evaluations, want.scored)
 
+    def test_one_chunk_per_worker(self, inline_pool, shared_cache):
+        got = exhaustive_search(params(5), cache=shared_cache(5), workers=2)
+        want = exhaustive_search(params(5), cache=shared_cache(5), workers=1)
+        # the 9 first-block tasks go to 2 workers in chunks of 5 and 4
+        assert inline_pool == [2]
+        assert inline_pool.maps == [(9, 5)]
+        assert (got.best, got.evaluations, got.scored) == (want.best, want.evaluations, want.scored)
+
     def test_worker_count_does_not_change_result(self, shared_cache):
         one = exhaustive_search(params(4), cache=shared_cache(4), workers=1, collect_argmin=True)
         two = exhaustive_search(params(4), cache=shared_cache(4), workers=2, collect_argmin=True)
