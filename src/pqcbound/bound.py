@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .entropy import EntropyCache, check_field_size
-from .errors import DuplicateEdge, NotAPermutation, ValidationError
+from .errors import ValidationError
 from .graphs import check_edge, check_vertex_count, edge_bits, edge_count
 
 # Relative widening of remaining_cap: far above the rounding of a fold of
@@ -172,7 +172,7 @@ def capacity_outer_bound(order, params: BoundParams, cache: EntropyCache | None 
     # on every call, so they fill up and hold memory until a full collection
     order = tuple([check_edge(e, params.f) for e in order])
     if len(order) != mu or len(set(order)) != mu:
-        raise NotAPermutation(
+        raise ValidationError(
             f"order must list each of the {mu} edges of K_{params.f} exactly once"
         )
     cache = make_cache(params, cache)
@@ -192,6 +192,6 @@ def partial_bound(prefix, params: BoundParams, cache: EntropyCache | None = None
     if not prefix:
         raise ValidationError("prefix must be nonempty")
     if len(set(prefix)) != len(prefix):
-        raise DuplicateEdge(f"prefix repeats an edge: {prefix!r}")
+        raise ValidationError(f"prefix repeats an edge: {prefix!r}")
     cache = make_cache(params, cache)
     return cache.marginal_entropy() / math.fsum(weighted_terms(cache, params.n, prefix)[0])

@@ -6,9 +6,12 @@ Subcommands:
   table    bounds for a range of f, one CSV row per f and column per method
   verify   run a self-check suite
 
-Values are used as given: order and search pass them to search.run, the one
-gate that fills defaults and refuses options a method does not read; table
-gives each column only the values it reads.
+Values are used as given: order, search and table take the same run
+options (--seed, --budget, --fixed-colors, --threads).  order and search
+pass them to search.run, the one gate that fills defaults and refuses
+options a method does not read; table gives each column only the values it
+reads and refuses one that no column reads.  search.WorkerPool alone checks
+--threads.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard
 violation (search space too large, composite q).
@@ -37,13 +40,6 @@ EXIT_GUARD = 3
 ORDER_METHODS = ("ec", "e-ec", "ldf", "ebg")
 SEARCH_METHODS = ("exhaustive", "random")
 RANDOM_DEFAULTS = METHOD_OPTIONS["random"]
-THREADS_HELP = "worker processes for e-ec and exhaustive search, at least 1 (default 1)"
-
-
-def _threads(args) -> int:
-    if args.threads < 1:
-        raise ValidationError(f"--threads must be at least 1, got {args.threads}")
-    return args.threads
 
 
 def order_wire(order) -> str:
@@ -96,10 +92,10 @@ def cmd_run(args) -> int:
     if args.raw and args.format == "csv":
         raise ValidationError("--raw applies to the json and text formats only")
     params = BoundParams(n=args.n, f=args.f, q=args.q)
-    workers = _threads(args)
-    t0 = time.perf_counter()
-    result = run(args.method, params, workers=workers, seed=args.seed, budget=args.budget,
-                 fixed_colors=args.fixed_colors, tie_policy=args.tie)
+    with WorkerPool(args.threads) as pool:
+        t0 = time.perf_counter()
+        result = run(args.method, params, workers=pool, seed=args.seed, budget=args.budget,
+                     fixed_colors=args.fixed_colors, tie_policy=args.tie)
     wall_ms = int((time.perf_counter() - t0) * 1000)
     _emit(_record(args, result, wall_ms), result, args.format, sys.stdout)
     return EXIT_OK
@@ -135,7 +131,7 @@ def cmd_table(args) -> int:
         raise ValidationError(f"cannot write --out: {args.out!r} is a directory")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ValidationError(f"cannot write --out: no directory {os.path.dirname(args.out)!r}")
-    workers = _threads(args)
+    pool = WorkerPool(args.threads)
     rows = [BoundParams(n=args.n, f=f, q=args.q) for f in _parse_range(args.f_range)]
     # each cell gets only the values its column reads, and every cell is
     # refused or admitted before the first row runs
@@ -149,7 +145,7 @@ def cmd_table(args) -> int:
             cells[params.f, m] = options
     lines = ["f," + ",".join(methods)]
     # one pool for the whole table, started by the first cell that needs it
-    with WorkerPool(workers) as pool:
+    with pool:
         for params in rows:
             cache = EntropyCache(params.f, params.q)
             row = [str(params.f)]
@@ -192,14 +188,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=2, help="number of databases (default 2)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--raw", action="store_true", help="include the bound as a hex float")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
 
 
-def _add_random_search(p: argparse.ArgumentParser) -> None:
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    """The options that order, search and table pass to search.run.  Every
+    command takes all four: the gate refuses --seed, --budget or
+    --fixed-colors where the method does not read it, and search.WorkerPool
+    checks --threads."""
     p.add_argument("--seed", type=int, default=None,
-                   help=f"random-search seed (default {RANDOM_DEFAULTS['seed']})")
+                   help=f"seed of random search (default {RANDOM_DEFAULTS['seed']}) and of ebg's "
+                   "random tie-breaking")
     p.add_argument("--budget", type=int, default=None,
                    help=f"random-search draws (default {RANDOM_DEFAULTS['budget']})")
+    p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
+                   help="leading color classes held fixed (e-ec and random search)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for e-ec and exhaustive search, at least 1 (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,20 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="run one ordering method")
     p.add_argument("--method", choices=ORDER_METHODS, required=True)
     _add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="seed for random tie-breaking")
-    p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
-                   help="leading color classes held fixed (e-ec)")
+    _add_run_options(p)
     p.add_argument("--tie", choices=TIE_POLICIES, default="lex",
                    help="tie-breaking of ebg (default lex, which every method follows)")
-    p.set_defaults(func=cmd_run, budget=None)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("search", help="exhaustive or directed random search")
     p.add_argument("--method", choices=SEARCH_METHODS, required=True)
     _add_common(p)
-    _add_random_search(p)
-    p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
-                   help="leading color classes held fixed (random search, default "
-                   f"{RANDOM_DEFAULTS['fixed_colors']})")
+    _add_run_options(p)
     p.set_defaults(func=cmd_run, tie="lex")
 
     p = sub.add_parser("table", help="bounds for a range of f")
@@ -236,10 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="ec,e-ec,ldf,ebg",
                    help="comma-separated methods (default ec,e-ec,ldf,ebg)")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    _add_random_search(p)
-    p.add_argument("--fixed-colors", dest="fixed_colors", type=int, default=None,
-                   help="leading color classes held fixed (e-ec and random)")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    _add_run_options(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a self-check suite")

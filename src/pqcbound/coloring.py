@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParityError
+from .errors import ValidationError
 from .graphs import (
     Edge,
     all_edges,
@@ -65,7 +65,7 @@ def color_sets_odd(f: int) -> ColorPartition:
     """
     check_vertex_count(f)
     if f % 2 == 0:
-        raise ParityError(f"odd construction requires odd f, got {f}")
+        raise ValidationError(f"odd construction requires odd f, got {f}")
     centers = list(range(2, f + 1)) + [1]
     return ColorPartition(f=f, sets=tuple(odd_color_set(f, c) for c in centers))
 
@@ -80,7 +80,7 @@ def color_sets_even(f: int) -> ColorPartition:
     """
     check_vertex_count(f)
     if f % 2 == 1:
-        raise ParityError(f"even construction requires even f, got {f}")
+        raise ValidationError(f"even construction requires even f, got {f}")
     centers = (mod_star(c * (f // 2), f - 1) for c in range(1, f))
     sets = (sorted(odd_color_set(f - 1, k) + ((k, f),)) for k in centers)
     return ColorPartition(f=f, sets=tuple(map(tuple, sets)))

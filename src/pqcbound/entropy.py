@@ -67,7 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EdgeAlreadyConditioned, EnumerationTooLarge, InvalidFieldSize
+from .errors import GuardViolation, ValidationError
 from .graphs import (_bits, all_edges, check_edge, check_vertex_count, edge_count, edge_from_index,
                      edge_index, edges_to_mask)
 
@@ -101,7 +101,7 @@ def is_prime(q: int) -> bool:
 
 def check_field_size(q: int) -> None:
     if not isinstance(q, int) or not is_prime(q):
-        raise InvalidFieldSize(f"field size must be prime, got {q!r}")
+        raise GuardViolation(f"field size must be prime, got {q!r}")
 
 
 def check_enumeration(f: int, q: int) -> int:
@@ -111,7 +111,7 @@ def check_enumeration(f: int, q: int) -> int:
     check_field_size(q)
     total = q ** f
     if total > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(f"q^f = {total} exceeds the enumeration guard {ENUMERATION_GUARD}")
+        raise GuardViolation(f"q^f = {total} exceeds the enumeration guard {ENUMERATION_GUARD}")
     return total
 
 
@@ -386,7 +386,7 @@ class EntropyCache:
         bit = 1 << edge_index(e, self.f)
         given_mask = self._mask_of(given)
         if given_mask & bit:
-            raise EdgeAlreadyConditioned(f"edge {edge!r} is already in the conditioning set")
+            raise ValidationError(f"edge {edge!r} is already in the conditioning set")
         return self.joint_entropy(given_mask | bit) - self.joint_entropy(given_mask)
 
     @cached_property

@@ -1,10 +1,13 @@
-"""Exception hierarchy.
+"""Exception hierarchy: every refusal is one of two types.
 
-ValidationError covers malformed inputs (bad edges, non-permutations, parity
-mismatches).  GuardViolation covers feasibility guards (q^f assignments past
-the guard that keeps the entropy sum exact, a search past the permutation
-cap, an isomorphism-class walk past the largest vertex count measured to
-finish, a composite field size); the CLI maps these to exit code 3.
+ValidationError covers malformed inputs (bad edges or vertex counts,
+non-permutations, parity mismatches, options a method does not read, a
+worker count below 1); the CLI maps these to exit code 2.  GuardViolation
+covers feasibility guards (q^f assignments past the guard that keeps the
+entropy sum exact, a search past the permutation cap, an isomorphism-class
+walk past the largest vertex count measured to finish, a composite field
+size); the CLI maps these to exit code 3.  Each message says which check
+refused.
 """
 
 
@@ -17,52 +20,4 @@ class ValidationError(PqcboundError):
 
 
 class GuardViolation(PqcboundError):
-    pass
-
-
-class InvalidEdge(ValidationError):
-    pass
-
-
-class InvalidVertex(ValidationError):
-    pass
-
-
-class EdgeAlreadyConditioned(ValidationError):
-    pass
-
-
-class EdgePresent(ValidationError):
-    pass
-
-
-class DisconnectedGraph(ValidationError):
-    pass
-
-
-class GraphComplete(ValidationError):
-    pass
-
-
-class ParityError(ValidationError):
-    pass
-
-
-class NotAPermutation(ValidationError):
-    pass
-
-
-class DuplicateEdge(ValidationError):
-    pass
-
-
-class InvalidFieldSize(GuardViolation):
-    pass
-
-
-class EnumerationTooLarge(GuardViolation):
-    pass
-
-
-class SearchSpaceTooLarge(GuardViolation):
     pass

@@ -48,12 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraph,
-    EdgePresent,
-    InvalidEdge,
-    InvalidVertex,
-)
+from .errors import ValidationError
 
 Edge = tuple[int, int]
 
@@ -67,7 +62,7 @@ def edge_count(f: int) -> int:
 
 def check_vertex_count(f: int) -> None:
     if not isinstance(f, int) or f < 2 or f > MAX_VERTICES:
-        raise InvalidVertex(f"vertex count must be an integer in [2, {MAX_VERTICES}], got {f!r}")
+        raise ValidationError(f"vertex count must be an integer in [2, {MAX_VERTICES}], got {f!r}")
 
 
 def check_edge(edge, f: int) -> Edge:
@@ -75,9 +70,9 @@ def check_edge(edge, f: int) -> Edge:
     try:
         k, l = edge
     except (TypeError, ValueError):
-        raise InvalidEdge(f"edge must be a (k, l) pair, got {edge!r}") from None
+        raise ValidationError(f"edge must be a (k, l) pair, got {edge!r}") from None
     if not (isinstance(k, int) and isinstance(l, int) and 1 <= k < l <= f):
-        raise InvalidEdge(f"edge {edge!r} invalid for f={f} (need 1 <= k < l <= f)")
+        raise ValidationError(f"edge {edge!r} invalid for f={f} (need 1 <= k < l <= f)")
     return (k, l)
 
 
@@ -95,7 +90,7 @@ def edge_index(edge: Edge, f: int) -> int:
 def edge_from_index(index: int, f: int) -> Edge:
     """Inverse of edge_index."""
     if not 0 <= index < edge_count(f):
-        raise InvalidEdge(f"edge index {index} out of range for f={f}")
+        raise ValidationError(f"edge index {index} out of range for f={f}")
     k = 1
     rem = index
     while rem >= f - k:
@@ -177,7 +172,7 @@ class Graph:
 
     def _check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 1 <= v <= self.f):
-            raise InvalidVertex(f"vertex {v!r} out of range for f={self.f}")
+            raise ValidationError(f"vertex {v!r} out of range for f={self.f}")
 
     def __len__(self) -> int:
         return sum(bin(row).count("1") for row in self._adj) // 2
@@ -242,7 +237,7 @@ def periphery(g: Graph) -> list[Edge]:
         for v in range(u + 1, g.f + 1):
             d = dist[v - 1]
             if d is math.inf:
-                raise DisconnectedGraph("periphery undefined for a disconnected graph")
+                raise ValidationError("periphery undefined for a disconnected graph")
             if d > best:
                 best, pairs = d, [(u, v)]
             elif d == best:
@@ -379,7 +374,7 @@ def chord_censuses(g: Graph, chords) -> dict:
     for chord in chords:
         k, l = check_edge(chord, g.f)
         if g.has_edge((k, l)):
-            raise EdgePresent(f"candidate edge {chord!r} already in graph")
+            raise ValidationError(f"candidate edge {chord!r} already in graph")
         if k not in counts:
             counts[k] = simple_path_counts(g, k)
         # a list, not a generator: see bound.capacity_outer_bound
@@ -402,7 +397,7 @@ def short_path_counts(g: Graph, chords) -> dict:
     for k, l in chords:
         row_k, row_l = adj[k - 1], adj[l - 1]
         if row_k >> (l - 1) & 1:
-            raise EdgePresent(f"candidate edge {(k, l)!r} already in graph")
+            raise ValidationError(f"candidate edge {(k, l)!r} already in graph")
         counts[k, l] = ((row_k & row_l).bit_count(),
                         sum((adj[a] & row_l).bit_count() for a in _bits(row_k)))
     return counts

@@ -15,11 +15,11 @@ is the edge (1, 2) and its blocks are the other edges, one each.  Both are
 refused when the blocks have more than PERMUTATION_CAP orders, which admits
 exhaustive search up to f = 5.
 
-Every score is a sum of bound.weighted_terms, ebg's exactly rounded and
-every other one the left-to-right fold _fold; each winner is re-evaluated
-with capacity_outer_bound.  ebg scores one candidate per orbit of its prefix
-graph's automorphisms (graphs.edge_orbits): the others give isomorphic edge
-sets, whose entropies, by the relabeling invariance of EntropyCache, and so
+Every score is the left-to-right fold _fold of bound.weighted_terms; each
+winner is re-evaluated with capacity_outer_bound, which sums its terms
+exactly rounded.  ebg scores one candidate per orbit of its prefix graph's
+automorphisms (graphs.edge_orbits): the others give isomorphic edge sets,
+whose entropies, by the relabeling invariance of EntropyCache, and so
 scores, are equal to the bit.  Both brute-force and random search are branch
 and bound: an order stops being scored once its denominator so far plus
 bound.remaining_cap cannot reach a floor.  That cap water-fills the entropy
@@ -40,6 +40,7 @@ counts every order covered.
 run is the one option gate: METHOD_OPTIONS names the options each method
 reads and the value each takes when not given, and run refuses any other
 option that is given.  ebg reads its seed only with the "random" tie policy.
+WorkerPool is the one check of a worker count.
 
 Deterministic conventions used throughout (all tie-breaks resolve to the
 smallest edge index or lexicographically smallest order):
@@ -76,7 +77,7 @@ from .bound import (
 )
 from .coloring import color_sets, ec_order
 from .entropy import EntropyCache, check_enumeration
-from .errors import GraphComplete, SearchSpaceTooLarge, ValidationError
+from .errors import GuardViolation, ValidationError
 from .graphs import (
     Edge,
     Graph,
@@ -162,7 +163,7 @@ def _permutation_guard(k: int, advice: str) -> None:
     """Refuse a brute-force search over more than PERMUTATION_CAP block orders."""
     count = math.factorial(k)
     if count > PERMUTATION_CAP:
-        raise SearchSpaceTooLarge(
+        raise GuardViolation(
             f"{k}! = {count} block orders exceed the permutation cap {PERMUTATION_CAP}; {advice}"
         )
 
@@ -175,10 +176,13 @@ class WorkerPool:
     min(count, len(tasks)) workers, which every later map reuses, and each
     map sends every worker one chunk of its tasks, so a table shared by the
     tasks is pickled once per worker.  Leaving the with block shuts the pool
-    down and joins its workers.
+    down and joins its workers.  This is the one check of a worker count: one
+    that is not an int of at least 1 is refused.
     """
 
     def __init__(self, count: int):
+        if not isinstance(count, int) or count < 1:
+            raise ValidationError(f"--threads must be an int of at least 1, got {count!r}")
         self.count = count
         self._pool = None
         self._size = 0
@@ -250,9 +254,9 @@ def _block_branch(task):
 
 
 def _fold(acc, terms):
-    """acc plus the terms, added left to right: every search score but ebg's
-    is this fold of weighted_terms, so the best-first pass and the DFS agree
-    to the bit."""
+    """acc plus the terms, added left to right: every search score is this
+    fold of weighted_terms, so the best-first pass and the DFS agree to the
+    bit."""
     for t in terms:
         acc += t
     return acc
@@ -291,8 +295,9 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
        that the DFS enters was expanded and has its row.
     2. One DFS task per first block after the head; with no blocks, one
        task scores the head alone.  workers is a count, for a WorkerPool of
-       this call alone, or the caller's WorkerPool, which maps the tasks in
-       one chunk per worker when it has more than one.  Each task prunes
+       this call alone, built (and so checked) before any entropy is
+       computed, or the caller's WorkerPool, which maps the tasks in one
+       chunk per worker when it has more than one.  Each task prunes
        against the best-first pass's floor, so neither the worker count nor
        the chunking changes the result; an order a task completes folds to
        at most D[full], so a floor of its own would never rise above the
@@ -305,6 +310,7 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
     blocks, and scored those scored in full.  Callers apply
     _permutation_guard.
     """
+    pool = workers if isinstance(workers, WorkerPool) else WorkerPool(workers)
     cache = make_cache(params, cache)
     k, n = len(blocks), params.n
     hmin = cache.marginal_entropy()
@@ -355,10 +361,10 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
         (rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, floor)
         for firsts in [[step] for step in rows[0]] or [[]]
     ]
-    if isinstance(workers, WorkerPool):
-        results = workers.map(_block_branch, tasks)
+    if pool is workers:
+        results = pool.map(_block_branch, tasks)
     else:
-        with WorkerPool(workers) as pool:
+        with pool:
             results = pool.map(_block_branch, tasks)
     best = min(local_best for local_best, _, _ in results)
     argmin_orders = None
@@ -471,7 +477,7 @@ def order_inner_edges(g: Graph, partial) -> tuple[Edge, ...]:
         raise ValidationError("partial order must list exactly the edges of g")
     missing = sorted(set(all_edges(g.f)) - g.edge_set)
     if not missing:
-        raise GraphComplete("graph already complete; nothing to order")
+        raise ValidationError("graph already complete; nothing to order")
     work = g.copy()
     order = list(partial)
     while len(missing) > 2:
@@ -505,8 +511,9 @@ def ebg_order(
     The argmin is independent of n (it equals the conditional-entropy argmax),
     so the same order comes out for every n >= 1.  Starts from (1, 2); ties
     within 1e-12 go to the smallest edge ("lex") or a seeded random pick
-    ("random").  The order's weighted terms are carried from step to step,
-    so a score costs one entropy lookup and one fsum over the terms.
+    ("random").  The fold of the order's weighted terms is carried from step
+    to step, so a score costs one entropy lookup and one _fold of the
+    candidate's term onto it, like every other search score.
 
     Candidates in one orbit of the prefix graph's automorphisms
     (graphs.edge_orbits) give isomorphic edge sets, whose entropies, and so
@@ -525,8 +532,9 @@ def ebg_order(
     graph = Graph(params.f, order)
     remaining = [e for e in all_edges(params.f) if e != (1, 2)]
     evaluations = 0
-    # the order so far: its weighted terms and its state
+    # the order so far: the fold of its weighted terms and its state
     terms, _, state = weighted_terms(cache, params.n, order)
+    acc = _fold(0.0, terms)
     while remaining:
         cache.hold(state[0])
         reps = edge_orbits(graph, remaining)
@@ -535,8 +543,8 @@ def ebg_order(
             r = reps[e]
             if r not in scored:
                 t, _, _ = weighted_terms(cache, params.n, (r,), state)
-                # the partial bound of order + [r], to the bit
-                scored[r] = hmin / math.fsum(terms + t)
+                # the partial bound of order + [r], as a fold of its terms
+                scored[r] = hmin / _fold(acc, t)
             scored[e] = scored[r]
         evaluations += len(remaining)
         best = min(scored.values())
@@ -546,7 +554,7 @@ def ebg_order(
         remaining.remove(pick)
         graph.add_edge(pick)
         t, _, state = weighted_terms(cache, params.n, (pick,), state)
-        terms += t
+        acc = _fold(acc, t)
     report = capacity_outer_bound(order, params, cache)
     return SearchResult(best=report, evaluations=max(evaluations, 1))
 
@@ -669,7 +677,7 @@ def _class_walk(f: int) -> tuple[int, int]:
     for 2 <= f <= PATH_COUNT_LIMIT, the largest f measured to finish."""
     check_vertex_count(f)
     if f > PATH_COUNT_LIMIT:
-        raise SearchSpaceTooLarge(
+        raise GuardViolation(
             f"path counting walks every isomorphism class of graphs on f vertices; supported for "
             f"2 <= f <= {PATH_COUNT_LIMIT}, got {f}"
         )

@@ -15,7 +15,7 @@ from pqcbound import (
     partial_bound,
 )
 from pqcbound.bound import CAP_MARGIN, EMPTY_ORDER, _weights, remaining_cap, weighted_terms
-from pqcbound.errors import DuplicateEdge, NotAPermutation, ValidationError
+from pqcbound.errors import GuardViolation, ValidationError
 from pqcbound.graphs import edges_to_mask
 from tests.test_coloring import S_EC_6, S_EEC_6
 
@@ -34,11 +34,9 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValidationError):
             BoundParams(n=0, f=6, q=2)
-        from pqcbound.errors import InvalidFieldSize, InvalidVertex
-
-        with pytest.raises(InvalidVertex):
+        with pytest.raises(ValidationError, match=r"vertex count must be an integer in \[2, 16\], got 1"):
             BoundParams(n=2, f=1, q=2)
-        with pytest.raises(InvalidFieldSize):
+        with pytest.raises(GuardViolation, match="field size must be prime, got 4"):
             BoundParams(n=2, f=6, q=4)
 
     def test_n1_allowed(self):
@@ -76,9 +74,10 @@ class TestReportShape:
         assert report.marginal_entropy == cache.marginal_entropy()
 
     def test_rejects_non_permutations(self, p6):
-        with pytest.raises(NotAPermutation):
+        permutation = "order must list each of the 15 edges of K_6 exactly once"
+        with pytest.raises(ValidationError, match=permutation):
             capacity_outer_bound(S_EC_6[:-1], p6)
-        with pytest.raises(NotAPermutation):
+        with pytest.raises(ValidationError, match=permutation):
             capacity_outer_bound(S_EC_6[:-1] + ((1, 5),), p6)
 
 
@@ -100,7 +99,7 @@ class TestPartialBound:
         assert partial_bound(order, p6, cache) == capacity_outer_bound(order, p6, cache).bound
 
     def test_rejects_duplicates_and_empty(self, p6):
-        with pytest.raises(DuplicateEdge):
+        with pytest.raises(ValidationError, match=r"prefix repeats an edge: \(\(1, 2\), \(1, 2\)\)"):
             partial_bound([(1, 2), (1, 2)], p6)
         with pytest.raises(ValidationError):
             partial_bound([], p6)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pqcbound import EntropyCache, cli, search, verify
-from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _threads, build_parser, main
+from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from pqcbound.errors import ValidationError
 from pqcbound.verify import KNOWN_CLASS_COUNTS, KNOWN_PATH_COUNTS
 
@@ -53,7 +53,10 @@ EBG_RANDOM_RECORDS = {
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -98,6 +101,10 @@ class TestOrderCommand:
         code, _, err = run_cli(capsys, "order", "--method", "ec", "--f", "14", "--q", "3")
         assert code == EXIT_GUARD
         assert "enumeration guard" in err
+        # BoundParams refuses q before the gate sees --budget
+        code, _, err = run_cli(capsys, "order", "--method", "ec", "--f", "5", "--q", "4", "--budget", "5")
+        assert code == EXIT_GUARD
+        assert "prime" in err
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -122,6 +129,10 @@ class TestOrderCommand:
              "--fixed-colors"),
             (("search", "--method", "exhaustive", "--f", "4", "--seed", "3"), "--seed"),
             (("search", "--method", "exhaustive", "--f", "4", "--budget", "5"), "--budget"),
+            (("order", "--method", "e-ec", "--f", "5", "--budget", "5"), "applies to random only"),
+            (("order", "--method", "ebg", "--f", "5", "--budget", "2"), "applies to random only"),
+            # --tie is an order option only
+            (("search", "--method", "random", "--f", "5", "--tie", "lex"), "unrecognized arguments: --tie"),
             (("order", "--method", "ec", "--f", "5", "--seed", "3"), "--seed"),
             (("order", "--method", "e-ec", "--f", "5", "--seed", "0"), "--seed"),
             (("order", "--method", "ldf", "--f", "5", "--seed", "3"), "--seed"),
@@ -134,8 +145,8 @@ class TestOrderCommand:
              "threads-0", "threads-negative", "table-threads-0", "ebg-fixed", "ec-fixed",
              "ldf-fixed", "exhaustive-fixed", "ec-tie-random", "eec-tie-random",
              "ldf-tie-random", "table-fixed-unused", "exhaustive-seed", "exhaustive-budget",
-             "ec-seed", "eec-seed", "ldf-seed", "table-seed-unused", "table-budget-unused",
-             "ebg-lex-seed"],
+             "eec-budget", "ebg-budget", "search-tie", "ec-seed", "eec-seed", "ldf-seed",
+             "table-seed-unused", "table-budget-unused", "ebg-lex-seed"],
     )
     def test_invalid_value_rejected(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
@@ -154,7 +165,7 @@ class TestOrderCommand:
         ("table", "--f-range", "5..5"),
     ], ids=["order", "search", "table"])
     def test_threads_default_is_one(self, argv):
-        assert _threads(build_parser().parse_args(argv)) == 1
+        assert build_parser().parse_args(argv).threads == 1
 
     def test_pqc_threads_is_not_read(self, capsys, monkeypatch):
         argv = ("order", "--method", "e-ec", "--f", "5")

@@ -15,7 +15,7 @@ from pqcbound import (
     validate_coloring,
 )
 from pqcbound.coloring import ColorPartition, mod_star, odd_color_set
-from pqcbound.errors import ParityError
+from pqcbound.errors import ValidationError
 
 S_EC_6 = (
     (1, 5), (2, 4), (3, 6), (1, 6), (2, 5), (3, 4), (1, 2), (3, 5),
@@ -56,7 +56,7 @@ class TestOddConstruction:
             assert is_near_perfect_matching(s, 7)
 
     def test_parity_guard(self):
-        with pytest.raises(ParityError):
+        with pytest.raises(ValidationError, match="odd construction requires odd f, got 6"):
             color_sets_odd(6)
 
 
@@ -89,7 +89,7 @@ class TestEvenConstruction:
             assert is_perfect_matching(s, 8)
 
     def test_parity_guard(self):
-        with pytest.raises(ParityError):
+        with pytest.raises(ValidationError, match="even construction requires even f, got 5"):
             color_sets_even(5)
 
     def test_f2_single_class(self):

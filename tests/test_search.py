@@ -27,8 +27,7 @@ from pqcbound import (
     matching_size,
     order_inner_edges,
 )
-from pqcbound.errors import (EnumerationTooLarge, GraphComplete, InvalidVertex, SearchSpaceTooLarge,
-                             ValidationError)
+from pqcbound.errors import GuardViolation, ValidationError
 from pqcbound import graphs, search
 from pqcbound.bound import _weights, make_cache, remaining_cap, weighted_terms
 from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
@@ -575,7 +574,7 @@ class TestEEc:
 
     def test_permutation_cap(self):
         # chi' = 11 at f = 12, so one fixed class leaves 10! > 10^6 orders
-        with pytest.raises(SearchSpaceTooLarge, match="permutation cap"):
+        with pytest.raises(GuardViolation, match="10! = 3628800 block orders exceed the permutation cap"):
             e_ec_search(params(12), fixed_colors=1)
 
     # chi' = 9 at f = 10 leaves 8! orders; chi' = 11 at f = 11 and 12 needs a
@@ -664,7 +663,7 @@ class TestOrderInnerEdges:
 
     def test_rejects_complete_graph(self):
         g = Graph.complete(4)
-        with pytest.raises(GraphComplete):
+        with pytest.raises(ValidationError, match="graph already complete; nothing to order"):
             order_inner_edges(g, list(all_edges(4)))
 
     def test_rejects_mismatched_partial(self):
@@ -977,7 +976,7 @@ class TestExhaustive:
         assert result.evaluations == 1
 
     def test_guard(self, shared_cache):
-        with pytest.raises(SearchSpaceTooLarge):
+        with pytest.raises(GuardViolation, match="14! = 87178291200 block orders exceed the permutation cap"):
             exhaustive_search(params(6), cache=shared_cache(6))
 
     def test_argmin_set_n_independent(self, shared_cache):
@@ -1213,15 +1212,15 @@ class TestPathCounting:
         assert count_distinct_paths(8) == 2_039_776_098_788_426_618_237
 
     def test_guard(self):
-        with pytest.raises(SearchSpaceTooLarge):
+        with pytest.raises(GuardViolation, match="supported for 2 <= f <= 8, got 9"):
             count_distinct_paths(9)
         for count in (count_distinct_paths, count_graph_classes):
             for f in (9, 16):
-                with pytest.raises(SearchSpaceTooLarge, match="2 <= f <= 8"):
+                with pytest.raises(GuardViolation, match="2 <= f <= 8"):
                     count(f)
             # no graph has these vertex counts: a usage error, as in every other suite
             for f in (1, 17):
-                with pytest.raises(InvalidVertex, match=r"vertex count must be an integer in \[2, 16\]"):
+                with pytest.raises(ValidationError, match=r"vertex count must be an integer in \[2, 16\]"):
                     count(f)
 
     @pytest.mark.parametrize("f", [2, 3, 4, 5])
@@ -1342,17 +1341,29 @@ class TestDispatch:
         with pytest.raises(TypeError, match="fixed_colours"):
             run("e-ec", params(4), cache=shared_cache(4), fixed_colours=2)
 
+    @pytest.mark.parametrize("call", [
+        lambda cache: e_ec_search(params(5), cache=cache, workers=0),
+        lambda cache: exhaustive_search(params(5), cache=cache, workers=-3),
+        lambda cache: run("e-ec", params(5), cache=cache, workers=2.5),
+    ], ids=["e-ec-0", "exhaustive-negative", "run-float"])
+    def test_worker_count_refused_before_any_entropy(self, call):
+        cache = EntropyCache(5, 2)
+        with pytest.raises(ValidationError, match="^--threads must be an int of at least 1, got "):
+            call(cache)
+        # only the empty set's entropy, which every fresh cache holds
+        assert len(cache) == 1
+
     # what each method refuses of its own, after the option gate
     REFUSED = [
         ("e-ec", 6, 2, {"fixed_colors": 0}, ValidationError, "fixed_colors must be in"),
-        ("e-ec", 11, 2, {"fixed_colors": 1}, SearchSpaceTooLarge, "permutation cap"),
+        ("e-ec", 11, 2, {"fixed_colors": 1}, GuardViolation, "permutation cap"),
         ("ldf", 2, 2, {}, ValidationError, "f >= 3"),
-        ("exhaustive", 6, 2, {}, SearchSpaceTooLarge, "permutation cap"),
+        ("exhaustive", 6, 2, {}, GuardViolation, "permutation cap"),
         ("random", 6, 2, {"fixed_colors": 1}, ValidationError, "fixed_colors >= 2"),
         ("random", 6, 2, {"budget": 0}, ValidationError, "budget must be"),
         ("random", 4, 2, {"fixed_colors": 4}, ValidationError, "exceeds chi'"),
-        ("ec", 14, 3, {}, EnumerationTooLarge, "enumeration guard"),
-        ("ebg", 14, 3, {}, EnumerationTooLarge, "enumeration guard"),
+        ("ec", 14, 3, {}, GuardViolation, "enumeration guard"),
+        ("ebg", 14, 3, {}, GuardViolation, "enumeration guard"),
         # the method's own refusal comes before q^f's
         ("e-ec", 14, 3, {"fixed_colors": 0}, ValidationError, "fixed_colors must be in"),
     ]
