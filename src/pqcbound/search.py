@@ -35,7 +35,9 @@ optimum's floor; it builds the entropy rows of its step table only for the
 sets that can reach that floor, and its DFS prunes against the best-first
 pass's floor.  The cap is widened, so pruning skips only orders strictly
 worse than an incumbent and never changes a result; evaluations still
-counts every order covered.
+counts every order covered.  The DFS walks its orders in lexicographic
+order and, unless it collects near-ties, returns at the first that scores
+the optimum's bits, which the best-first pass already knows.
 
 run is the one option gate: METHOD_OPTIONS names the options each method
 reads and the value each takes when not given, and run refuses any other
@@ -151,7 +153,9 @@ class SearchResult:
     best: BoundReport
     evaluations: int
     argmin_orders: tuple | None = None
-    # orders scored in full, where a search prunes the others
+    # orders scored in full, where a search prunes the others; the
+    # brute-force DFS without argmin collection counts them only up to the
+    # first order with the optimum's bits in each of its tasks
     scored: int | None = None
 
 
@@ -220,8 +224,14 @@ def _block_branch(task):
     raises: no order below a set it skips could win or tie, and every set
     it enters has its row.  It scores an order when it enters the full set;
     a task whose orders all fall below the floor returns (inf, ()).
+
+    Each row lists its blocks in index order and the blocks are sorted by
+    first edge, so the DFS walks its orders in lexicographic order.  With a
+    target, the optimum's bound, it returns at the first order that scores
+    those bits: no order scores below them, so that order is the one the
+    full walk would return.  With tie_tol it walks every order it enters.
     """
-    rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, floor = task
+    rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, target, floor = task
     full = len(rows) - 1
     slack = 0.0 if tie_tol is None else tie_tol
     best = (math.inf, ())
@@ -230,6 +240,7 @@ def _block_branch(task):
     perm = []
 
     def visit(done, acc, steps):
+        """Whether the walk stops: it scored the target's bits."""
         nonlocal best, scored
         if done == full:
             scored += 1
@@ -240,13 +251,15 @@ def _block_branch(task):
                     best = (b, order)
                 if tie_tol is not None:
                     ties.append((b, order))
-            return
+            return b == target
         for j, nxt, terms in steps:
             a = _fold(acc, terms)
             if a + cap[nxt] >= floor:
                 perm.append(j)
-                visit(nxt, a, rows[nxt])
+                if visit(nxt, a, rows[nxt]):
+                    return True
                 perm.pop()
+        return False
 
     visit(0, head_acc, firsts)
     del visit  # visit refers to itself; dropping it frees the task without a collection
@@ -301,17 +314,24 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
        against the best-first pass's floor, so neither the worker count nor
        the chunking changes the result; an order a task completes folds to
        at most D[full], so a floor of its own would never rise above the
-       pass's.
+       pass's.  The blocks are sorted by first edge, so each task walks its
+       orders in lexicographic order, and without tie_tol it returns at the
+       first that scores hmin / D[full], the optimum's bits: no order scores
+       below them, so that order is the lexicographically smallest of the
+       task's optima, and the smallest over the tasks is the result.
 
     The widened cap skips only orders strictly worse than an incumbent, so
     ties in the bound still go to the lexicographically smallest edge order.
     With tie_tol, every order within tie_tol of the minimum is returned as
     argmin_orders, sorted.  evaluations counts the orders covered, k! for k
-    blocks, and scored those scored in full.  Callers apply
-    _permutation_guard.
+    blocks, and scored those scored in full, up to each task's return.
+    Callers apply _permutation_guard.
     """
     pool = workers if isinstance(workers, WorkerPool) else WorkerPool(workers)
     cache = make_cache(params, cache)
+    # the blocks are disjoint, so in first-edge order the DFS walks its
+    # orders lexicographically
+    blocks = sorted(blocks)
     k, n = len(blocks), params.n
     hmin = cache.marginal_entropy()
     slack = 0.0 if tie_tol is None else tie_tol
@@ -357,8 +377,9 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
                 elif a + cap[nxt] >= floor:
                     heapq.heappush(heap, (-(a + cap[nxt]), nxt))
 
+    target = hmin / reach[full] if tie_tol is None else None
     tasks = [
-        (rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, floor)
+        (rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, target, floor)
         for firsts in [[step] for step in rows[0]] or [[]]
     ]
     if pool is workers:

@@ -218,7 +218,7 @@ def _path_terms(task, order):
     """The head's fold that a _block_branch task starts from, and the hex of
     the weighted terms it adds along `order` after the head: each block's
     from the row of the blocks before it."""
-    rows, _, _, head, head_acc, blocks, _, _, _ = task
+    rows, _, _, head, head_acc, blocks, *_ = task
     first = {block[0]: j for j, block in enumerate(blocks)}
     out = []
     done, pos = 0, len(head)
@@ -354,15 +354,16 @@ def _eager_block_search(params, cache, head, blocks, workers, tie_tol=None) -> S
 
 def _block_case(data, shared_cache):
     """A drawn brute-force case: e-ec with drawn leading classes, or
-    exhaustive search with its argmin set.  Returns the kernel's arguments
-    after the worker count."""
+    exhaustive search with or without its argmin set.  Returns the kernel's
+    arguments after the worker count."""
     if data.draw(st.booleans(), label="exhaustive"):
         f = data.draw(st.integers(3, 5), label="f")
-        # at n = 1 every order ties, so f = 5 would collect all 9! of them
+        # at n = 1 every order ties, so at f = 5 the eager table would score
+        # all 9! of them
         n = data.draw(st.sampled_from((1, 2, 3, 5) if f < 5 else (2, 3, 5)), label="n")
         # a wide tolerance checks that the best-first floor keeps every near-tie
         wide = (0.01,) if f < 5 else ()
-        tie_tol = data.draw(st.sampled_from((search.TIE_TOLERANCE, *wide)), label="tie_tol")
+        tie_tol = data.draw(st.sampled_from((None, search.TIE_TOLERANCE, *wide)), label="tie_tol")
         q = data.draw(st.sampled_from((2, 3, 5)), label="q")
         first, *rest = all_edges(f)
         return params(f, n=n, q=q), shared_cache(f, q), (first,), [(e,) for e in rest], tie_tol
@@ -422,18 +423,38 @@ class TestPrunedTable:
             assert (two.best, two.evaluations, two.scored) == (one.best, one.evaluations, one.scored)
         assert inline_pool == [2, 2]
 
-    # the counts the DFS gave when each task also raised a floor of its own
-    # on each better order: the pass's floor leaves it nothing to raise
+    # each task walks its orders in lex order and returns at the first that
+    # scores the optimum's bits
     @pytest.mark.parametrize("f,fixed,scored", [
-        (7, 1, 1), (8, 1, 2), (9, 1, 6), (10, 1, 120), (11, 2, 720),
+        (7, 1, 1), (8, 1, 1), (9, 1, 3), (10, 1, 51), (11, 2, 233),
     ])
     def test_e_ec_scored(self, f, fixed, scored, shared_cache):
         assert e_ec_search(params(f), fixed_colors=fixed, cache=shared_cache(f)).scored == scored
+
+    # without argmin collection each task stops at its first optimum; with
+    # it the DFS scores all 9! orders at n = 1 and 1,920 at n = 2 and 3
+    @pytest.mark.parametrize("n,scored", [(1, 9), (2, 3), (3, 3)])
+    def test_exhaustive_scored_without_argmin(self, n, scored, shared_cache):
+        assert exhaustive_search(params(5, n=n), cache=shared_cache(5)).scored == scored
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_scored(self, n, shared_cache):
         result = exhaustive_search(params(5, n=n), cache=shared_cache(5), collect_argmin=True)
         assert (result.scored, len(result.argmin_orders)) == (1920, 1920)
+
+    # the lex-first walk returns the order that argmin collection, which
+    # walks every admitted order, ranks first
+    @pytest.mark.parametrize("f,q,n", [
+        (f, q, n) for f in (3, 4, 5) for q in (2, 3) for n in (1, 2, 3, 5) if (f, n) != (5, 1)
+    ])
+    def test_lex_first_walk_matches_argmin(self, f, q, n, shared_cache):
+        p, cache = params(f, n=n, q=q), shared_cache(f, q)
+        first, *rest = all_edges(f)
+        blocks = [(e,) for e in rest]
+        got = search._block_search(p, cache, (first,), blocks, 1)
+        want = search._block_search(p, cache, (first,), blocks, 1, search.TIE_TOLERANCE)
+        assert got.best.order == want.best.order == want.argmin_orders[0]
+        assert got.best.bound.hex() == want.best.bound.hex()
 
 
 class TestEEcOracle:
@@ -937,10 +958,13 @@ class TestPruning:
         assert (len(masks), len(cache)) == (3_721, 1_037)
 
     # with n = 1 every order has the same denominator up to rounding, so no
-    # subtree can be cut and the permutation cap still bounds the work
+    # subtree can be cut: argmin collection scores every order, and the
+    # permutation cap still bounds its work.  Without it the walk returns at
+    # the first order with the optimum's bits, the fifth.
     def test_n1_prunes_nothing(self, shared_cache):
-        result = exhaustive_search(params(4, n=1), cache=shared_cache(4))
+        result = exhaustive_search(params(4, n=1), cache=shared_cache(4), collect_argmin=True)
         assert result.scored == result.evaluations == math.factorial(5)
+        assert exhaustive_search(params(4, n=1), cache=shared_cache(4)).scored == 5
         result = directed_random_search(params(6, n=1), seed=0, budget=200, cache=shared_cache(6))
         assert result.scored == result.evaluations == 200
 
@@ -1072,6 +1096,18 @@ class TestOptimalOrders:
         assert (optimum.hex(), f"{optimum:.13f}") == OPTIMAL_BOUNDS[f, n]
         assert capacity_outer_bound(ldf_order(f), p, cache).bound.hex() == optimum.hex()
         assert ebg_order(p, cache=cache).best.bound.hex() == optimum.hex()
+
+    # exhaustive search's head and blocks past its permutation cap: the
+    # kernel's lex-first walk scores a handful of orders.  On a 2-vCPU
+    # machine f = 6 takes about 0.2 s and f = 7 about 7.5 s and 220 MB.
+    @pytest.mark.parametrize("f,n", [(6, 2), (6, 3), pytest.param(7, 2, marks=pytest.mark.slow)])
+    def test_block_kernel_matches_dp(self, f, n, shared_cache):
+        p = params(f, n=n)
+        cache = shared_cache(f) if f < 7 else EntropyCache(f, 2)
+        first, *rest = all_edges(f)
+        result = search._block_search(p, cache, (first,), [(e,) for e in rest], 1)
+        assert (result.best.bound.hex(), f"{result.best.bound:.13f}") == OPTIMAL_BOUNDS[f, n]
+        assert capacity_outer_bound(result.best.order, p, cache).bound.hex() == OPTIMAL_BOUNDS[f, n][0]
 
 
 class TestDirectedRandom:
