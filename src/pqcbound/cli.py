@@ -94,7 +94,7 @@ def cmd_run(args) -> int:
     params = BoundParams(n=args.n, f=args.f, q=args.q)
     with WorkerPool(args.threads) as pool:
         t0 = time.perf_counter()
-        result = run(args.method, params, workers=pool, seed=args.seed, budget=args.budget,
+        result = run(args.method, params, pool=pool, seed=args.seed, budget=args.budget,
                      fixed_colors=args.fixed_colors, tie_policy=args.tie)
     wall_ms = int((time.perf_counter() - t0) * 1000)
     _emit(_record(args, result, wall_ms), result, args.format, sys.stdout)
@@ -150,7 +150,7 @@ def cmd_table(args) -> int:
             cache = EntropyCache(params.f, params.q)
             row = [str(params.f)]
             for m in methods:
-                result = run(m, params, cache=cache, workers=pool, **cells[params.f, m])
+                result = run(m, params, cache=cache, pool=pool, **cells[params.f, m])
                 row.append(f"{result.best.bound:.13f}")
             lines.append(",".join(row))
     text = "\n".join(lines) + "\n"

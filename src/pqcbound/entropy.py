@@ -360,7 +360,7 @@ class EntropyCache:
     def _mask_of(self, edges_or_mask) -> int:
         if isinstance(edges_or_mask, int):
             if edges_or_mask < 0 or edges_or_mask >> self.mu:
-                raise ValueError(f"mask {edges_or_mask:#x} out of range for f={self.f}")
+                raise ValidationError(f"mask {edges_or_mask:#x} out of range for f={self.f}")
             return edges_or_mask
         return edges_to_mask(edges_or_mask, self.f)
 

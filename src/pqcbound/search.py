@@ -35,9 +35,10 @@ optimum's floor; it builds the entropy rows of its step table only for the
 sets that can reach that floor, and its DFS prunes against the best-first
 pass's floor.  The cap is widened, so pruning skips only orders strictly
 worse than an incumbent and never changes a result; evaluations still
-counts every order covered.  The DFS walks its orders in lexicographic
-order and, unless it collects near-ties, returns at the first that scores
-the optimum's bits, which the best-first pass already knows.
+counts every order covered.  The best-first pass also gives the DFS its
+one target, the optimum's bound: the DFS walks its orders in lexicographic
+order, returns the first that scores the target and, unless it lists the
+near-ties, stops there.
 
 run is the one option gate: METHOD_OPTIONS names the options each method
 reads and the value each takes when not given, and run refuses any other
@@ -55,10 +56,12 @@ smallest edge index or lexicographically smallest order):
   unchanged.
 * The last two edges of the LDF construction are appended in lexicographic
   order.
-* Parallel workers merge results by (smallest bound, lexicographically
-  smallest order), so worker count never changes the outcome.  A command
-  starts at most one pool, a WorkerPool that its first brute-force search
-  with more than one task starts and its later ones reuse.
+* The brute-force DFS runs one task per first block, in lexicographic
+  order, and the first task that scores the optimum's bound gives the
+  winner, so the worker count never changes the outcome.  A command starts
+  at most one pool, a WorkerPool that its first brute-force search with
+  more than one task starts and its later ones reuse; without one the tasks
+  run inline.
 """
 from __future__ import annotations
 
@@ -210,9 +213,10 @@ class WorkerPool:
 
 
 def _block_branch(task):
-    """Best (bound, order), the number of orders scored in full and the
-    near-ties among the orders whose first step is one of `firsts`, steps
-    of rows[0].
+    """The first order that scores the target, the number of orders scored
+    in full and, with tie_tol, the orders that score at most target +
+    tie_tol, among the orders whose first step is one of `firsts`, steps of
+    rows[0].  An order here is a sequence of block indices.
 
     rows[done] lists, for each block j outside the set `done` of blocks
     placed after the head, (j, the set with j added, the weighted terms of
@@ -220,38 +224,35 @@ def _block_branch(task):
     so a DFS over the blocks carries only the set placed so far and the
     running denominator, from head_acc, the head's fold.  The DFS enters a
     set, a whole order included, only if its denominator plus cap reaches
-    the floor, the optimum's from the best-first pass, which it never
-    raises: no order below a set it skips could win or tie, and every set
-    it enters has its row.  It scores an order when it enters the full set;
-    a task whose orders all fall below the floor returns (inf, ()).
+    the floor, the best-first pass's: no order below a set it skips scores
+    within tie_tol of the target, and every set it enters has its row.  It
+    scores an order when it enters the full set.
 
-    Each row lists its blocks in index order and the blocks are sorted by
-    first edge, so the DFS walks its orders in lexicographic order.  With a
-    target, the optimum's bound, it returns at the first order that scores
-    those bits: no order scores below them, so that order is the one the
-    full walk would return.  With tie_tol it walks every order it enters.
+    The target is the optimum's bound, which no order scores below.  Each
+    row lists its blocks in index order, so the DFS walks its orders in
+    lexicographic order, and the first that scores the target is the
+    task's smallest optimum, or None if none of its orders does.  Without
+    tie_tol the DFS stops there; with it, it walks every order it enters.
     """
-    rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, target, floor = task
+    rows, cap, hmin, head_acc, firsts, tie_tol, target, floor = task
     full = len(rows) - 1
-    slack = 0.0 if tie_tol is None else tie_tol
-    best = (math.inf, ())
+    hit = None
     ties = []
     scored = 0
     perm = []
 
     def visit(done, acc, steps):
-        """Whether the walk stops: it scored the target's bits."""
-        nonlocal best, scored
+        """Whether the walk stops: it scored the target and lists no ties."""
+        nonlocal hit, scored
         if done == full:
             scored += 1
             b = hmin / acc
-            if b <= best[0] + slack:
-                order = head + tuple(e for i in perm for e in blocks[i])
-                if (b, order) < best:
-                    best = (b, order)
-                if tie_tol is not None:
-                    ties.append((b, order))
-            return b == target
+            if tie_tol is not None and b <= target + tie_tol:
+                ties.append(tuple(perm))
+            if hit is None and b == target:
+                hit = tuple(perm)
+                return tie_tol is None
+            return False
         for j, nxt, terms in steps:
             a = _fold(acc, terms)
             if a + cap[nxt] >= floor:
@@ -263,7 +264,7 @@ def _block_branch(task):
 
     visit(0, head_acc, firsts)
     del visit  # visit refers to itself; dropping it frees the task without a collection
-    return best, scored, ties
+    return hit, scored, ties
 
 
 def _fold(acc, terms):
@@ -275,7 +276,8 @@ def _fold(acc, terms):
     return acc
 
 
-def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchResult:
+def _block_search(params, cache, head, blocks, pool: WorkerPool | None = None,
+                  tie_tol=None) -> SearchResult:
     """Best bound over the orders head + (the blocks in every order).
 
     Every order scores the bits of a left-to-right fold of its weighted
@@ -306,28 +308,28 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
        The same holds for every order the DFS enters: IEEE addition is
        monotone and each set keeps the cap it was first given, so every set
        that the DFS enters was expanded and has its row.
-    2. One DFS task per first block after the head; with no blocks, one
-       task scores the head alone.  workers is a count, for a WorkerPool of
-       this call alone, built (and so checked) before any entropy is
-       computed, or the caller's WorkerPool, which maps the tasks in one
-       chunk per worker when it has more than one.  Each task prunes
-       against the best-first pass's floor, so neither the worker count nor
-       the chunking changes the result; an order a task completes folds to
-       at most D[full], so a floor of its own would never rise above the
-       pass's.  The blocks are sorted by first edge, so each task walks its
-       orders in lexicographic order, and without tie_tol it returns at the
-       first that scores hmin / D[full], the optimum's bits: no order scores
-       below them, so that order is the lexicographically smallest of the
-       task's optima, and the smallest over the tasks is the result.
+    2. One DFS task per first block after the head (_block_branch), with
+       target = hmin / D[full], the optimum's bound; with no blocks, one task
+       scores the head alone.  pool, the caller's WorkerPool, maps the tasks
+       in one chunk per worker when it has more than one; with None they are
+       mapped inline.  Each task prunes against the best-first pass's
+       floor, so neither the worker count nor the chunking changes the
+       result; an order a task completes folds to at most D[full], so a
+       floor of its own would never rise above the pass's.  The blocks are
+       sorted by first edge, so the tasks, in the order of their first
+       blocks, and the walk of each, are in lexicographic order: the first
+       order that scores the target in the first task that has one is the
+       lexicographically smallest optimum, and without tie_tol each task
+       stops at its first.
 
     The widened cap skips only orders strictly worse than an incumbent, so
-    ties in the bound still go to the lexicographically smallest edge order.
-    With tie_tol, every order within tie_tol of the minimum is returned as
-    argmin_orders, sorted.  evaluations counts the orders covered, k! for k
-    blocks, and scored those scored in full, up to each task's return.
+    ties in the bound go to the lexicographically smallest edge order.  With
+    tie_tol, every order whose bound is at most the optimum's plus tie_tol
+    is returned as argmin_orders, in lexicographic order, as the tasks list
+    them.  evaluations counts the orders covered, k! for k blocks, and
+    scored those scored in full, up to each task's stop.
     Callers apply _permutation_guard.
     """
-    pool = workers if isinstance(workers, WorkerPool) else WorkerPool(workers)
     cache = make_cache(params, cache)
     # the blocks are disjoint, so in first-edge order the DFS walks its
     # orders lexicographically
@@ -377,23 +379,22 @@ def _block_search(params, cache, head, blocks, workers, tie_tol=None) -> SearchR
                 elif a + cap[nxt] >= floor:
                     heapq.heappush(heap, (-(a + cap[nxt]), nxt))
 
-    target = hmin / reach[full] if tie_tol is None else None
+    target = hmin / reach[full]
     tasks = [
-        (rows, cap, hmin, head, head_acc, blocks, firsts, tie_tol, target, floor)
+        (rows, cap, hmin, head_acc, firsts, tie_tol, target, floor)
         for firsts in [[step] for step in rows[0]] or [[]]
     ]
-    if pool is workers:
-        results = pool.map(_block_branch, tasks)
-    else:
-        with pool:
-            results = pool.map(_block_branch, tasks)
-    best = min(local_best for local_best, _, _ in results)
+    results = [_block_branch(t) for t in tasks] if pool is None else pool.map(_block_branch, tasks)
+    winner = next(hit for hit, _, _ in results if hit is not None)
+
+    def order(seq):
+        return head + tuple(e for i in seq for e in blocks[i])
+
     argmin_orders = None
     if tie_tol is not None:
-        near = {o for _, _, ties in results for b, o in ties if b <= best[0] + tie_tol}
-        argmin_orders = tuple(sorted(near))
+        argmin_orders = tuple(order(seq) for _, _, ties in results for seq in ties)
     return SearchResult(
-        best=capacity_outer_bound(best[1], params, cache),
+        best=capacity_outer_bound(order(winner), params, cache),
         evaluations=math.factorial(k),
         scored=sum(scored for _, scored, _ in results),
         argmin_orders=argmin_orders,
@@ -408,7 +409,7 @@ def e_ec_search(
     params: BoundParams,
     fixed_colors: int = METHOD_OPTIONS["e-ec"]["fixed_colors"],
     cache: EntropyCache | None = None,
-    workers: int | WorkerPool = 1,
+    pool: WorkerPool | None = None,
 ) -> SearchResult:
     """Best bound over color-class permutations with the leading classes fixed.
 
@@ -419,7 +420,7 @@ def e_ec_search(
     sequence of classes fixed, pass its head and blocks to _block_search.
     """
     head, blocks = _e_ec_blocks(params.f, fixed_colors)
-    return _block_search(params, cache, head, blocks, workers)
+    return _block_search(params, cache, head, blocks, pool)
 
 
 def _e_ec_blocks(f: int, fixed_colors: int):
@@ -587,7 +588,7 @@ def ebg_order(
 def exhaustive_search(
     params: BoundParams,
     cache: EntropyCache | None = None,
-    workers: int | WorkerPool = 1,
+    pool: WorkerPool | None = None,
     collect_argmin: bool = False,
 ) -> SearchResult:
     """Minimum bound over every monomial order.
@@ -600,7 +601,7 @@ def exhaustive_search(
     are returned.
     """
     head, blocks = _exhaustive_blocks(params.f)
-    return _block_search(params, cache, head, blocks, workers, TIE_TOLERANCE if collect_argmin else None)
+    return _block_search(params, cache, head, blocks, pool, TIE_TOLERANCE if collect_argmin else None)
 
 
 def _exhaustive_blocks(f: int):
@@ -769,7 +770,7 @@ def check_run(method: str, params: BoundParams, **options) -> dict:
 
 
 def run(method: str, params: BoundParams, cache: EntropyCache | None = None,
-        workers: int | WorkerPool = 1, **options) -> SearchResult:
+        pool: WorkerPool | None = None, **options) -> SearchResult:
     """Run one method (the CLI entry point).  options are the keywords of
     OPTION_NAMES; one that is None is not given.  check_run refuses what the
     method would refuse and fills in the options not given."""
@@ -778,11 +779,11 @@ def run(method: str, params: BoundParams, cache: EntropyCache | None = None,
         order = ec_order(params.f) if method == "ec" else ldf_order(params.f)
         return SearchResult(best=capacity_outer_bound(order, params, cache), evaluations=1)
     if method == "e-ec":
-        return e_ec_search(params, fixed_colors=opts["fixed_colors"], cache=cache, workers=workers)
+        return e_ec_search(params, fixed_colors=opts["fixed_colors"], cache=cache, pool=pool)
     if method == "ebg":
         return ebg_order(params, tie_policy=opts["tie_policy"], seed=opts["seed"], cache=cache)
     if method == "exhaustive":
-        return exhaustive_search(params, cache=cache, workers=workers)
+        return exhaustive_search(params, cache=cache, pool=pool)
     # random, the one method left
     return directed_random_search(params, seed=opts["seed"], budget=opts["budget"],
                                   fixed_colors=opts["fixed_colors"], cache=cache)

@@ -168,7 +168,7 @@ class TestCriterion2:
         # first two classes.  e-ec holds the leading classes fixed, so the
         # block search runs with this pair as its head.
         head, blocks = _pinned_blocks(f, [c - 1 for c in pinned])
-        got = search._block_search(params(f), shared_cache(f), head, blocks, 1).best.bound
+        got = search._block_search(params(f), shared_cache(f), head, blocks).best.bound
         assert got == pytest.approx(EEC_TABLE_LARGE[f], abs=TOL_DETERMINISTIC)
         print(f"ACCEPTANCE e-ec f={f} (classes {pinned} pinned): {got:.13f}")
 

@@ -164,7 +164,7 @@ class TestJointEntropy:
         cache = shared_cache(4)  # mu = 6
         assert cache.joint_entropy((1 << 6) - 1) == cache.full_entropy
         for mask in (1 << 6, 1 | 1 << 9, -1):
-            with pytest.raises(ValueError, match="out of range for f=4"):
+            with pytest.raises(ValidationError, match="out of range for f=4"):
                 cache.joint_entropy(mask)
 
     def test_oracle_equivalence_small(self):

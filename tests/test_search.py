@@ -208,17 +208,23 @@ def _pinned_blocks(f, leading):
     return part.concatenated(leading), [c for i, c in enumerate(part.sets) if i not in leading]
 
 
+def _pooled(count, search_fn, *args, **kwargs):
+    """search_fn(*args, **kwargs) mapped on a WorkerPool of count workers."""
+    with search.WorkerPool(count) as pool:
+        return search_fn(*args, pool=pool, **kwargs)
+
+
 def _assert_same_search(got, want):
     assert got.best.order == want.best.order
     assert got.best.bound.hex() == want.best.bound.hex()
     assert got.evaluations == want.evaluations
 
 
-def _path_terms(task, order):
+def _path_terms(task, head, blocks, order):
     """The head's fold that a _block_branch task starts from, and the hex of
     the weighted terms it adds along `order` after the head: each block's
     from the row of the blocks before it."""
-    rows, _, _, head, head_acc, blocks, *_ = task
+    rows, _, _, head_acc, *_ = task
     first = {block[0]: j for j, block in enumerate(blocks)}
     out = []
     done, pos = 0, len(head)
@@ -385,7 +391,7 @@ class TestPrunedTable:
     @given(data=st.data())
     def test_matches_eager_table(self, data, shared_cache):
         p, cache, head, blocks, tie_tol = _block_case(data, shared_cache)
-        got = search._block_search(p, cache, head, blocks, 1, tie_tol)
+        got = search._block_search(p, cache, head, blocks, tie_tol=tie_tol)
         want = _eager_block_search(p, cache, head, blocks, 1, tie_tol)
         assert got.best.order == want.best.order
         assert got.best.bound.hex() == want.best.bound.hex()
@@ -410,7 +416,7 @@ class TestPrunedTable:
         part = color_sets(10)
         head = part.concatenated([0])
         blocks = [tuple(c) for c in part.sets[1:]]
-        got = search._block_search(p, cache, head, blocks, 1)
+        got = search._block_search(p, cache, head, blocks)
         want = _eager_block_search(p, cache, head, blocks, 1)
         _assert_same_search(got, want)
         assert got.argmin_orders == want.argmin_orders
@@ -418,8 +424,8 @@ class TestPrunedTable:
 
     def test_worker_count_does_not_change_the_work(self, inline_pool, shared_cache):
         for f in (7, 10):
-            one = e_ec_search(params(f), cache=shared_cache(f), workers=1)
-            two = e_ec_search(params(f), cache=shared_cache(f), workers=2)
+            one = _pooled(1, e_ec_search, params(f), cache=shared_cache(f))
+            two = _pooled(2, e_ec_search, params(f), cache=shared_cache(f))
             assert (two.best, two.evaluations, two.scored) == (one.best, one.evaluations, one.scored)
         assert inline_pool == [2, 2]
 
@@ -451,8 +457,8 @@ class TestPrunedTable:
         p, cache = params(f, n=n, q=q), shared_cache(f, q)
         first, *rest = all_edges(f)
         blocks = [(e,) for e in rest]
-        got = search._block_search(p, cache, (first,), blocks, 1)
-        want = search._block_search(p, cache, (first,), blocks, 1, search.TIE_TOLERANCE)
+        got = search._block_search(p, cache, (first,), blocks)
+        want = search._block_search(p, cache, (first,), blocks, tie_tol=search.TIE_TOLERANCE)
         assert got.best.order == want.best.order == want.argmin_orders[0]
         assert got.best.bound.hex() == want.best.bound.hex()
 
@@ -473,6 +479,7 @@ class TestEEcOracle:
         )
         p = params(f, n=n, q=q)
         cache = shared_cache(f, q)
+        head, blocks = _pinned_blocks(f, leading)
         kernel = search._block_branch
         calls = []
 
@@ -482,21 +489,25 @@ class TestEEcOracle:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_block_branch", recording)
-            got = search._block_search(p, cache, *_pinned_blocks(f, leading), 1)
+            got = search._block_search(p, cache, head, blocks)
         _assert_same_search(got, _e_ec_oracle(p, leading, cache))
+        # a task's winner is a sequence of block indices, in the kernel's
+        # first-edge order of the blocks
+        blocks = sorted(blocks)
+        winners = [(task, head + tuple(e for j in hit for e in blocks[j]))
+                   for task, (hit, _, _) in calls if hit is not None]
+        assert winners[0][1] == got.best.order
+        # e-ec lists no near-ties
+        assert all(ties == [] for _, (_, _, ties) in calls)
         # the table's terms use the running-product weights 1, 1/n, 1/n^2, ...
         # of a from-scratch evaluation (float(n) ** -v differs from them in
         # the last bit for n = 3, 5, 6, 7), and each branch winner scores the
-        # bits of _eval_order.  A task is seeded with the best-first pass's
-        # floor, so one whose orders all fall below it has no winner.
-        winners = [(task, b, order) for task, ((b, order), _, _) in calls if order]
-        assert winners
-        assert all(b == math.inf for _, ((b, order), _, _) in calls if not order)
-        for task, b, order in winners:
+        # bits of _eval_order, which are the task's target
+        for task, order in winners:
             want = _weighted_terms(order, p, cache)[1]
-            head = len(task[3])
-            assert _path_terms(task, order) == (_fold(want[:head]), [t.hex() for t in want[head:]])
-            assert b.hex() == _eval_order(order, f, n, cache).hex()
+            assert _path_terms(task, head, blocks, order) == (
+                _fold(want[:len(head)]), [t.hex() for t in want[len(head):]])
+            assert task[6].hex() == _eval_order(order, f, n, cache).hex()
         # every task prunes against the pass's floor, which is the winner's:
         # hmin / (hmin / a + tie_tol) for its fold a, with no tie_tol in e-ec
         a = _fold(_weighted_terms(got.best.order, p, cache)[1])
@@ -508,7 +519,7 @@ class TestEEcOracle:
     def test_matches_permutation_loop_two_workers(self, f, n, shared_cache):
         p = params(f, n=n)
         cache = shared_cache(f)
-        got = e_ec_search(p, cache=cache, workers=2)
+        got = _pooled(2, e_ec_search, p, cache=cache)
         _assert_same_search(got, _e_ec_oracle(p, [0], cache, workers=2))
 
 
@@ -619,8 +630,8 @@ class TestEEc:
         assert edge.best.bound == 1.0
 
     def test_worker_count_does_not_change_result(self, shared_cache):
-        one = e_ec_search(params(6), cache=shared_cache(6), workers=1)
-        two = e_ec_search(params(6), cache=shared_cache(6), workers=2)
+        one = _pooled(1, e_ec_search, params(6), cache=shared_cache(6))
+        two = _pooled(2, e_ec_search, params(6), cache=shared_cache(6))
         assert one.best.order == two.best.order
         assert one.best.bound == two.best.bound
         assert one.evaluations == two.evaluations
@@ -630,10 +641,10 @@ class TestEEc:
     def test_pinned_head_generalizes_fixed_count(self, shared_cache):
         p, cache = params(6), shared_cache(6)
         default = e_ec_search(p, fixed_colors=2, cache=cache)
-        pinned = search._block_search(p, cache, *_pinned_blocks(6, [0, 1]), 1)
+        pinned = search._block_search(p, cache, *_pinned_blocks(6, [0, 1]))
         assert pinned.best.order == default.best.order
         assert pinned.evaluations == default.evaluations
-        other = search._block_search(p, cache, *_pinned_blocks(6, [1, 0]), 1)
+        other = search._block_search(p, cache, *_pinned_blocks(6, [1, 0]))
         assert other.best.order[:3] == ec_order(6)[3:6]
 
 
@@ -863,7 +874,7 @@ class TestExhaustiveOracle:
     def test_matches_edge_dfs(self, f, n, workers, collect_argmin, shared_cache):
         p = params(f, n=n)
         cache = shared_cache(f)
-        got = exhaustive_search(p, cache=cache, workers=workers, collect_argmin=collect_argmin)
+        got = _pooled(workers, exhaustive_search, p, cache=cache, collect_argmin=collect_argmin)
         want = _exhaustive_oracle(p, cache, workers=workers, collect_argmin=collect_argmin)
         _assert_same_search(got, want)
         assert got.argmin_orders == want.argmin_orders
@@ -875,7 +886,7 @@ class TestExhaustiveOracle:
         p = params(4)
         cache = shared_cache(4)
         first, *rest = all_edges(4)
-        got = search._block_search(p, cache, (first,), [(e,) for e in rest], 1, tie_tol=0.01)
+        got = search._block_search(p, cache, (first,), [(e,) for e in rest], tie_tol=0.01)
         want = _exhaustive_oracle(p, cache, collect_argmin=True, tie_tol=0.01)
         exact = exhaustive_search(p, cache=cache, collect_argmin=True)
         assert got.argmin_orders == want.argmin_orders
@@ -919,7 +930,7 @@ class TestPruning:
             p, cache, head, blocks, tie_tol = _block_case(data, shared_cache)
 
             def go():
-                return search._block_search(p, cache, head, blocks, 1, tie_tol)
+                return search._block_search(p, cache, head, blocks, tie_tol=tie_tol)
 
         got = go()
         with pytest.MonkeyPatch.context() as mp:
@@ -1011,22 +1022,34 @@ class TestExhaustive:
         assert r2.argmin_orders == r3.argmin_orders
 
     def test_pool_never_exceeds_its_tasks(self, inline_pool, shared_cache):
-        got = exhaustive_search(params(4), cache=shared_cache(4), workers=64)
-        want = exhaustive_search(params(4), cache=shared_cache(4), workers=1)
+        got = _pooled(64, exhaustive_search, params(4), cache=shared_cache(4))
+        want = _pooled(1, exhaustive_search, params(4), cache=shared_cache(4))
         assert inline_pool and max(inline_pool) <= edge_count(4) - 1
         assert (got.best, got.evaluations, got.scored) == (want.best, want.evaluations, want.scored)
 
     def test_one_chunk_per_worker(self, inline_pool, shared_cache):
-        got = exhaustive_search(params(5), cache=shared_cache(5), workers=2)
-        want = exhaustive_search(params(5), cache=shared_cache(5), workers=1)
+        got = _pooled(2, exhaustive_search, params(5), cache=shared_cache(5))
+        want = _pooled(1, exhaustive_search, params(5), cache=shared_cache(5))
         # the 9 first-block tasks go to 2 workers in chunks of 5 and 4
         assert inline_pool == [2]
         assert inline_pool.maps == [(9, 5)]
         assert (got.best, got.evaluations, got.scored) == (want.best, want.evaluations, want.scored)
 
+    # with no pool the tasks are mapped inline, and give what a pool's do
+    def test_no_pool_starts_no_process(self, inline_pool, shared_cache):
+        p, cache = params(5), shared_cache(5)
+        searches = [(e_ec_search, {}), (exhaustive_search, {}), (exhaustive_search, {"collect_argmin": True})]
+        alone = [fn(p, cache=cache, **kw) for fn, kw in searches]
+        assert inline_pool == []
+        pooled = [_pooled(2, fn, p, cache=cache, **kw) for fn, kw in searches]
+        assert inline_pool == [2, 2, 2]
+        for got, want in zip(alone, pooled):
+            assert (got.best, got.evaluations, got.scored, got.argmin_orders) == (
+                want.best, want.evaluations, want.scored, want.argmin_orders)
+
     def test_worker_count_does_not_change_result(self, shared_cache):
-        one = exhaustive_search(params(4), cache=shared_cache(4), workers=1, collect_argmin=True)
-        two = exhaustive_search(params(4), cache=shared_cache(4), workers=2, collect_argmin=True)
+        one = _pooled(1, exhaustive_search, params(4), cache=shared_cache(4), collect_argmin=True)
+        two = _pooled(2, exhaustive_search, params(4), cache=shared_cache(4), collect_argmin=True)
         assert one.best.order == two.best.order
         assert one.best.bound == two.best.bound
         assert one.argmin_orders == two.argmin_orders
@@ -1105,7 +1128,7 @@ class TestOptimalOrders:
         p = params(f, n=n)
         cache = shared_cache(f) if f < 7 else EntropyCache(f, 2)
         first, *rest = all_edges(f)
-        result = search._block_search(p, cache, (first,), [(e,) for e in rest], 1)
+        result = search._block_search(p, cache, (first,), [(e,) for e in rest])
         assert (result.best.bound.hex(), f"{result.best.bound:.13f}") == OPTIMAL_BOUNDS[f, n]
         assert capacity_outer_bound(result.best.order, p, cache).bound.hex() == OPTIMAL_BOUNDS[f, n][0]
 
@@ -1377,10 +1400,11 @@ class TestDispatch:
         with pytest.raises(TypeError, match="fixed_colours"):
             run("e-ec", params(4), cache=shared_cache(4), fixed_colours=2)
 
+    # the pool a search maps on is opened, and so checked, before the search
     @pytest.mark.parametrize("call", [
-        lambda cache: e_ec_search(params(5), cache=cache, workers=0),
-        lambda cache: exhaustive_search(params(5), cache=cache, workers=-3),
-        lambda cache: run("e-ec", params(5), cache=cache, workers=2.5),
+        lambda cache: _pooled(0, e_ec_search, params(5), cache=cache),
+        lambda cache: _pooled(-3, exhaustive_search, params(5), cache=cache),
+        lambda cache: _pooled(2.5, run, "e-ec", params(5), cache=cache),
     ], ids=["e-ec-0", "exhaustive-negative", "run-float"])
     def test_worker_count_refused_before_any_entropy(self, call):
         cache = EntropyCache(5, 2)
