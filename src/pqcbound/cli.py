@@ -127,6 +127,8 @@ def cmd_table(args) -> int:
         if value is not None and not any(reads_option(m, name) for m in methods):
             flag, readers = OPTION_NAMES[name][1], " and ".join(option_readers(name))
             raise ValidationError(f"{flag} applies to {readers} only, not {args.methods!r}")
+    if args.out == "":
+        raise ValidationError("cannot write --out: the path is empty")
     if args.out and os.path.isdir(args.out):
         raise ValidationError(f"cannot write --out: {args.out!r} is a directory")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):

@@ -68,8 +68,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GuardViolation, ValidationError
-from .graphs import (_bits, all_edges, check_edge, check_vertex_count, edge_count, edge_from_index,
-                     edge_index, edges_to_mask)
+from .graphs import (_bits, check_edge, check_vertex_count, edge_count, edge_ends, edge_from_index,
+                     edge_index, edges_to_mask, mask_rows)
 
 # ceiling on q^f, the assignments whose outcome classes a tally counts.  It
 # keeps _xlogx_sum exact (a multiplicity is at most q^f / 2 <= 2^21), the
@@ -288,7 +288,7 @@ class EntropyCache:
         """Code of monomial i at q = 2 over every support, built on first use."""
         row = self._rows[i]
         if row is None:
-            u, v = self._ends[i]
+            u, v = edge_ends(self.f)[i]
             both = 1 << u | 1 << v
             row = self._rows[i] = np.arange(self.total, dtype=np.uint16) & both
             row[row != both] = 0
@@ -336,12 +336,7 @@ class EntropyCache:
     def _support_tally(self, mask: int) -> tuple:
         """(counts, multiplicities) of the outcome classes of a mask at q >= 3,
         by the support sum over the vertices the mask covers."""
-        rows = [0] * self.f
-        ends = self._ends
-        for i in _bits(mask):
-            u, v = ends[i]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        rows = mask_rows(mask, self.f)
         covered = [v for v in range(self.f) if rows[v]]
         k = len(covered)
         if k < self.f:
@@ -351,11 +346,6 @@ class EntropyCache:
         if support is None:
             support = self._sums[k] = _SupportSum(k, self.q - 1)
         return support.tally(rows, self.q ** (self.f - k))
-
-    @cached_property
-    def _ends(self) -> list:
-        """The 0-based end vertices of every edge index."""
-        return [(k - 1, l - 1) for k, l in all_edges(self.f)]
 
     def _mask_of(self, edges_or_mask) -> int:
         if isinstance(edges_or_mask, int):

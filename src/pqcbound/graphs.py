@@ -3,7 +3,9 @@
 Vertices are labelled 1..f.  An edge is an ordered pair (k, l) with
 1 <= k < l <= f; the lexicographic rank of an edge ("edge index") doubles as
 its bit position in edge-set bitmasks, which are the canonical subset keys
-used throughout the package.
+used throughout the package.  The end vertices of every edge index are one
+cached table per f (edge_ends), which edge_from_index reads and from which
+mask_rows builds the adjacency rows of an edge mask.
 
 A Graph holds one bitmask adjacency row per vertex; its edges are read off
 the rows.
@@ -35,11 +37,13 @@ Comput. 60 (2014).  Each leaf numbers the vertices class by class in its
 order.  A leaf whose numbering gives the first leaf's edge mask yields a
 generator, which is then an automorphism, so a missed generator only leaves
 an orbit split, never merges two that differ; edge_orbits gives each
-non-edge the smallest non-edge of its orbit.  The leaf with the smallest trace of refinement keys and mask
-gives the canonical labelling, and _canonical_form its mask, which is the
-same for every edge set of one isomorphism class.  The walk prunes by the
-generators it finds and cuts subtrees that can hold neither a generator nor
-a smaller leaf.
+non-edge the smallest non-edge of its orbit.  The leaf with the smallest
+trace of refinement keys and mask gives the canonical labelling, and the
+walk returns that leaf's mask beside it, as it holds the mask of every leaf
+it compares: _canonical_form reads that mask, which is the same for every
+edge set of one isomorphism class.  The walk prunes by the generators it
+finds and cuts subtrees that can hold neither a generator nor a smaller
+leaf.
 """
 from __future__ import annotations
 
@@ -87,16 +91,18 @@ def edge_index(edge: Edge, f: int) -> int:
     return (k - 1) * f - k * (k - 1) // 2 + (l - k - 1)
 
 
+@lru_cache(maxsize=None)
+def edge_ends(f: int) -> tuple:
+    """The 0-based end vertices of every edge of K_f, by edge index."""
+    return tuple((k - 1, l - 1) for k, l in all_edges(f))
+
+
 def edge_from_index(index: int, f: int) -> Edge:
     """Inverse of edge_index."""
     if not 0 <= index < edge_count(f):
         raise ValidationError(f"edge index {index} out of range for f={f}")
-    k = 1
-    rem = index
-    while rem >= f - k:
-        rem -= f - k
-        k += 1
-    return (k, k + 1 + rem)
+    u, v = edge_ends(f)[index]
+    return (u + 1, v + 1)
 
 
 def edges_to_mask(edges, f: int) -> int:
@@ -121,6 +127,18 @@ def _bits(mask: int):
 
 def mask_to_edges(mask: int, f: int) -> list[Edge]:
     return [edge_from_index(i, f) for i in _bits(mask)]
+
+
+def mask_rows(mask: int, f: int) -> list[int]:
+    """The adjacency rows of the edge set mask: one vertex bitmask per
+    0-based vertex, bit u of row v set where v and u share an edge."""
+    rows = [0] * f
+    ends = edge_ends(f)
+    for i in _bits(mask):
+        u, v = ends[i]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
 class Graph:
@@ -502,8 +520,8 @@ def _labelled_mask(adj, label) -> int:
 
 def _symmetry(adj) -> tuple:
     """(twin classes, class of each 0-based vertex, generators, canonical
-    labelling) of the graph with adjacency rows adj, from one walk of the
-    refinement tree of its quotient (_quotient).
+    labelling, canonical mask) of the graph with adjacency rows adj, from one
+    walk of the refinement tree of its quotient (_quotient).
 
     A leaf, a discrete coloring of the classes, numbers the vertices class by
     class in the order of its colors.  Two leaves whose labellings give the
@@ -513,7 +531,8 @@ def _symmetry(adj) -> tuple:
     the permutations inside each class they generate the automorphism group.
     The canonical labelling, a dict from each vertex to its number, is that
     of the leaf with the smallest (trace, mask), where the trace lists the
-    refinement keys from the root down to the leaf.
+    refinement keys from the root down to the leaf, and the canonical mask is
+    that leaf's mask, the graph's edges under the labelling.
 
     The first path individualises the first vertex of each node's target
     cell until the coloring is discrete.  Then, deepest node first, each
@@ -532,16 +551,18 @@ def _symmetry(adj) -> tuple:
         path.append((node, cell))
         node, keys = _individualise(quotient, node, cell[0])
         first_trace.append(keys)
-    first, first_mask = node, None
-    best = (first_trace, None, first)
 
     def labelling(color):
         return {v: new for new, v in enumerate(v for _, c in sorted(zip(color, classes)) for v in c)}
 
+    first = node
+    first_mask = _labelled_mask(adj, labelling(first))
+    best = (first_trace, first_mask, first)
+
     def visit(color, trace, same, w):
         # the class permutation from the first leaf to the first leaf below w
-        # with its mask, or None; the first leaf's mask waits for a second leaf
-        nonlocal best, first_mask
+        # with its mask, or None
+        nonlocal best
         color, keys = _individualise(quotient, color, w)
         same = same and keys == first_trace[len(trace)]
         trace = trace + [keys]
@@ -550,9 +571,6 @@ def _symmetry(adj) -> tuple:
         # a coloring with a key per vertex is discrete
         if len(keys) < len(color) and (cell := _target(color)):
             return next(filter(None, (visit(color, trace, same, x) for x in cell)), None)
-        if first_mask is None:
-            first_mask = _labelled_mask(adj, labelling(first))
-            best = (first_trace, first_mask, first)
         mask = _labelled_mask(adj, labelling(color))
         if mask == first_mask:
             at = sorted(range(len(color)), key=color.__getitem__)
@@ -572,17 +590,16 @@ def _symmetry(adj) -> tuple:
                     a, b = orbit[x], orbit[y]
                     if a != b:
                         orbit = [min(a, b) if o in (a, b) else o for o in orbit]
-    return classes, cls, gens, labelling(best[2])
+    return classes, cls, gens, labelling(best[2]), best[1]
 
 
 def _canonical_form(mask: int, f: int) -> int:
-    """One mask for the whole isomorphism class of the edge set mask: its
-    edges under the canonical labelling of _symmetry.  Refinement and the
-    choice of target cell commute with relabeling, so isomorphic masks have
-    the same (trace, mask) pairs at their leaves, and the walk reaches one
-    with the smallest pair."""
-    adj = [sum(1 << u for u, bit in enumerate(row) if mask & bit) for row in _pair_bits(f)]
-    return _labelled_mask(adj, _symmetry(adj)[3])
+    """One mask for the whole isomorphism class of the edge set mask: the
+    canonical mask of _symmetry on its adjacency rows (mask_rows).
+    Refinement and the choice of target cell commute with relabeling, so
+    isomorphic masks have the same (trace, mask) pairs at their leaves, and
+    the walk reaches one with the smallest pair."""
+    return _symmetry(mask_rows(mask, f))[4]
 
 
 def edge_orbits(g: Graph, candidates) -> dict:
@@ -596,7 +613,7 @@ def edge_orbits(g: Graph, candidates) -> dict:
     smallest of those is the pair of the classes' smallest members (or the
     two smallest members of one class).
     """
-    classes, cls, gens, _ = _symmetry(g._adj)
+    classes, cls, gens, *_ = _symmetry(g._adj)
 
     def smallest(ij):
         i, j = ij

@@ -524,8 +524,8 @@ def order_inner_edges(g: Graph, partial) -> tuple[Edge, ...]:
 
 def ebg_order(
     params: BoundParams,
-    tie_policy: str = "lex",
-    seed=None,
+    tie_policy: str = METHOD_OPTIONS["ebg"]["tie_policy"],
+    seed=METHOD_OPTIONS["ebg"]["seed"],
     cache: EntropyCache | None = None,
 ) -> SearchResult:
     """Greedy order: append the edge minimizing the partial bound each step.

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from pqcbound import EntropyCache, cli, search, verify
+from pqcbound import EntropyCache, cli, graphs, search, verify
 from pqcbound.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from pqcbound.errors import ValidationError
 from pqcbound.verify import KNOWN_CLASS_COUNTS, KNOWN_PATH_COUNTS
@@ -520,6 +520,17 @@ class TestTableCommand:
         assert out == ""
         assert err.startswith("error: cannot write --out:")
 
+    def test_empty_out_refused_before_any_row(self, capsys, monkeypatch):
+        # an empty path would otherwise fall back to stdout
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed for an empty --out")
+
+        monkeypatch.setattr(cli, "run", no_rows)
+        code, out, err = run_cli(capsys, "table", "--f-range", "5..9", "--methods", "ec,ebg", "--out", "")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: cannot write --out: the path is empty\n"
+
     def test_out_directory_checked_before_any_row(self, capsys, monkeypatch, tmp_path):
         def no_rows(*args, **kwargs):
             raise AssertionError("a row was computed for an --out that names a directory")
@@ -608,7 +619,7 @@ class TestVerifyCommand:
         def loose(self, i):
             row = self._rows[i]
             if row is None:
-                u, v = self._ends[i]
+                u, v = graphs.edge_ends(self.f)[i]
                 both = 1 << u | 1 << v
                 row = self._rows[i] = np.arange(self.total, dtype=np.uint16) & both
                 row[(row != both) & (row != 1 << u)] = 0

@@ -29,7 +29,7 @@ from pqcbound import (
     simple_path_counts,
 )
 from pqcbound.errors import ValidationError
-from pqcbound.graphs import _bits, complete_cycle_census, edges_to_mask, mask_to_edges, short_path_counts
+from pqcbound.graphs import MAX_VERTICES, _bits, complete_cycle_census, edges_to_mask, mask_to_edges, short_path_counts
 from tests.relabelings import edge_remaps
 
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
@@ -177,6 +177,19 @@ class TestEdgeIndexing:
         for i, e in enumerate(edges):
             assert edge_index(e, f) == i
             assert edge_from_index(i, f) == e
+
+    @pytest.mark.parametrize("f", range(2, MAX_VERTICES + 1))
+    def test_ends_table(self, f):
+        edges = all_edges(f)
+        assert graphs.edge_ends(f) == tuple((k - 1, l - 1) for k, l in edges)
+        assert [edge_from_index(i, f) for i in range(len(edges))] == edges
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mask_rows_are_the_graph_rows(self, data):
+        f = data.draw(st.integers(2, MAX_VERTICES), label="f")
+        mask = data.draw(st.integers(0, (1 << edge_count(f)) - 1), label="mask")
+        assert graphs.mask_rows(mask, f) == Graph(f, mask_to_edges(mask, f))._adj
 
     def test_rejects_bad_edges(self):
         for bad in [(2, 2), (3, 2), (0, 1), (1, 7), (1,), "xy"]:
@@ -513,7 +526,7 @@ def _generators(g: Graph) -> list[tuple[int, ...]]:
     image of vertex v: a swap of each two members of a twin class, and the
     class permutations of _symmetry, lifted by mapping the sorted members of
     each class onto those of its image."""
-    classes, _, gens, _ = graphs._symmetry(g._adj)
+    classes, _, gens, _, _ = graphs._symmetry(g._adj)
     swaps = []
     for c in classes:
         for a, b in combinations(c, 2):
@@ -705,6 +718,27 @@ class TestCanonicalForm:
         assert graphs._canonical_form(edges_to_mask(_relabeled(g.edges, perm), g.f), g.f) == canon
         # the form is an edge set of the same class: as many edges, and its own form
         assert canon.bit_count() == len(g) and graphs._canonical_form(canon, g.f) == canon
+
+    # the empty and complete graphs are one twin class, and the quotient of
+    # the third graph is discrete after the first refinement: each of their
+    # walks has one leaf.  Drawn masks at f <= 8 almost never have a
+    # canonical leaf other than the first; relabeled regular graphs often do
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mask_is_the_labelling_mask(self, data):
+        f = data.draw(st.integers(4, 8), label="f")
+        full = (1 << edge_count(f)) - 1
+        single_leaf = [0, full]
+        if f >= 6:
+            single_leaf.append(edges_to_mask([(1, 3), (1, 4), (1, 6), (2, 3), (2, 5), (3, 4)], f))
+        masks = [st.sampled_from(single_leaf), st.integers(0, full)]
+        if regular := [g.edges for g in _regular_graphs() if g.f == f]:
+            masks.append(st.builds(lambda edges, perm: edges_to_mask(_relabeled(edges, perm), f),
+                                   st.sampled_from(regular), st.permutations(range(1, f + 1))))
+        mask = data.draw(st.one_of(*masks), label="mask")
+        rows = graphs.mask_rows(mask, f)
+        *_, labelling, canon = graphs._symmetry(rows)
+        assert canon == graphs._labelled_mask(rows, labelling)
 
     @pytest.mark.parametrize("g", _labeler_graphs(), ids=lambda g: f"f{g.f}-{len(g)}edges")
     def test_relabelings_of_symmetric_graphs_keep_the_mask(self, g):

@@ -892,6 +892,27 @@ class TestExhaustiveOracle:
         assert got.argmin_orders == want.argmin_orders
         assert len(exact.argmin_orders) < len(got.argmin_orders) < math.factorial(5)
 
+    # ties: the number of orders that score the second-best bound
+    @pytest.mark.parametrize("f,n,ties", [(4, 2, 16), (4, 3, 16), (5, 2, 960)])
+    def test_window_edge_is_inside(self, f, n, ties, shared_cache):
+        # a tolerance that ends exactly on the second-best score: the window
+        # is closed, so every order of that score is listed
+        p, cache = params(f, n=n), shared_cache(f)
+        head, blocks = search._exhaustive_blocks(f)
+        hmin = cache.marginal_entropy()
+
+        def score(order):
+            return hmin / search._fold(0.0, weighted_terms(cache, n, order)[0])
+
+        wide = search._block_search(p, cache, head, blocks, tie_tol=0.05).argmin_orders
+        t0, b2 = sorted({score(o) for o in wide})[:2]
+        # Sterbenz: b2 <= 2 * t0, so b2 - t0 is exact and t0 plus it is b2
+        assert t0 + (b2 - t0) == b2
+        got = search._block_search(p, cache, head, blocks, tie_tol=b2 - t0).argmin_orders
+        edge = [o for o in wide if score(o) == b2]
+        assert len(edge) == ties
+        assert set(edge) <= set(got)
+
 
 class TestPruning:
     def test_random_search_skips_most_lookups(self):
