@@ -17,15 +17,20 @@ exhaustive search up to f = 5.
 
 Every score is the left-to-right fold _fold of bound.weighted_terms; each
 winner is re-evaluated with capacity_outer_bound, which sums its terms
-exactly rounded.  ebg scores one candidate per orbit of its prefix graph's
-automorphisms (graphs.edge_orbits): the others give isomorphic edge sets,
-whose entropies, by the relabeling invariance of EntropyCache, and so
-scores, are equal to the bit.  Both brute-force and random search are branch
-and bound: an order stops being scored once its denominator so far plus
-bound.remaining_cap cannot reach a floor.  That cap water-fills the entropy
-still to come into the next positions, each up to a per-edge cap: an edge's
-conditional entropy given a subset of the edges before it, which by
-submodularity bounds its conditional entropy there.  Random search caps
+exactly rounded.  ebg looks up only the candidates whose place in its tie
+window the bounds it carries cannot settle: by submodularity a candidate's
+last conditional entropy bounds its next, and a step whose weight has
+fallen far below the window ties every candidate with no lookup.  It scores
+at most one candidate per orbit of its prefix graph's automorphisms
+(graphs.edge_orbits), found only at a step that looks something up: the
+others give isomorphic edge sets, whose entropies, by the relabeling
+invariance of EntropyCache, and so scores, are equal to the bit.  Both
+brute-force and random search are branch and bound: an order stops being
+scored once its denominator so far plus bound.remaining_cap cannot reach a
+floor.  That cap water-fills the entropy still to come into the next
+positions, each up to a per-edge cap: an edge's conditional entropy given a
+subset of the edges before it, which by submodularity bounds its
+conditional entropy there.  Random search caps
 each edge of a draw by its conditional entropy given the fixed prefix, and
 its floor is the best draw's denominator.  The brute-force kernel caps the
 free edges of a set of placed blocks once, from the walks of the row that
@@ -73,10 +78,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bound import (
+    CAP_MARGIN,
     BoundParams,
     BoundReport,
     capacity_outer_bound,
     make_cache,
+    _weights,
     remaining_cap,
     weighted_terms,
 )
@@ -537,48 +544,120 @@ def ebg_order(
     to step, so a score costs one entropy lookup and one _fold of the
     candidate's term onto it, like every other search score.
 
-    Candidates in one orbit of the prefix graph's automorphisms
-    (graphs.edge_orbits) give isomorphic edge sets, whose entropies, and so
-    partial bounds, are equal to the bit; only the smallest of each orbit is
-    scored, and the others take its score.  evaluations still counts every
-    candidate.  The tied candidates are listed in edge order, so the lex pick
-    is always a scored one and the seeded pick is the same edge whatever is
-    scored.  The pick's own entropy is then looked up, from the held prefix,
-    so every prefix of the order is in the cache.
+    Most scores are never looked up.  With w the weight of the next
+    position, a candidate e with c = H(e | order) scores
+    score(c) = hmin / _fold(acc, (w * c,)), which never rises as c rises,
+    also in floats: IEEE multiplication, addition and division are
+    monotone.  Each remaining edge keeps a bound ub[e] on H(e | order),
+    H(e) = hmin at first and then the conditional entropy last looked up
+    for it; the order only grows, so by submodularity of entropy neither is
+    ever exceeded.  Hence e's score lies in [score(ub[e] + m), score(-m)].
+    The widening m = CAP_MARGIN * H(K_f) covers rounding, as in
+    bound.remaining_cap: every entropy is f minus one exactly rounded sum
+    over one division, so it is within a few units in the last place of
+    f <= 16, about 1e-14, and a conditional entropy within twice that, while
+    m is at least 1e-9 * hmin > 8e-10.  _ebg_window settles each step's tie
+    window from these intervals and looks up only the candidates they
+    leave open; at n = 2, from about the 35th step on, where the weights
+    have shrunk the intervals below TIE_TOLERANCE, it looks up none.
+    evaluations still counts every candidate, and the window is listed in
+    edge order, so the lex and seeded picks are those of scoring every
+    candidate.  The pick's own entropy is then looked up, from the held
+    prefix, so every prefix of the order is in the cache.
     """
     _check_tie_policy(tie_policy)
     cache = make_cache(params, cache)
     hmin = cache.marginal_entropy()
+    margin = CAP_MARGIN * cache.full_entropy
+    weights = _weights(params.n, cache.mu)
     rng = random.Random(seed)
     order = [(1, 2)]
     graph = Graph(params.f, order)
     remaining = [e for e in all_edges(params.f) if e != (1, 2)]
+    # an upper bound on H(e | order) for each remaining edge e
+    ub = dict.fromkeys(remaining, hmin)
     evaluations = 0
     # the order so far: the fold of its weighted terms and its state
     terms, _, state = weighted_terms(cache, params.n, order)
     acc = _fold(0.0, terms)
     while remaining:
         cache.hold(state[0])
-        reps = edge_orbits(graph, remaining)
-        scored = {}
-        for e in remaining:
-            r = reps[e]
-            if r not in scored:
-                t, _, _ = weighted_terms(cache, params.n, (r,), state)
-                # the partial bound of order + [r], as a fold of its terms
-                scored[r] = hmin / _fold(acc, t)
-            scored[e] = scored[r]
+        w = weights[state[1]]
+
+        def score(c):
+            """The partial bound of order + [e] where H(e | order) = c."""
+            return hmin / _fold(acc, (w * c,))
+
+        def lookup(e):
+            """H(e | order), from the cache."""
+            return weighted_terms(cache, params.n, (e,), state)[1][0]
+
+        tied = _ebg_window(graph, remaining, ub, score, margin, lookup)
         evaluations += len(remaining)
-        best = min(scored.values())
-        tied = [e for e in remaining if scored[e] <= best + TIE_TOLERANCE]
         pick = min(tied) if tie_policy == "lex" else rng.choice(tied)
         order.append(pick)
         remaining.remove(pick)
+        del ub[pick]
         graph.add_edge(pick)
         t, _, state = weighted_terms(cache, params.n, (pick,), state)
         acc = _fold(acc, t)
     report = capacity_outer_bound(order, params, cache)
     return SearchResult(best=report, evaluations=max(evaluations, 1))
+
+
+def _ebg_window(graph, remaining, ub, score, margin, lookup) -> list:
+    """The candidates of one ebg step whose score is within TIE_TOLERANCE of
+    the best, in edge order, with as few lookups as the bounds ub allow.
+
+    An unscored candidate scores in [score(ub + margin), score(-margin)],
+    and a scored one exactly, so the best score lies in [lo, hi], the least
+    of the lower and of the upper ends.  A candidate is in the window if its
+    upper end is at most lo + TIE_TOLERANCE, and out if its lower end
+    exceeds hi + TIE_TOLERANCE; float addition is monotone, so either also
+    holds against the best score.  When every candidate is in on its bound
+    alone, the step needs no lookup and no orbits.  Otherwise candidates in
+    one orbit of the prefix graph's automorphisms (graphs.edge_orbits) give
+    isomorphic edge sets, whose entropies, and so scores, are equal to the
+    bit: an orbit's bound, which its members take in ub, is their
+    tightest, and looking up its smallest member scores them all and sets
+    their bounds to its conditional entropy.  While some candidate is
+    neither in nor out, the unscored orbit with the largest bound, whose
+    lower end is the least, is looked up.
+    """
+    top = score(-margin)  # the upper end of every unscored candidate
+    if top <= score(max(ub.values()) + margin) + TIE_TOLERANCE:
+        return remaining
+    reps = edge_orbits(graph, remaining)
+    members = {}
+    for e in remaining:
+        members.setdefault(reps[e], []).append(e)
+    orbits = []
+    for es in members.values():
+        bound = min(ub[e] for e in es)
+        for e in es:
+            ub[e] = bound
+        orbits.append((bound, es))
+    # largest bound first; equal bounds keep the edge order of their smallest members
+    orbits.sort(key=lambda o: -o[0])
+    scored, best, j = [], math.inf, 0
+    while j < len(orbits):
+        bound, es = orbits[j]
+        low = score(bound + margin)  # the least lower end of an unscored candidate
+        inside, outside = min(best, low) + TIE_TOLERANCE, min(best, top) + TIE_TOLERANCE
+        if (top <= inside or low > outside) and all(s <= inside or s > outside for s, _ in scored):
+            break
+        c = lookup(es[0])
+        for e in es:
+            ub[e] = c
+        scored.append((score(c), es))
+        best = min(best, scored[-1][0])
+        j += 1
+    else:
+        inside = best + TIE_TOLERANCE
+    window = {e for s, es in scored if s <= inside for e in es}
+    if top <= inside:
+        window.update(e for _, es in orbits[j:] for e in es)
+    return [e for e in remaining if e in window]
 
 
 # ---------------------------------------------------------------------------

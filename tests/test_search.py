@@ -29,7 +29,7 @@ from pqcbound import (
 )
 from pqcbound.errors import GuardViolation, ValidationError
 from pqcbound import graphs, search
-from pqcbound.bound import _weights, make_cache, remaining_cap, weighted_terms
+from pqcbound.bound import CAP_MARGIN, _weights, make_cache, remaining_cap, weighted_terms
 from pqcbound.graphs import edge_from_index, edge_index, edges_to_mask
 from pqcbound.search import SearchResult, run
 from pqcbound.verify import KNOWN_PATH_COUNTS
@@ -48,6 +48,10 @@ EC_REFERENCE = {
     11: 0.5033789063480,
     12: 0.5020207578041,
 }
+
+
+# weights n^-v of 2^-40v: below ebg's tie window from v = 1 on, and 0.0 from v = 27 on
+UNDERFLOW_N = 2**40
 
 
 def params(f, n=2, q=2):
@@ -126,6 +130,42 @@ def _ebg_oracle(params, tie_policy, seed, cache):
         order.append(pick)
         remaining.remove(pick)
     return tuple(order), max(evaluations, 1)
+
+
+def _ebg_orbit_oracle(params, tie_policy, seed, cache) -> SearchResult:
+    """ebg_order as it was before its tie window was settled from bounds: at
+    every step it scores one candidate per orbit of the prefix graph's
+    automorphisms (graphs.edge_orbits), every orbit, and the others take
+    their orbit's score."""
+    hmin = cache.marginal_entropy()
+    rng = random.Random(seed)
+    order = [(1, 2)]
+    graph = Graph(params.f, order)
+    remaining = [e for e in all_edges(params.f) if e != (1, 2)]
+    evaluations = 0
+    terms, _, state = weighted_terms(cache, params.n, order)
+    acc = search._fold(0.0, terms)
+    while remaining:
+        cache.hold(state[0])
+        reps = graphs.edge_orbits(graph, remaining)
+        scored = {}
+        for e in remaining:
+            r = reps[e]
+            if r not in scored:
+                t, _, _ = weighted_terms(cache, params.n, (r,), state)
+                scored[r] = hmin / search._fold(acc, t)
+            scored[e] = scored[r]
+        evaluations += len(remaining)
+        best = min(scored.values())
+        tied = [e for e in remaining if scored[e] <= best + search.TIE_TOLERANCE]
+        pick = min(tied) if tie_policy == "lex" else rng.choice(tied)
+        order.append(pick)
+        remaining.remove(pick)
+        graph.add_edge(pick)
+        t, _, state = weighted_terms(cache, params.n, (pick,), state)
+        acc = search._fold(acc, t)
+    report = capacity_outer_bound(order, params, cache)
+    return SearchResult(best=report, evaluations=max(evaluations, 1))
 
 
 def _random_oracle(params, seed, budget, fixed_colors, cache):
@@ -540,6 +580,54 @@ class TestKernelOracles:
         got = ebg_order(p, tie_policy=tie, seed=seed, cache=cache)
         assert (got.best.order, got.evaluations) == _ebg_oracle(p, tie, seed, cache)
 
+    # The tie window must hold exactly the candidates that scoring every
+    # orbit ties.  n = 1 keeps every weight at 1, so no window collapses;
+    # at n = 2**40 every weight past the first is below the window, and
+    # 0.0 from position 27 on, so every candidate ties.
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_ebg_matches_orbit_loop(self, data, shared_cache):
+        q = data.draw(st.sampled_from((2, 3, 5)), label="q")
+        f = data.draw(st.integers(3, {2: 10, 3: 8, 5: 6}[q]), label="f")
+        n = data.draw(st.sampled_from((1, 2, 3, 5, UNDERFLOW_N)), label="n")
+        tie = data.draw(st.sampled_from(("lex", "random")), label="tie")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        p = params(f, n=n, q=q)
+        cache = shared_cache(f, q)
+        got = ebg_order(p, tie_policy=tie, seed=seed, cache=cache)
+        want = _ebg_orbit_oracle(p, tie, seed, cache)
+        _assert_same_search(got, want)
+        assert got.best.cond_entropies == want.best.cond_entropies
+
+    # every step's window holds every candidate, so each step looks up
+    # nothing but its pick and needs no orbits
+    @pytest.mark.parametrize("tie,seed", [("lex", None), ("random", 3), ("random", 8)])
+    def test_ebg_ties_every_candidate_once_the_weights_underflow(self, tie, seed, monkeypatch):
+        f = 16
+        assert _weights(UNDERFLOW_N, edge_count(f))[-1] == 0.0
+
+        def no_orbits(*args):
+            raise AssertionError("edge_orbits called at a step that needs no lookup")
+
+        monkeypatch.setattr(search, "edge_orbits", no_orbits)
+        cache = EntropyCache(f, 2)
+        got = ebg_order(params(f, n=UNDERFLOW_N), tie_policy=tie, seed=seed, cache=cache)
+        rng = random.Random(seed)
+        order, rest = [(1, 2)], all_edges(f)[1:]
+        while rest:
+            order.append(rest[0] if tie == "lex" else rng.choice(rest))
+            rest.remove(order[-1])
+        assert got.best.order == tuple(order)
+        # the empty set and the order's prefixes, the last one K_f
+        assert len(cache) == edge_count(f) + 1
+
+    # scoring every orbit, as the oracle does, fills 1,049 entries here
+    def test_ebg_looks_up_few_entropies(self):
+        cache = EntropyCache(12, 2)
+        ebg_order(params(12), tie_policy="random", seed=7, cache=cache)
+        assert len(cache) < 400
+
     # the sizes of the benchmark's cold ebg records, which it only
     # re-evaluates, each run on a fresh cache as the CLI runs it
     @pytest.mark.parametrize("f,q", [(12, 2), (9, 3), (7, 5)])
@@ -771,6 +859,35 @@ class TestEbg:
             rest = [h for pb, h in scored.values() if pb > best + search.TIE_TOLERANCE]
             assert scored[order[k]][0] <= best + search.TIE_TOLERANCE
             assert not rest or min(tied) >= max(rest)
+
+    # ebg_order bounds each candidate's conditional entropy by the last one
+    # looked up, widened by m: along any order, H(e | S_k) <= H(e | S_j) + m
+    # for j < k, S_0 empty, and H(e | S_k) >= -m, as computed in floats.  The
+    # float excess over exact submodularity is also far inside m.
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_conditional_entropy_bounds_hold_in_floats(self, data, shared_cache):
+        q = data.draw(st.sampled_from((2, 3, 5)), label="q")
+        f = data.draw(st.integers(3, {2: 9, 3: 7, 5: 6}[q]), label="f")
+        n = data.draw(st.sampled_from((1, 2, 3, 5, UNDERFLOW_N)), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cache = shared_cache(f, q)
+        order = ebg_order(params(f, n=n, q=q), tie_policy="random", seed=seed, cache=cache).best.order
+        m = CAP_MARGIN * cache.full_entropy
+        bits = _edge_bits(f)
+        # the least H(e | S_j) over j < k, for every e outside S_k
+        least = dict.fromkeys(all_edges(f), cache.marginal_entropy())
+        mask = 0
+        for placed in order:
+            prev = cache.joint_entropy(mask)
+            for e in least:
+                c = cache.joint_entropy(mask | bits[e]) - prev
+                assert -m <= c <= least[e] + m
+                assert c - least[e] <= 1e-4 * m
+                least[e] = min(least[e], c)
+            del least[placed]
+            mask |= bits[placed]
 
 
 def _entropy_table(params: BoundParams, cache: EntropyCache) -> list[float]:
